@@ -135,11 +135,7 @@ def flip_convolve(
         q = quasi.values[m0]
         for pattern in _FLIP_PATTERNS:
             probs[_apply_flips(m0, pattern)] += _pattern_probability(rates, pattern) * q
-    settings = (
-        math.degrees(math.atan2(vis_a.vy, vis_a.vx)),
-        math.degrees(math.atan2(vis_b.vy, vis_b.vx)),
-    )
-    return JointDistribution(probs=probs, settings=settings)
+    return JointDistribution(probs=probs, settings=(vis_a.theta_deg, vis_b.theta_deg))
 
 
 @dataclass(frozen=True)

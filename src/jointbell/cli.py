@@ -15,8 +15,10 @@ import io
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, Iterable, Sequence, TextIO
 
 import click
 import numpy as np
@@ -26,6 +28,7 @@ from . import selfcheck
 from .analysis import MINIMAL_OUTCOMES, fit_bell_magnitude, pbflip_outcome
 from .core import (
     CIRELSON_BOUND,
+    MeasurementSetting,
     TwoQubitState,
     VisibilityPair,
     bell_expectation,
@@ -34,8 +37,8 @@ from .core import (
 )
 from .sim import (
     ALL_OUTCOMES,
-    CountFileError,
     aggregate_b,
+    angle_sweep,
     b_value,
     joint_distribution,
     probabilities_from_counts,
@@ -146,55 +149,69 @@ def _resolve_out(out: str | None, default_name: str) -> Path:
     return directory / default_name
 
 
+@contextmanager
+def _usage_errors(prefix: str = ""):
+    """Turn a ValueError raised in the block into a one-line error, exit 1."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.ClickException(f"{prefix}{exc}") from None
+
+
 def _load_config(config_path: str | None, **overrides) -> RunConfig:
     file_values = None
     if config_path is not None:
-        try:
+        with _usage_errors(f"{config_path}: "):
             file_values = parse_config_text(Path(config_path).read_text())
-        except ValueError as exc:
-            raise click.ClickException(f"{config_path}: {exc}") from None
-    try:
+    with _usage_errors():
         return build_config(file_values, **overrides)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
 
 
 def _state_or_fail(spec: str) -> TwoQubitState:
-    try:
+    with _usage_errors():
         return parse_state_spec(spec)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
 
 
 def _pbflip_table(theta_a: float, theta_b: float) -> dict[str, float] | None:
     if not (0.0 <= theta_a <= 90.0 and 0.0 <= theta_b <= 90.0):
         return None
-    ra, rb = math.radians(theta_a), math.radians(theta_b)
-    vis_a = VisibilityPair(math.cos(ra), math.sin(ra))
-    vis_b = VisibilityPair(math.cos(rb), math.sin(rb))
+    vis_a, vis_b = VisibilityPair.from_theta(theta_a), VisibilityPair.from_theta(theta_b)
     return {m.label(): pbflip_outcome(m, vis_a, vis_b) for m in ALL_OUTCOMES}
 
 
-def _emit_report(report: dict, rows_key: str, out: Path | None, fmt: str) -> None:
-    if fmt == "json":
-        text = json.dumps(report, indent=2) + "\n"
-    else:
-        buffer = io.StringIO()
-        rows = report[rows_key]
-        writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        for key, value in report.items():
-            if key == rows_key or isinstance(value, (dict, list)):
-                continue
-            buffer.write(f"# {key}={value}\n")
-        text = buffer.getvalue()
+def _write_json(fh: TextIO, report: dict) -> None:
+    fh.write(json.dumps(report, indent=2) + "\n")
+
+
+def _write_csv(fh: TextIO, rows: Iterable[dict], fieldnames: Sequence[str] | None = None) -> None:
+    """Stream dict rows to ``fh``; columns default to the keys of ``rows[0]``."""
+    writer = csv.DictWriter(fh, fieldnames=list(fieldnames or rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+
+
+def _write_output(out: Path | None, write: Callable[[TextIO], None]) -> None:
+    """Run ``write`` on the file ``out`` and echo ``wrote <out>``, or echo
+    what it writes to stdout when ``out`` is None."""
     if out is None:
-        click.echo(text, nl=False)
-    else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-        click.echo(f"wrote {out}")
+        buffer = io.StringIO()
+        write(buffer)
+        click.echo(buffer.getvalue(), nl=False)
+        return
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with open(out, "w", newline="") as fh:
+        write(fh)
+    click.echo(f"wrote {out}")
+
+
+def _emit_report(report: dict, rows_key: str, out: Path | None, fmt: str) -> None:
+    def write_csv(fh: TextIO) -> None:
+        _write_csv(fh, report[rows_key])
+        for key, value in report.items():
+            if key != rows_key and not isinstance(value, (dict, list)):
+                fh.write(f"# {key}={value}\n")
+
+    _write_output(out, (lambda fh: _write_json(fh, report)) if fmt == "json" else write_csv)
 
 
 @click.group()
@@ -235,20 +252,16 @@ def simulate(config_path, state, theta_a, theta_b, out, fmt) -> None:
     dist = joint_distribution(prepared, cfg.theta_a, cfg.theta_b)
     agg = aggregate_b(dist)
     rows = [
-        {
-            "x_a": m.x_a, "y_a": m.y_a, "x_b": m.x_b, "y_b": m.y_b,
-            "b": b_value(m), "probability": dist.probs[m],
-        }
+        {**m._asdict(), "b": b_value(m), "probability": dist.probs[m]}
         for m in ALL_OUTCOMES
     ]
-    ra, rb = math.radians(cfg.theta_a), math.radians(cfg.theta_b)
     report = {
         "state": cfg.state,
         "theta_a_deg": cfg.theta_a,
         "theta_b_deg": cfg.theta_b,
         "visibilities": {
-            "a": {"vx": math.cos(ra), "vy": math.sin(ra)},
-            "b": {"vx": math.cos(rb), "vy": math.sin(rb)},
+            side.lower(): dict(zip(("vx", "vy"), MeasurementSetting(theta, side).visibilities))
+            for side, theta in (("A", cfg.theta_a), ("B", cfg.theta_b))
         },
         "bell_expectation": bell_expectation(prepared),
         "p_b_plus": agg.p_plus,
@@ -277,10 +290,8 @@ def counts(config_path, state, theta_a, theta_b, mean_total, seed, duration_s, o
     )
     prepared = _state_or_fail(cfg.state)
     dist = joint_distribution(prepared, cfg.theta_a, cfg.theta_b)
-    try:
+    with _usage_errors():
         table = sample_counts(dist, cfg.mean_total, seed=cfg.seed, duration_s=duration_s)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
     path = _resolve_out(cfg.out, "counts.csv")
     write_count_table(table, path)
     click.echo(f"wrote {path}")
@@ -294,18 +305,15 @@ def counts(config_path, state, theta_a, theta_b, mean_total, seed, duration_s, o
 @_format_option
 def analyze(countfile, theta_a, theta_b, out, fmt) -> None:
     """Estimate probabilities and b statistics from a count table."""
-    try:
+    with _usage_errors(f"{countfile}: "):
         table = read_count_table(countfile)
         dist, errors = probabilities_from_counts(table)
-    except (CountFileError, ValueError) as exc:
-        raise click.ClickException(f"{countfile}: {exc}") from None
     agg = aggregate_b(dist)
     total = table.total()
     n_plus = sum(table.counts[m] for m in ALL_OUTCOMES if b_value(m) == 2)
     rows = [
         {
-            "x_a": m.x_a, "y_a": m.y_a, "x_b": m.x_b, "y_b": m.y_b,
-            "b": b_value(m), "counts": table.counts[m],
+            **m._asdict(), "b": b_value(m), "counts": table.counts[m],
             "probability": dist.probs[m], "std_err": errors[m],
         }
         for m in ALL_OUTCOMES
@@ -357,33 +365,29 @@ def sweep(config_path, state, thetas, sample, mean_total, seed, out) -> None:
     if any(not 0.0 <= t <= 90.0 for t in theta_list):
         raise click.ClickException("sweep angles must lie in [0, 90] degrees")
     prepared = _state_or_fail(cfg.state)
-    records = []
-    for index, theta in enumerate(theta_list):
-        dist = joint_distribution(prepared, theta, theta)
-        r = math.radians(theta)
-        vis = VisibilityPair(math.cos(r), math.sin(r))
-        observed = errors = counts_table = None
-        if sample:
-            counts_table = sample_counts(dist, cfg.mean_total, seed=cfg.seed ^ index)
-            observed, errors = probabilities_from_counts(counts_table)
-        for m in ALL_OUTCOMES:
-            records.append({
-                "theta_deg": theta,
-                "x_a": m.x_a, "y_a": m.y_a, "x_b": m.x_b, "y_b": m.y_b,
-                "b": b_value(m),
-                "p_theory": dist.probs[m],
-                "p_bflip": pbflip_outcome(m, vis, vis),
-                "counts": counts_table.counts[m] if counts_table else "",
-                "p_obs": observed.probs[m] if observed else "",
-                "std_err": errors[m] if errors else "",
-            })
+    with _usage_errors():
+        samples = angle_sweep(
+            prepared, theta_list, cfg.mean_total if sample else None, cfg.seed if sample else None
+        )
+
+    def records():
+        for item in samples:
+            vis = VisibilityPair.from_theta(item.theta_deg)
+            sampled = item.table is not None
+            for m in ALL_OUTCOMES:
+                yield {
+                    "theta_deg": item.theta_deg,
+                    **m._asdict(),
+                    "b": b_value(m),
+                    "p_theory": item.dist.probs[m],
+                    "p_bflip": pbflip_outcome(m, vis, vis),
+                    "counts": item.table.counts[m] if sampled else "",
+                    "p_obs": item.observed.probs[m] if sampled else "",
+                    "std_err": item.errors[m] if sampled else "",
+                }
+
     path = _resolve_out(cfg.out, "sweep.csv")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(_SWEEP_COLUMNS), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(records)
-    click.echo(f"wrote {path}")
+    _write_output(path, lambda fh: _write_csv(fh, records(), _SWEEP_COLUMNS))
 
 
 @main.command()
@@ -411,10 +415,8 @@ def fit(sweepfile, out) -> None:
     lengths = {len(p) for p in points}
     if len(lengths) > 1:
         raise click.ClickException(f"{sweepfile}: mixes sampled and exact rows")
-    try:
+    with _usage_errors(f"{sweepfile}: "):
         result = fit_bell_magnitude(points)
-    except ValueError as exc:
-        raise click.ClickException(f"{sweepfile}: {exc}") from None
     report = {
         "sweep_file": str(sweepfile),
         "n_points": len(points),
@@ -429,14 +431,7 @@ def fit(sweepfile, out) -> None:
         "cirelson_ratio": result.bell_magnitude / CIRELSON_BOUND,
         "cirelson_ratio_std_err": result.bell_magnitude_std_err / CIRELSON_BOUND,
     }
-    text = json.dumps(report, indent=2) + "\n"
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-        click.echo(f"wrote {path}")
+    _write_output(Path(out) if out else None, lambda fh: _write_json(fh, report))
 
 
 @main.command()
@@ -453,57 +448,34 @@ def figures(which, fmt, state, sample, mean_total, seed, out_dir) -> None:
     prepared = _state_or_fail(state)
     directory = Path(out_dir) if out_dir else _output_dir()
     directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    if which in ("6", "7", "8"):
-        for index, theta in enumerate(figmod.FIGURE_THETAS[int(which)]):
-            rows = figmod.distribution_rows(
-                prepared, theta,
-                mean_total=mean_total if sample else None,
-                seed=(seed ^ index) if sample else None,
-            )
-            stem = directory / f"figure{which}_theta{theta:g}"
+    mean_total, seed = (mean_total, seed) if sample else (None, None)
+    if which != "9":
+        with _usage_errors():
+            samples = angle_sweep(prepared, figmod.FIGURE_THETAS[int(which)], mean_total, seed)
+        for item in samples:
+            rows = figmod.distribution_rows(item)
+            stem = directory / f"figure{which}_theta{item.theta_deg:g}"
             if fmt == "csv":
-                path = stem.with_suffix(".csv")
-                with open(path, "w", newline="") as fh:
-                    writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()),
-                                            lineterminator="\n")
-                    writer.writeheader()
-                    writer.writerows(rows)
+                _write_output(stem.with_suffix(".csv"), lambda fh: _write_csv(fh, rows))
             else:
-                path = stem.with_suffix(".svg")
-                path.write_text(figmod.bars_svg(
-                    rows, f"joint distribution at theta = {theta:g} deg"))
-            written.append(path)
-    else:
-        points, result = figmod.line_points(
-            prepared, figmod.FIT_GRID,
-            mean_total=mean_total if sample else None,
-            seed=seed if sample else None,
-        )
-        if fmt == "csv":
-            path = directory / "figure9.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(points[0].keys()),
-                                        lineterminator="\n")
-                writer.writeheader()
-                writer.writerows(points)
-            written.append(path)
-            fit_path = directory / "figure9_fit.json"
-            fit_path.write_text(json.dumps({
-                "slope": result.slope,
-                "slope_std_err": result.slope_std_err,
-                "intercept": result.intercept,
-                "intercept_std_err": result.intercept_std_err,
-                "bell_magnitude": result.bell_magnitude,
-            }, indent=2) + "\n")
-            written.append(fit_path)
-        else:
-            path = directory / "figure9.svg"
-            path.write_text(figmod.scatter_svg(
-                points, result, "observed probability vs flip probability"))
-            written.append(path)
-    for path in written:
-        click.echo(f"wrote {path}")
+                svg = figmod.bars_svg(rows, f"joint distribution at theta = {item.theta_deg:g} deg")
+                _write_output(stem.with_suffix(".svg"), lambda fh: fh.write(svg))
+        return
+    with _usage_errors():
+        points, result = figmod.line_points(prepared, figmod.FIT_GRID, mean_total, seed)
+    if fmt == "svg":
+        svg = figmod.scatter_svg(points, result, "observed probability vs flip probability")
+        _write_output(directory / "figure9.svg", lambda fh: fh.write(svg))
+        return
+    _write_output(directory / "figure9.csv", lambda fh: _write_csv(fh, points))
+    fit_report = {
+        "slope": result.slope,
+        "slope_std_err": result.slope_std_err,
+        "intercept": result.intercept,
+        "intercept_std_err": result.intercept_std_err,
+        "bell_magnitude": result.bell_magnitude,
+    }
+    _write_output(directory / "figure9_fit.json", lambda fh: _write_json(fh, fit_report))
 
 
 @main.command()

@@ -104,6 +104,12 @@ def side_observables(side: Side) -> tuple[PolarizationObservable, PolarizationOb
     return observable_from_angle(angles["x"]), observable_from_angle(angles["y"])
 
 
+def _unit_circle(theta_deg: float) -> tuple[float, float]:
+    """Visibilities (cos theta, sin theta) on the uncertainty-limit circle."""
+    t = math.radians(theta_deg)
+    return (math.cos(t), math.sin(t))
+
+
 @dataclass(frozen=True)
 class VisibilityPair:
     """Measurement visibilities (V_X, V_Y) of one joint measurement.
@@ -122,6 +128,17 @@ class VisibilityPair:
             raise ValueError(
                 f"visibilities must lie in [0, 1], got ({self.vx}, {self.vy})"
             )
+
+    @classmethod
+    def from_theta(cls, theta_deg: float) -> "VisibilityPair":
+        """The pair (cos theta, sin theta); theta outside [0, 90] degrees
+        gives a negative component and raises ValueError."""
+        return cls(*_unit_circle(theta_deg))
+
+    @property
+    def theta_deg(self) -> float:
+        """Nominal trade-off angle atan2(vy, vx) in degrees."""
+        return math.degrees(math.atan2(self.vy, self.vx))
 
     @property
     def radius(self) -> float:
@@ -154,8 +171,7 @@ class MeasurementSetting:
 
     @property
     def visibilities(self) -> tuple[float, float]:
-        t = math.radians(self.theta_deg)
-        return (math.cos(t), math.sin(t))
+        return _unit_circle(self.theta_deg)
 
 
 def povm_elements(
@@ -209,15 +225,14 @@ def build_joint_povm(setting: MeasurementSetting) -> JointPovm:
 def povm_from_visibilities(side: Side, vis: VisibilityPair) -> JointPovm:
     """POVM from an explicit visibility pair; rejects unphysical pairs.
 
-    Interior pairs (vx**2 + vy**2 < 1) are allowed; the nominal trade-off
-    angle is then atan2(vy, vx).
+    Interior pairs (vx**2 + vy**2 < 1) are allowed; the setting then
+    records the pair's nominal trade-off angle.
     """
     vis.require_uncertainty_bound()
     obs_x, obs_y = side_observables(side)
-    theta = math.degrees(math.atan2(vis.vy, vis.vx))
     return JointPovm(
         elements=povm_elements(obs_x, obs_y, vis.vx, vis.vy),
-        setting=MeasurementSetting(theta_deg=theta, side=side),
+        setting=MeasurementSetting(theta_deg=vis.theta_deg, side=side),
         visibilities=(vis.vx, vis.vy),
     )
 

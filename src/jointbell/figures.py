@@ -10,18 +10,11 @@ configuration and seed.
 
 from __future__ import annotations
 
-import math
 from xml.sax.saxutils import escape
 
 from .core import TwoQubitState, VisibilityPair
-from .sim import (
-    ALL_OUTCOMES,
-    Outcome,
-    b_value,
-    joint_distribution,
-    probabilities_from_counts,
-    sample_counts,
-)
+from .sim import ALL_OUTCOMES, AngleSample, Outcome, angle_sweep, b_value
+from .sim import joint_distribution  # noqa: F401  (bench/tests/test_bench.py traces this binding)
 from .analysis import MINIMAL_OUTCOMES, FitResult, fit_bell_magnitude, pbflip_outcome
 
 FIGURE_THETAS: dict[int, tuple[float, ...]] = {
@@ -33,40 +26,20 @@ FIGURE_THETAS: dict[int, tuple[float, ...]] = {
 FIT_GRID: tuple[float, ...] = tuple(float(t) for t in range(0, 91, 10))
 
 
-def _vis(theta_deg: float) -> VisibilityPair:
-    t = math.radians(theta_deg)
-    return VisibilityPair(vx=abs(math.cos(t)), vy=abs(math.sin(t)))
-
-
-def distribution_rows(
-    state: TwoQubitState,
-    theta_deg: float,
-    mean_total: float | None = None,
-    seed: int | None = None,
-) -> list[dict]:
-    """Sixteen outcome rows at one trade-off angle, optionally with sampled
-    counts and count-derived probabilities."""
-    dist = joint_distribution(state, theta_deg, theta_deg)
-    counts = None
-    observed = None
-    if seed is not None and mean_total is not None:
-        table = sample_counts(dist, mean_total, seed=seed)
-        counts = table.counts
-        observed, _ = probabilities_from_counts(table)
+def distribution_rows(sample: AngleSample) -> list[dict]:
+    """Sixteen outcome rows at one trade-off angle, with sampled counts and
+    count-derived probabilities when the angle was sampled."""
     rows = []
     for m in ALL_OUTCOMES:
         row = {
-            "theta_deg": theta_deg,
-            "x_a": m.x_a,
-            "y_a": m.y_a,
-            "x_b": m.x_b,
-            "y_b": m.y_b,
+            "theta_deg": sample.theta_deg,
+            **m._asdict(),
             "b": b_value(m),
-            "probability": dist.probs[m],
+            "probability": sample.dist.probs[m],
         }
-        if counts is not None:
-            row["counts"] = counts[m]
-            row["p_obs"] = observed.probs[m]
+        if sample.table is not None:
+            row["counts"] = sample.table.counts[m]
+            row["p_obs"] = sample.observed.probs[m]
         rows.append(row)
     return rows
 
@@ -80,26 +53,18 @@ def line_points(
     """(p_bflip, probability) points for the minimal outcomes plus their
     straight-line fit (view 9)."""
     points = []
-    for index, theta in enumerate(thetas):
-        vis = _vis(theta)
-        dist = joint_distribution(state, theta, theta)
-        table = None
-        if seed is not None and mean_total is not None:
-            table = sample_counts(dist, mean_total, seed=seed ^ index)
-            observed, errors = probabilities_from_counts(table)
+    for sample in angle_sweep(state, thetas, mean_total, seed):
+        vis = VisibilityPair.from_theta(sample.theta_deg)
         for m in MINIMAL_OUTCOMES:
             point = {
-                "theta_deg": theta,
-                "x_a": m.x_a,
-                "y_a": m.y_a,
-                "x_b": m.x_b,
-                "y_b": m.y_b,
+                "theta_deg": sample.theta_deg,
+                **m._asdict(),
                 "p_bflip": pbflip_outcome(m, vis, vis),
-                "probability": dist.probs[m],
+                "probability": sample.dist.probs[m],
             }
-            if table is not None:
-                point["p_obs"] = observed.probs[m]
-                point["std_err"] = errors[m]
+            if sample.table is not None:
+                point["p_obs"] = sample.observed.probs[m]
+                point["std_err"] = sample.errors[m]
             points.append(point)
     if points and "p_obs" in points[0]:
         fit = fit_bell_magnitude(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -209,6 +209,13 @@ def _poisson(rng: np.random.Generator, mean: float) -> int:
             return int(k)
 
 
+def _check_sampling(mean_total: float, seed: int) -> None:
+    if mean_total <= 0:
+        raise ValueError(f"mean_total must be positive, got {mean_total}")
+    if seed < 0 or seed != int(seed):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def sample_counts(
     dist: JointDistribution,
     mean_total: float,
@@ -220,10 +227,7 @@ def sample_counts(
     Deterministic for a fixed seed: outcomes are drawn in canonical order
     from a PCG64 stream seeded with ``seed``.
     """
-    if mean_total <= 0:
-        raise ValueError(f"mean_total must be positive, got {mean_total}")
-    if seed < 0 or seed != int(seed):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_sampling(mean_total, seed)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     counts = {}
     for m in ALL_OUTCOMES:
@@ -242,6 +246,46 @@ def probabilities_from_counts(
     probs = {m: table.counts[m] / total for m in ALL_OUTCOMES}
     errors = {m: math.sqrt(table.counts[m]) / total for m in ALL_OUTCOMES}
     return JointDistribution(probs=probs, settings=None), errors
+
+
+class AngleSample(NamedTuple):
+    """Statistics at one trade-off angle theta = theta_A = theta_B; the
+    count table and its estimates are None unless the sweep is sampled."""
+
+    theta_deg: float
+    dist: JointDistribution
+    table: CountTable | None = None
+    observed: JointDistribution | None = None
+    errors: dict[Outcome, float] | None = None
+
+
+def angle_sweep(
+    state: TwoQubitState,
+    thetas: Iterable[float],
+    mean_total: float | None = None,
+    seed: int | None = None,
+) -> Iterator[AngleSample]:
+    """Lazily compute each angle's exact distribution and, when both
+    ``mean_total`` and ``seed`` are given, its sampled counts and estimates.
+
+    Angle ``i`` is sampled with seed XOR i, so seeds s and s XOR 1 share
+    every stream with the angles swapped.  Sampling arguments are checked
+    here, before the first angle is computed.
+    """
+    sampled = mean_total is not None and seed is not None
+    if sampled:
+        _check_sampling(mean_total, seed)
+
+    def samples() -> Iterator[AngleSample]:
+        for index, theta in enumerate(thetas):
+            dist = joint_distribution(state, theta, theta)
+            if not sampled:
+                yield AngleSample(theta, dist)
+                continue
+            table = sample_counts(dist, mean_total, seed=seed ^ index)
+            yield AngleSample(theta, dist, table, *probabilities_from_counts(table))
+
+    return samples()
 
 
 def conditional_state(

@@ -32,6 +32,13 @@ def run_json(runner, args):
     return json.loads(result.output)
 
 
+def csv_header(path):
+    return path.read_text().splitlines()[0]
+
+
+FIT_KEYS = ["slope", "slope_std_err", "intercept", "intercept_std_err", "bell_magnitude"]
+
+
 class TestConfig:
     def test_parse_and_types(self):
         text = "state = werner:0.9\ntheta_a = 20\nseed = 9\n# comment\n"
@@ -175,13 +182,26 @@ class TestCounts:
         table = read_count_table(out)
         assert table.counts[Outcome(1, 1, 1, -1)] < 300
 
-    def test_zero_mean_total_fails(self, runner, tmp_path):
-        result = runner.invoke(main, [
-            "counts", "--state", "singlet", "--mean-total", "0", "--seed", "1",
-            "--out", str(tmp_path / "x.csv"),
-        ])
-        assert result.exit_code != 0
+    @pytest.mark.parametrize("args", [
+        pytest.param(["counts", "--state", "singlet", "--mean-total", "0", "--seed", "1",
+                      "--out", "x.csv"], id="counts"),
+        pytest.param(["sweep", "--thetas", "10,20", "--sample", "--mean-total", "0",
+                      "--out", "x.csv"], id="sweep"),
+        pytest.param(["sweep", "--config", "zero.cfg", "--thetas", "10,20", "--sample",
+                      "--out", "x.csv"], id="sweep-config"),
+        pytest.param(["figures", "--which", "9", "--sample", "--mean-total", "-1",
+                      "--out-dir", "."], id="figures"),
+        pytest.param(["figures", "--which", "7", "--sample", "--mean-total", "0",
+                      "--out-dir", "."], id="figures-7"),
+    ])
+    def test_zero_mean_total_fails(self, runner, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "zero.cfg").write_text("mean_total = 0\n")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
         assert "positive" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["zero.cfg"]
 
     def test_default_location_from_env(self, runner, tmp_path):
         env = {"JOINTBELL_OUTPUT_DIR": str(tmp_path / "outputs")}
@@ -239,6 +259,26 @@ class TestAnalyze:
         assert result.exit_code != 0
         assert "row 6" in result.output
 
+    def test_csv_trailing_metadata(self, runner, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(format_count_table(CountTable({m: 4 for m in ALL_OUTCOMES}, 2.5)))
+        out = tmp_path / "report.csv"
+        result = runner.invoke(main, [
+            "analyze", str(path), "--theta-a", "120", "--theta-b", "45",
+            "--format", "csv", "--out", str(out),
+        ])
+        assert result.output == f"wrote {out}\n"
+        lines = out.read_text().splitlines()
+        assert lines[0] == "x_a,y_a,x_b,y_b,b,counts,probability,std_err"
+        assert lines[1] == "1,1,1,1,2,4,0.0625,0.03125"
+        assert lines[17:] == [
+            f"# count_file={path}", "# total_counts=64", "# duration_s=2.5",
+            "# theta_a_deg=120.0", "# theta_b_deg=45.0",
+            "# p_b_plus=0.5", "# p_b_plus_std_err=0.08838834764831845",
+            "# p_b_minus=0.5", "# p_b_minus_std_err=0.08838834764831845",
+            "# mean_b=0.0", "# mean_b_std_err=0.25", "# p_bflip=None",
+        ]
+
     def test_missing_outcome_named(self, runner, tmp_path):
         path = tmp_path / "short.csv"
         text = format_count_table(CountTable(counts={m: 4 for m in ALL_OUTCOMES}))
@@ -290,6 +330,18 @@ class TestSweep:
             flipped = {"1": "-1", "-1": "1"}
             assert p == pytest.approx(probs[(flipped[xa], ya, xb, yb)], abs=1e-12)
             assert p == pytest.approx(probs[(xa, ya, flipped[xb], yb)], abs=1e-12)
+
+    def test_csv_columns_and_wrote_line(self, runner, tmp_path):
+        header = "theta_deg,x_a,y_a,x_b,y_b,b,p_theory,p_bflip,counts,p_obs,std_err"
+        for sample in ([], ["--sample", "--mean-total", "1000", "--seed", "2"]):
+            out = tmp_path / "nested" / "s.csv"
+            result = runner.invoke(main, [
+                "sweep", "--state", "singlet", "--thetas", "0,45", "--out", str(out), *sample,
+            ])
+            assert result.output == f"wrote {out}\n"
+            lines = out.read_text().splitlines()
+            assert lines[0] == header and len(lines) == 33
+            assert lines[1].endswith(",,,") != bool(sample)
 
     def test_empty_theta_list_fails(self, runner):
         result = runner.invoke(main, ["sweep", "--state", "singlet", "--thetas", " , "])
@@ -346,6 +398,18 @@ class TestFit:
         result = runner.invoke(main, ["fit", str(sweep_path)])
         assert result.exit_code != 0
         assert "distinct" in result.output
+
+    def test_report_key_order_and_out(self, runner, tmp_path):
+        sweep_path = tmp_path / "s.csv"
+        self._sweep(runner, sweep_path)
+        report = run_json(runner, ["fit", str(sweep_path)])
+        assert list(report) == ["sweep_file", "n_points", *FIT_KEYS, "bell_magnitude_std_err",
+                                "p_int_low", "p_int_low_std_err", "cirelson_ratio",
+                                "cirelson_ratio_std_err"]
+        out = tmp_path / "fits" / "fit.json"
+        result = runner.invoke(main, ["fit", str(sweep_path), "--out", str(out)])
+        assert result.output == f"wrote {out}\n"
+        assert out.read_text() == json.dumps(report, indent=2) + "\n"
 
     def test_missing_columns_fail(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -412,6 +476,22 @@ class TestFigures:
         a = (tmp_path / "one" / "figure6_theta45.csv").read_bytes()
         b = (tmp_path / "two" / "figure6_theta45.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("sample", [False, True])
+    def test_csv_columns_and_wrote_lines(self, runner, tmp_path, sample):
+        extra = ["--sample", "--seed", "3"] if sample else []
+        result = runner.invoke(main, ["figures", "--which", "6", "--out-dir", str(tmp_path), *extra])
+        assert result.output == f"wrote {tmp_path / 'figure6_theta45.csv'}\n"
+        header = "theta_deg,x_a,y_a,x_b,y_b,b,probability"
+        assert csv_header(tmp_path / "figure6_theta45.csv") == header + (",counts,p_obs" if sample else "")
+        result = runner.invoke(main, ["figures", "--which", "9", "--out-dir", str(tmp_path), *extra])
+        fit_path = tmp_path / "figure9_fit.json"
+        assert result.output == f"wrote {tmp_path / 'figure9.csv'}\nwrote {fit_path}\n"
+        header = "theta_deg,x_a,y_a,x_b,y_b,p_bflip,probability"
+        assert csv_header(tmp_path / "figure9.csv") == header + (",p_obs,std_err" if sample else "")
+        fit = json.loads(fit_path.read_text())
+        assert list(fit) == FIT_KEYS
+        assert fit_path.read_text() == json.dumps(fit, indent=2) + "\n"
 
     def test_unknown_figure_rejected(self, runner):
         result = runner.invoke(main, ["figures", "--which", "5"])

@@ -160,6 +160,20 @@ class TestJointPovm:
         with pytest.raises(ValueError):
             VisibilityPair(0.5, -0.1)
 
+    def test_from_theta_round_trip(self):
+        for theta in np.linspace(0.0, 90.0, 181):
+            vis = VisibilityPair.from_theta(float(theta))
+            assert vis.theta_deg == pytest.approx(float(theta), abs=1e-12)
+            assert (vis.vx, vis.vy) == MeasurementSetting(float(theta), "B").visibilities
+
+    def test_from_theta_outside_quadrant_rejected(self):
+        with pytest.raises(ValueError):
+            VisibilityPair.from_theta(120.0)
+
+    def test_interior_pair_setting_angle(self):
+        povm = povm_from_visibilities("B", VisibilityPair(0.3, 0.3))
+        assert povm.setting.theta_deg == pytest.approx(45.0, abs=1e-12)
+
     def test_setting_visibilities_on_unit_circle(self):
         for theta in np.arange(0.0, 90.0 + 1e-9, 5.0):
             vx, vy = MeasurementSetting(float(theta), "A").visibilities

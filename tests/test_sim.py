@@ -21,6 +21,7 @@ from jointbell.sim import (
     Outcome,
     _poisson,
     aggregate_b,
+    angle_sweep,
     b_value,
     conditional_state,
     format_count_table,
@@ -297,6 +298,46 @@ class TestSampleCounts:
             sample_counts(dist, -5.0, seed=1)
         with pytest.raises(ValueError):
             sample_counts(dist, 100.0, seed=-1)
+
+
+class TestAngleSweep:
+    THETAS = (0.0, 20.0, 45.0, 70.0, 90.0)
+
+    def test_sampled_item_uses_seed_xor_index(self):
+        state = werner_state(0.9716)
+        items = list(angle_sweep(state, self.THETAS, mean_total=5e4, seed=6))
+        assert [item.theta_deg for item in items] == list(self.THETAS)
+        for i, item in enumerate(items):
+            dist = joint_distribution(state, item.theta_deg, item.theta_deg)
+            assert item.dist == dist
+            expected = sample_counts(dist, 5e4, seed=6 ^ i)
+            assert item.table == expected
+            assert (item.observed, item.errors) == probabilities_from_counts(expected)
+
+    @pytest.mark.parametrize("mean_total, seed", [(None, None), (5e4, None), (None, 3)])
+    def test_unsampled_item_carries_no_table(self, mean_total, seed):
+        for item in angle_sweep(singlet_state(), self.THETAS, mean_total, seed):
+            assert item.dist == joint_distribution(singlet_state(), item.theta_deg, item.theta_deg)
+            assert item.table is None and item.observed is None and item.errors is None
+
+    def test_lazy_over_angles(self):
+        consumed = []
+
+        def thetas():
+            for theta in self.THETAS:
+                consumed.append(theta)
+                yield theta
+
+        items = angle_sweep(singlet_state(), thetas(), mean_total=1e3, seed=1)
+        assert consumed == []
+        next(items)
+        assert consumed == [0.0]
+
+    def test_sampling_arguments_checked_before_first_angle(self):
+        with pytest.raises(ValueError, match="positive"):
+            angle_sweep(singlet_state(), iter(()), mean_total=0.0, seed=1)
+        with pytest.raises(ValueError, match="non-negative"):
+            angle_sweep(singlet_state(), iter(()), mean_total=1e3, seed=-1)
 
 
 class TestProbabilitiesFromCounts:
