@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
+
+import numpy as np
 
 from .core import CIRELSON_BOUND, VisibilityPair
 from .sim import ALL_OUTCOMES, JointDistribution, Outcome, QuasiDistribution, b_value
@@ -26,9 +27,6 @@ MINIMAL_OUTCOMES: tuple[Outcome, ...] = (
     Outcome(-1, 1, 1, 1),
     Outcome(1, -1, -1, -1),
 )
-
-_FLIP_PATTERNS = tuple(product((0, 1), repeat=4))
-
 
 @dataclass(frozen=True)
 class FlipRates:
@@ -52,31 +50,21 @@ class FlipRates:
         return (self.x_a, self.y_a, self.x_b, self.y_b)
 
 
-def _pattern_probability(rates: tuple[float, float, float, float], pattern) -> float:
-    p = 1.0
-    for rate, flip in zip(rates, pattern):
-        p *= rate if flip else (1.0 - rate)
-    return p
-
-
-def _apply_flips(outcome: Outcome, pattern) -> Outcome:
-    return Outcome(*(s * (1 - 2 * f) for s, f in zip(outcome, pattern)))
-
-
 def pbflip_outcome(
     outcome: Outcome, vis_a: VisibilityPair, vis_b: VisibilityPair
 ) -> float:
     """Probability that independent sign flips change the b-value of
-    ``outcome``, by enumeration of all sixteen flip patterns."""
+    ``outcome``: 1/2 - b(m) b(m o V) / 8.
+
+    The flipped b is always +2 or -2, and a flip at rate (1 - V)/2 scales
+    the mean of each sign by V, so the mean flipped b is the b-value of the
+    outcome with every sign scaled by its visibility, m o V.
+    """
     vis_a.require_uncertainty_bound()
     vis_b.require_uncertainty_bound()
-    rates = FlipRates.from_visibilities(vis_a, vis_b).as_tuple()
-    b0 = b_value(outcome)
-    total = 0.0
-    for pattern in _FLIP_PATTERNS:
-        if b_value(_apply_flips(outcome, pattern)) != b0:
-            total += _pattern_probability(rates, pattern)
-    return total
+    scales = (vis_a.vx, vis_a.vy, vis_b.vx, vis_b.vy)
+    mean_flipped = b_value(tuple(s * v for s, v in zip(outcome, scales)))
+    return 0.5 - b_value(outcome) * mean_flipped / 8.0
 
 
 def pbflip_uniform(mean_b: float, bell_expectation: float) -> float:
@@ -130,11 +118,11 @@ def flip_convolve(
     inequality strongly enough.
     """
     rates = FlipRates.from_visibilities(vis_a, vis_b).as_tuple()
-    probs = {m: 0.0 for m in ALL_OUTCOMES}
-    for m0 in ALL_OUTCOMES:
-        q = quasi.values[m0]
-        for pattern in _FLIP_PATTERNS:
-            probs[_apply_flips(m0, pattern)] += _pattern_probability(rates, pattern) * q
+    flips = [np.array([[1.0 - r, r], [r, 1.0 - r]]) for r in rates]
+    table = np.array([quasi.values[m] for m in ALL_OUTCOMES]).reshape(2, 2, 2, 2)
+    # Sign index 0 is +1 and 1 is -1 on every axis (canonical outcome order).
+    p = np.einsum("ai,bj,ck,dl,ijkl->abcd", *flips, table)
+    probs = dict(zip(ALL_OUTCOMES, p.ravel().tolist()))
     return JointDistribution(probs=probs, settings=(vis_a.theta_deg, vis_b.theta_deg))
 
 
@@ -218,6 +206,8 @@ def fit_bell_magnitude(
             sigmas.append(float(s))
     if sigmas and len(sigmas) != len(xs):
         raise ValueError("standard errors must be given for all points or none")
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("fit points must be finite")
     n = len(xs)
     span = max(xs) - min(xs) if xs else 0.0
     # Relative guard: abscissae equal up to float dust are degenerate too.

@@ -180,7 +180,7 @@ def _pbflip_table(theta_a: float, theta_b: float) -> dict[str, float] | None:
 
 
 def _write_json(fh: TextIO, report: dict) -> None:
-    fh.write(json.dumps(report, indent=2) + "\n")
+    fh.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
 def _write_csv(fh: TextIO, rows: Iterable[dict], fieldnames: Sequence[str] | None = None) -> None:
@@ -249,7 +249,8 @@ def simulate(config_path, state, theta_a, theta_b, out, fmt) -> None:
         config_path, state=state, theta_a=theta_a, theta_b=theta_b, out=out, format=fmt
     )
     prepared = _state_or_fail(cfg.state)
-    dist = joint_distribution(prepared, cfg.theta_a, cfg.theta_b)
+    with _usage_errors():
+        dist = joint_distribution(prepared, cfg.theta_a, cfg.theta_b)
     agg = aggregate_b(dist)
     rows = [
         {**m._asdict(), "b": b_value(m), "probability": dist.probs[m]}
@@ -289,8 +290,8 @@ def counts(config_path, state, theta_a, theta_b, mean_total, seed, duration_s, o
         mean_total=mean_total, seed=seed, out=out,
     )
     prepared = _state_or_fail(cfg.state)
-    dist = joint_distribution(prepared, cfg.theta_a, cfg.theta_b)
     with _usage_errors():
+        dist = joint_distribution(prepared, cfg.theta_a, cfg.theta_b)
         table = sample_counts(dist, cfg.mean_total, seed=cfg.seed, duration_s=duration_s)
     path = _resolve_out(cfg.out, "counts.csv")
     write_count_table(table, path)
@@ -305,6 +306,8 @@ def counts(config_path, state, theta_a, theta_b, mean_total, seed, duration_s, o
 @_format_option
 def analyze(countfile, theta_a, theta_b, out, fmt) -> None:
     """Estimate probabilities and b statistics from a count table."""
+    if not (math.isfinite(theta_a) and math.isfinite(theta_b)):
+        raise click.ClickException(f"declared angles must be finite, got {theta_a}, {theta_b}")
     with _usage_errors(f"{countfile}: "):
         table = read_count_table(countfile)
         dist, errors = probabilities_from_counts(table)
@@ -396,26 +399,25 @@ def sweep(config_path, state, thetas, sample, mean_total, seed, out) -> None:
 def fit(sweepfile, out) -> None:
     """Fit the minimal-outcome line from a sweep table and report |<B>|."""
     with open(sweepfile, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         missing = [c for c in _SWEEP_COLUMNS[:8] if c not in (reader.fieldnames or ())]
         if missing:
             raise click.ClickException(f"{sweepfile}: missing columns {missing}")
         rows = list(reader)
     minimal = {tuple(m): m for m in MINIMAL_OUTCOMES}
     points = []
-    for row in rows:
-        key = (int(row["x_a"]), int(row["y_a"]), int(row["x_b"]), int(row["y_b"]))
-        if key not in minimal:
-            continue
-        x = float(row["p_bflip"])
-        if row.get("p_obs"):
-            points.append((x, float(row["p_obs"]), float(row["std_err"])))
-        else:
-            points.append((x, float(row["p_theory"])))
-    lengths = {len(p) for p in points}
-    if len(lengths) > 1:
-        raise click.ClickException(f"{sweepfile}: mixes sampled and exact rows")
     with _usage_errors(f"{sweepfile}: "):
+        for row in rows:
+            key = (int(row["x_a"]), int(row["y_a"]), int(row["x_b"]), int(row["y_b"]))
+            if key not in minimal:
+                continue
+            x = float(row["p_bflip"])
+            if row.get("p_obs"):
+                points.append((x, float(row["p_obs"]), float(row["std_err"])))
+            else:
+                points.append((x, float(row["p_theory"])))
+        if len({len(p) for p in points}) > 1:
+            raise click.ClickException(f"{sweepfile}: mixes sampled and exact rows")
         result = fit_bell_magnitude(points)
     report = {
         "sweep_file": str(sweepfile),

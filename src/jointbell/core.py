@@ -168,6 +168,8 @@ class MeasurementSetting:
     def __post_init__(self) -> None:
         if self.side not in OBSERVABLE_ANGLES:
             raise ValueError(f"side must be 'A' or 'B', got {self.side!r}")
+        if not math.isfinite(self.theta_deg):
+            raise ValueError(f"trade-off angle must be finite, got {self.theta_deg!r}")
 
     @property
     def visibilities(self) -> tuple[float, float]:

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .core import (
+    OUTCOME_SIGNS,
     MeasurementSetting,
     Side,
     TwoQubitState,
@@ -52,7 +53,7 @@ ALL_OUTCOMES: tuple[Outcome, ...] = tuple(
 
 
 def b_value(outcome: Outcome) -> int:
-    """CHSH combination x_A x_B - x_A y_B + y_A x_B + y_A y_B; always +2 or -2."""
+    """CHSH x_A x_B - x_A y_B + y_A x_B + y_A y_B: +2 or -2, or the mean b of mean signs."""
     xa, ya, xb, yb = outcome
     return xa * xb - xa * yb + ya * xb + ya * yb
 
@@ -60,6 +61,9 @@ def b_value(outcome: Outcome) -> int:
 def _check_outcome_map(probs: dict) -> None:
     if set(probs) != set(ALL_OUTCOMES):
         raise ValueError("distribution must assign a value to each of the 16 outcomes")
+    for m, v in probs.items():
+        if not math.isfinite(v):
+            raise ValueError(f"value of outcome {m.label()} is {v!r}, not a finite number")
 
 
 @dataclass(frozen=True)
@@ -124,6 +128,8 @@ class CountTable:
 
     def __post_init__(self) -> None:
         _check_outcome_map(self.counts)
+        if self.duration_s is not None and not math.isfinite(self.duration_s):
+            raise ValueError(f"duration_s must be finite, got {self.duration_s!r}")
         clean = {}
         for m in ALL_OUTCOMES:
             n = self.counts[m]
@@ -136,6 +142,14 @@ class CountTable:
         return sum(self.counts.values())
 
 
+def _outcome_probabilities(povm_a: dict, povm_b: dict, rho: np.ndarray) -> dict[Outcome, float]:
+    """p(m) = tr[(E_A[x_A, y_A] (x) E_B[x_B, y_B]) rho] for all sixteen
+    outcomes: one contraction over the four stacked elements of each side."""
+    e_a, e_b = (np.stack([povm[s] for s in OUTCOME_SIGNS]) for povm in (povm_a, povm_b))
+    p = np.einsum("iac,jbd,cdab->ij", e_a, e_b, rho.reshape(2, 2, 2, 2))
+    return dict(zip(ALL_OUTCOMES, p.real.ravel().tolist()))
+
+
 def joint_distribution(
     state: TwoQubitState, theta_a_deg: float, theta_b_deg: float
 ) -> JointDistribution:
@@ -143,10 +157,7 @@ def joint_distribution(
     measurements at trade-off angles theta_A and theta_B."""
     povm_a = build_joint_povm(MeasurementSetting(theta_a_deg, "A"))
     povm_b = build_joint_povm(MeasurementSetting(theta_b_deg, "B"))
-    probs = {}
-    for m in ALL_OUTCOMES:
-        element = np.kron(povm_a.elements[(m.x_a, m.y_a)], povm_b.elements[(m.x_b, m.y_b)])
-        probs[m] = float(np.real(np.trace(element @ state.rho)))
+    probs = _outcome_probabilities(povm_a.elements, povm_b.elements, state.rho)
     return JointDistribution(probs=probs, settings=(theta_a_deg, theta_b_deg))
 
 
@@ -156,15 +167,9 @@ def quasi_distribution(state: TwoQubitState) -> QuasiDistribution:
     Not a physical measurement: entries can be negative for Bell-violating
     states.  Sums to one by construction.
     """
-    xa, ya = side_observables("A")
-    xb, yb = side_observables("B")
-    ea = povm_elements(xa, ya, 1.0, 1.0)
-    eb = povm_elements(xb, yb, 1.0, 1.0)
-    values = {}
-    for m in ALL_OUTCOMES:
-        element = np.kron(ea[(m.x_a, m.y_a)], eb[(m.x_b, m.y_b)])
-        values[m] = float(np.real(np.trace(element @ state.rho)))
-    return QuasiDistribution(values=values)
+    ea = povm_elements(*side_observables("A"), 1.0, 1.0)
+    eb = povm_elements(*side_observables("B"), 1.0, 1.0)
+    return QuasiDistribution(values=_outcome_probabilities(ea, eb, state.rho))
 
 
 def aggregate_b(dist: JointDistribution) -> BAggregate:
@@ -210,8 +215,8 @@ def _poisson(rng: np.random.Generator, mean: float) -> int:
 
 
 def _check_sampling(mean_total: float, seed: int) -> None:
-    if mean_total <= 0:
-        raise ValueError(f"mean_total must be positive, got {mean_total}")
+    if not 0 < mean_total < math.inf:
+        raise ValueError(f"mean_total must be positive and finite, got {mean_total}")
     if seed < 0 or seed != int(seed):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 

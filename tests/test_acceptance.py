@@ -104,7 +104,8 @@ def test_criterion_03_error_probability_closed_forms():
     _report(
         3,
         worst < 1e-12 and err20 < 5e-5 and err225 < 1e-9,
-        f"enumerated p_bflip vs closed forms: max |diff| = {worst:.2e} (tol 1e-12); "
+        f"p_bflip = 1/2 - b(m) b(m o V)/8 vs per-family closed forms: "
+        f"max |diff| = {worst:.2e} (tol 1e-12); "
         f"theta=20: |{at20:.6f} - 0.1478| = {err20:.2e} (tol 5e-5); "
         f"theta=22.5 vs (2-sqrt2)/4: {err225:.2e} (tol 1e-9)",
     )

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from jointbell.core import (
 from jointbell.sim import (
     ALL_OUTCOMES,
     Outcome,
+    QuasiDistribution,
+    b_value,
     joint_distribution,
     probabilities_from_counts,
     quasi_distribution,
@@ -53,6 +56,51 @@ def closed_form_x_family(vx: float, vy: float) -> float:
     return 0.25 * (2.0 + vx * vx - 2.0 * vx * vy - vy * vy)
 
 
+FLIP_PATTERNS = tuple(product((0, 1), repeat=4))
+
+
+def _rates(vis_a: VisibilityPair, vis_b: VisibilityPair) -> tuple[float, ...]:
+    return tuple((1.0 - v) / 2.0 for v in (vis_a.vx, vis_a.vy, vis_b.vx, vis_b.vy))
+
+
+def _flipped(outcome: Outcome, pattern) -> Outcome:
+    return Outcome(*(s * (1 - 2 * f) for s, f in zip(outcome, pattern)))
+
+
+def _pattern_probability(rates, pattern) -> float:
+    return math.prod(r if f else 1.0 - r for r, f in zip(rates, pattern))
+
+
+def enumerated_pbflip(outcome: Outcome, vis_a: VisibilityPair, vis_b: VisibilityPair) -> float:
+    """Independent oracle: sum the probabilities of the flip patterns, out
+    of all sixteen, that change the b-value of ``outcome``."""
+    rates = _rates(vis_a, vis_b)
+    return sum(
+        _pattern_probability(rates, pattern)
+        for pattern in FLIP_PATTERNS
+        if b_value(_flipped(outcome, pattern)) != b_value(outcome)
+    )
+
+
+def enumerated_convolution(
+    values: dict, vis_a: VisibilityPair, vis_b: VisibilityPair
+) -> dict:
+    """Independent oracle: push every outcome's value through all sixteen
+    flip patterns."""
+    rates = _rates(vis_a, vis_b)
+    probs = {m: 0.0 for m in ALL_OUTCOMES}
+    for m0, q in values.items():
+        for pattern in FLIP_PATTERNS:
+            probs[_flipped(m0, pattern)] += _pattern_probability(rates, pattern) * q
+    return probs
+
+
+def random_interior_pair(rng: np.random.Generator) -> VisibilityPair:
+    radius = rng.uniform(0.05, 0.999)
+    angle = rng.uniform(0.0, math.pi / 2)
+    return VisibilityPair(radius * math.cos(angle), radius * math.sin(angle))
+
+
 class TestPbflipOutcome:
     @pytest.mark.parametrize("theta", [float(t) for t in range(0, 91)])
     def test_matches_closed_forms(self, theta):
@@ -76,6 +124,16 @@ class TestPbflipOutcome:
         v = vis(45.0)
         for m in ALL_OUTCOMES:
             assert pbflip_outcome(m, v, v) == pytest.approx(0.25, abs=1e-12)
+
+    def test_matches_enumeration_on_unequal_pairs(self):
+        rng = np.random.default_rng(1995)
+        interior = [(random_interior_pair(rng), random_interior_pair(rng)) for _ in range(50)]
+        on_circle = [(vis(a), vis(b)) for a, b in ((0.0, 90.0), (20.0, 70.0), (67.5, 22.5))]
+        for vis_a, vis_b in interior + on_circle:
+            assert vis_a != vis_b
+            for m in ALL_OUTCOMES:
+                expected = enumerated_pbflip(m, vis_a, vis_b)
+                assert abs(pbflip_outcome(m, vis_a, vis_b) - expected) < 1e-12
 
     def test_rejects_unphysical_visibilities(self):
         with pytest.raises(UncertaintyViolationError):
@@ -208,14 +266,30 @@ class TestFlipConvolve:
 
     def test_matches_joint_distribution_random_states(self):
         rng = np.random.default_rng(77)
+        pairs = [(t, t) for t in THETA_SET] + [(0.0, 90.0), (20.0, 70.0), (70.0, 20.0), (5.0, 45.0)]
         for _ in range(30):
             state = random_two_qubit_state(rng)
             quasi = quasi_distribution(state)
-            for theta in THETA_SET:
-                convolved = flip_convolve(quasi, vis(theta), vis(theta))
-                direct = joint_distribution(state, theta, theta)
+            for theta_a, theta_b in pairs:
+                convolved = flip_convolve(quasi, vis(theta_a), vis(theta_b))
+                direct = joint_distribution(state, theta_a, theta_b)
                 for m in ALL_OUTCOMES:
                     assert convolved.probs[m] == pytest.approx(direct.probs[m], abs=1e-12)
+
+    def test_matches_enumeration_on_table_with_xy_moment(self):
+        # A state's quasi-distribution is linear in each side's x and y signs,
+        # so its x_A y_A moment vanishes; this table has one.
+        rng = np.random.default_rng(340)
+        raw = {m: rng.uniform(0.1, 1.0) + 0.5 * m.x_a * m.y_a for m in ALL_OUTCOMES}
+        total = sum(raw.values())
+        quasi = QuasiDistribution(values={m: v / total for m, v in raw.items()})
+        assert abs(sum(v * m.x_a * m.y_a for m, v in quasi.values.items())) > 0.1
+        for _ in range(10):
+            vis_a, vis_b = random_interior_pair(rng), random_interior_pair(rng)
+            convolved = flip_convolve(quasi, vis_a, vis_b)
+            expected = enumerated_convolution(quasi.values, vis_a, vis_b)
+            for m in ALL_OUTCOMES:
+                assert abs(convolved.probs[m] - expected[m]) < 1e-12
 
     def test_settings_recorded(self):
         quasi = quasi_distribution(singlet_state())

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -9,6 +10,7 @@ from click.testing import CliRunner
 
 from jointbell.cli import (
     RunConfig,
+    _write_json,
     build_config,
     main,
     parse_config_text,
@@ -30,6 +32,42 @@ def run_json(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     return json.loads(result.output)
+
+
+def assert_one_line_error(result, *fragments):
+    """Exit 1 through click's error path: one ``Error:`` line, no traceback."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in result.output
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["simulate", "--theta-a", "nan"], id="simulate-nan"),
+    pytest.param(["simulate", "--theta-a", "inf"], id="simulate-inf"),
+    pytest.param(["simulate", "--theta-b", "-inf", "--format", "csv"], id="simulate-csv"),
+    pytest.param(["simulate", "--config", "nan.cfg"], id="simulate-config"),
+    pytest.param(["counts", "--theta-a", "nan", "--out", "x.csv"], id="counts-angle"),
+    pytest.param(["counts", "--duration-s", "nan", "--out", "x.csv"], id="counts-duration"),
+    pytest.param(["analyze", "c.csv", "--theta-a", "nan", "--theta-b", "20"], id="analyze-nan"),
+    pytest.param(["analyze", "c.csv", "--theta-a", "20", "--theta-b", "inf"], id="analyze-inf"),
+    pytest.param(["analyze", "nan.csv", "--theta-a", "20", "--theta-b", "20"],
+                 id="analyze-duration"),
+])
+def test_non_finite_input_fails(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    table = format_count_table(CountTable(counts={m: 4 for m in ALL_OUTCOMES}))
+    inputs = {"nan.cfg": "theta_a = nan\n", "c.csv": table, "nan.csv": table + "# duration_s=nan\n"}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    assert_one_line_error(runner.invoke(main, args), "finite")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+
+
+def test_json_writer_rejects_nan():
+    with pytest.raises(ValueError):
+        _write_json(io.StringIO(), {"mean_b": float("nan")})
 
 
 def csv_header(path):
@@ -193,6 +231,16 @@ class TestCounts:
                       "--out-dir", "."], id="figures"),
         pytest.param(["figures", "--which", "7", "--sample", "--mean-total", "0",
                       "--out-dir", "."], id="figures-7"),
+        pytest.param(["counts", "--state", "singlet", "--mean-total", "nan", "--seed", "1",
+                      "--out", "x.csv"], id="counts-nan"),
+        pytest.param(["counts", "--state", "singlet", "--mean-total", "inf", "--seed", "1",
+                      "--out", "x.csv"], id="counts-inf"),
+        pytest.param(["sweep", "--thetas", "10,20", "--sample", "--mean-total", "nan",
+                      "--out", "x.csv"], id="sweep-nan"),
+        pytest.param(["sweep", "--thetas", "10,20", "--sample", "--mean-total", "inf",
+                      "--out", "x.csv"], id="sweep-inf"),
+        pytest.param(["figures", "--which", "9", "--sample", "--mean-total", "nan",
+                      "--out-dir", "."], id="figures-nan"),
     ])
     def test_zero_mean_total_fails(self, runner, tmp_path, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
@@ -410,6 +458,22 @@ class TestFit:
         result = runner.invoke(main, ["fit", str(sweep_path), "--out", str(out)])
         assert result.output == f"wrote {out}\n"
         assert out.read_text() == json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize("edit, fragment", [
+        pytest.param(lambda f: f[:-1] + [""], "could not convert", id="blank-std-err"),
+        pytest.param(lambda f: f[:-1], "could not convert", id="short-row"),
+        pytest.param(lambda f: f[:-2] + ["nan", f[-1]], "finite", id="nan-p-obs"),
+    ])
+    def test_bad_sampled_row_names_file(self, runner, tmp_path, edit, fragment):
+        sweep_path = tmp_path / "s.csv"
+        self._sweep(runner, sweep_path, sample=True)
+        lines = sweep_path.read_text().splitlines()
+        # Rows of the minimal outcome (+,+;+,-) enter the fit.
+        i = next(i for i, line in enumerate(lines) if line.split(",")[1:5] == ["1", "1", "1", "-1"])
+        lines[i] = ",".join(edit(lines[i].split(",")))
+        sweep_path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["fit", str(sweep_path)])
+        assert_one_line_error(result, str(sweep_path), fragment)
 
     def test_missing_columns_fail(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -179,6 +179,11 @@ class TestJointPovm:
             vx, vy = MeasurementSetting(float(theta), "A").visibilities
             assert abs(vx * vx + vy * vy - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_setting_rejects_non_finite_angle(self, theta):
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementSetting(theta, "A")
+
     def test_setting_rejects_bad_side(self):
         with pytest.raises(ValueError):
             MeasurementSetting(45.0, "X")

@@ -19,6 +19,7 @@ from jointbell.sim import (
     CountTable,
     JointDistribution,
     Outcome,
+    QuasiDistribution,
     _poisson,
     aggregate_b,
     angle_sweep,
@@ -176,6 +177,15 @@ class TestJointDistribution:
         probs[Outcome(1, 1, 1, 1)] = 0.5
         with pytest.raises(ValueError):
             JointDistribution(probs=probs)
+        # NaN passes the comparison-based sign and sum guards unnoticed.
+        for bad in (math.nan, math.inf):
+            probs[Outcome(1, 1, 1, 1)] = bad
+            with pytest.raises(ValueError, match="finite"):
+                JointDistribution(probs=probs)
+            with pytest.raises(ValueError, match="finite"):
+                QuasiDistribution(values=probs)
+            with pytest.raises(ValueError, match="finite"):
+                JointDistribution(probs={m: bad for m in ALL_OUTCOMES})
         short = {m: 1.0 / 15.0 for m in ALL_OUTCOMES[:15]}
         with pytest.raises(ValueError):
             JointDistribution(probs=short)
@@ -298,6 +308,9 @@ class TestSampleCounts:
             sample_counts(dist, -5.0, seed=1)
         with pytest.raises(ValueError):
             sample_counts(dist, 100.0, seed=-1)
+        for mean_total in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sample_counts(dist, mean_total, seed=1)
 
 
 class TestAngleSweep:
