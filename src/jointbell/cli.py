@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import figures as figmod
 from . import selfcheck
-from .analysis import MINIMAL_OUTCOMES, fit_bell_magnitude, pbflip_outcome
+from .analysis import MINIMAL_OUTCOMES, FitResult, fit_bell_magnitude, pbflip_outcome
 from .core import (
     CIRELSON_BOUND,
     MeasurementSetting,
@@ -131,7 +132,9 @@ def parse_state_spec(spec: str) -> TwoQubitState:
             f"state must be 'singlet', 'werner:<v>' or a matrix file path; {spec!r} is none"
         )
     try:
-        matrix = np.loadtxt(path, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = np.loadtxt(path, dtype=complex)
     except Exception as exc:
         raise ValueError(f"cannot read matrix file {spec!r}: {exc}") from None
     return TwoQubitState(rho=matrix)
@@ -142,20 +145,25 @@ def _output_dir() -> Path:
 
 
 def _resolve_out(out: str | None, default_name: str) -> Path:
-    if out is not None:
-        return Path(out)
-    directory = _output_dir()
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory / default_name
+    return Path(out) if out is not None else _output_dir() / default_name
 
 
 @contextmanager
 def _usage_errors(prefix: str = ""):
-    """Turn a ValueError raised in the block into a one-line error, exit 1."""
+    """Turn a ValueError or OSError raised in the block into a one-line error, exit 1."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise click.ClickException(f"{prefix}{exc}") from None
+
+
+@contextmanager
+def _writing(out: Path):
+    """Make the directory of ``out`` for a block that writes it, then echo ``wrote <out>``."""
+    with _usage_errors():
+        out.parent.mkdir(parents=True, exist_ok=True)
+        yield
+    click.echo(f"wrote {out}")
 
 
 def _load_config(config_path: str | None, **overrides) -> RunConfig:
@@ -198,10 +206,8 @@ def _write_output(out: Path | None, write: Callable[[TextIO], None]) -> None:
         write(buffer)
         click.echo(buffer.getvalue(), nl=False)
         return
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
+    with _writing(out), open(out, "w", newline="") as fh:
         write(fh)
-    click.echo(f"wrote {out}")
 
 
 def _emit_report(report: dict, rows_key: str, out: Path | None, fmt: str) -> None:
@@ -294,8 +300,8 @@ def counts(config_path, state, theta_a, theta_b, mean_total, seed, duration_s, o
         dist = joint_distribution(prepared, cfg.theta_a, cfg.theta_b)
         table = sample_counts(dist, cfg.mean_total, seed=cfg.seed, duration_s=duration_s)
     path = _resolve_out(cfg.out, "counts.csv")
-    write_count_table(table, path)
-    click.echo(f"wrote {path}")
+    with _writing(path):
+        write_count_table(table, path)
 
 
 @main.command()
@@ -337,6 +343,12 @@ def analyze(countfile, theta_a, theta_b, out, fmt) -> None:
         "outcomes": rows,
     }
     _emit_report(report, "outcomes", Path(out) if out else None, fmt or "json")
+
+
+def _line_report(result: FitResult) -> dict[str, float]:
+    """The fitted line and |<B>|: all of ``figure9_fit.json``, the head of ``fit``'s report."""
+    keys = ("slope", "slope_std_err", "intercept", "intercept_std_err", "bell_magnitude")
+    return {key: getattr(result, key) for key in keys}
 
 
 _SWEEP_COLUMNS = (
@@ -398,16 +410,14 @@ def sweep(config_path, state, thetas, sample, mean_total, seed, out) -> None:
 @click.option("--out", default=None, help="Output file (default: stdout).")
 def fit(sweepfile, out) -> None:
     """Fit the minimal-outcome line from a sweep table and report |<B>|."""
-    with open(sweepfile, newline="") as fh:
+    minimal = {tuple(m): m for m in MINIMAL_OUTCOMES}
+    points = []
+    with _usage_errors(f"{sweepfile}: "), open(sweepfile, newline="") as fh:
         reader = csv.DictReader(fh, restval="")
         missing = [c for c in _SWEEP_COLUMNS[:8] if c not in (reader.fieldnames or ())]
         if missing:
             raise click.ClickException(f"{sweepfile}: missing columns {missing}")
-        rows = list(reader)
-    minimal = {tuple(m): m for m in MINIMAL_OUTCOMES}
-    points = []
-    with _usage_errors(f"{sweepfile}: "):
-        for row in rows:
+        for row in reader:
             key = (int(row["x_a"]), int(row["y_a"]), int(row["x_b"]), int(row["y_b"]))
             if key not in minimal:
                 continue
@@ -422,11 +432,7 @@ def fit(sweepfile, out) -> None:
     report = {
         "sweep_file": str(sweepfile),
         "n_points": len(points),
-        "slope": result.slope,
-        "slope_std_err": result.slope_std_err,
-        "intercept": result.intercept,
-        "intercept_std_err": result.intercept_std_err,
-        "bell_magnitude": result.bell_magnitude,
+        **_line_report(result),
         "bell_magnitude_std_err": result.bell_magnitude_std_err,
         "p_int_low": result.p_int_low,
         "p_int_low_std_err": result.intercept_std_err,
@@ -449,7 +455,6 @@ def figures(which, fmt, state, sample, mean_total, seed, out_dir) -> None:
     """Emit plot-ready data (csv) or vector graphics (svg) for a preset view."""
     prepared = _state_or_fail(state)
     directory = Path(out_dir) if out_dir else _output_dir()
-    directory.mkdir(parents=True, exist_ok=True)
     mean_total, seed = (mean_total, seed) if sample else (None, None)
     if which != "9":
         with _usage_errors():
@@ -470,14 +475,7 @@ def figures(which, fmt, state, sample, mean_total, seed, out_dir) -> None:
         _write_output(directory / "figure9.svg", lambda fh: fh.write(svg))
         return
     _write_output(directory / "figure9.csv", lambda fh: _write_csv(fh, points))
-    fit_report = {
-        "slope": result.slope,
-        "slope_std_err": result.slope_std_err,
-        "intercept": result.intercept,
-        "intercept_std_err": result.intercept_std_err,
-        "bell_magnitude": result.bell_magnitude,
-    }
-    _write_output(directory / "figure9_fit.json", lambda fh: _write_json(fh, fit_report))
+    _write_output(directory / "figure9_fit.json", lambda fh: _write_json(fh, _line_report(result)))
 
 
 @main.command()

@@ -43,15 +43,10 @@ class InvalidStateError(ValueError):
     """Density matrix fails hermiticity, trace or positivity requirements."""
 
 
-def polarization_ket(angle_deg: float) -> np.ndarray:
-    """Linear polarization state cos(a)|H> + sin(a)|V> as a length-2 vector."""
-    a = math.radians(angle_deg)
-    return np.array([math.cos(a), math.sin(a)], dtype=complex)
-
-
 def projector(angle_deg: float) -> np.ndarray:
-    """Rank-1 projector onto the linear polarization at ``angle_deg``."""
-    k = polarization_ket(angle_deg)
+    """Rank-1 projector onto the linear polarization cos(a)|H> + sin(a)|V>."""
+    a = math.radians(angle_deg)
+    k = np.array([math.cos(a), math.sin(a)], dtype=complex)
     return np.outer(k, k.conj())
 
 
@@ -83,10 +78,6 @@ class PolarizationObservable:
     plus_angle_deg: float
     matrix: np.ndarray
 
-    @property
-    def minus_angle_deg(self) -> float:
-        return (self.plus_angle_deg + 90.0) % 180.0
-
 
 def observable_from_angle(plus_angle_deg: float) -> PolarizationObservable:
     """Build the polarization observable whose +1 eigenstate sits at the
@@ -96,12 +87,18 @@ def observable_from_angle(plus_angle_deg: float) -> PolarizationObservable:
     return PolarizationObservable(plus_angle_deg=alpha, matrix=_frozen(matrix))
 
 
+#: The fixed (X, Y) observable pair of each side, built once (read-only).
+_SIDE_OBSERVABLES = {
+    side: (observable_from_angle(angles["x"]), observable_from_angle(angles["y"]))
+    for side, angles in OBSERVABLE_ANGLES.items()
+}
+
+
 def side_observables(side: Side) -> tuple[PolarizationObservable, PolarizationObservable]:
     """The (X, Y) observable pair measured on one side."""
-    if side not in OBSERVABLE_ANGLES:
+    if side not in _SIDE_OBSERVABLES:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    angles = OBSERVABLE_ANGLES[side]
-    return observable_from_angle(angles["x"]), observable_from_angle(angles["y"])
+    return _SIDE_OBSERVABLES[side]
 
 
 def _unit_circle(theta_deg: float) -> tuple[float, float]:
@@ -213,15 +210,14 @@ class JointPovm:
         return float(np.max(np.abs(total - np.eye(2))))
 
 
+def _joint_povm(setting: MeasurementSetting, vx: float, vy: float) -> JointPovm:
+    elements = povm_elements(*side_observables(setting.side), vx, vy)
+    return JointPovm(elements=elements, setting=setting, visibilities=(vx, vy))
+
+
 def build_joint_povm(setting: MeasurementSetting) -> JointPovm:
     """POVM with visibilities (cos theta, sin theta) for the side's observables."""
-    obs_x, obs_y = side_observables(setting.side)
-    vx, vy = setting.visibilities
-    return JointPovm(
-        elements=povm_elements(obs_x, obs_y, vx, vy),
-        setting=setting,
-        visibilities=(vx, vy),
-    )
+    return _joint_povm(setting, *setting.visibilities)
 
 
 def povm_from_visibilities(side: Side, vis: VisibilityPair) -> JointPovm:
@@ -231,12 +227,7 @@ def povm_from_visibilities(side: Side, vis: VisibilityPair) -> JointPovm:
     records the pair's nominal trade-off angle.
     """
     vis.require_uncertainty_bound()
-    obs_x, obs_y = side_observables(side)
-    return JointPovm(
-        elements=povm_elements(obs_x, obs_y, vis.vx, vis.vy),
-        setting=MeasurementSetting(theta_deg=vis.theta_deg, side=side),
-        visibilities=(vis.vx, vis.vy),
-    )
+    return _joint_povm(MeasurementSetting(theta_deg=vis.theta_deg, side=side), vis.vx, vis.vy)
 
 
 @dataclass(frozen=True)
@@ -247,6 +238,8 @@ class TwoQubitState:
 
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=complex)
+        if not np.isfinite(rho).all():
+            raise InvalidStateError("density matrix entries must be finite")
         if rho.shape != (4, 4):
             raise InvalidStateError(f"density matrix must be 4x4, got {rho.shape}")
         defect = hermiticity_defect(rho)
@@ -297,17 +290,22 @@ def random_two_qubit_state(rng: np.random.Generator) -> TwoQubitState:
     return TwoQubitState(rho=rho)
 
 
-def bell_operator() -> np.ndarray:
-    """CHSH operator X_A X_B - X_A Y_B + Y_A X_B + Y_A Y_B (4x4 Hermitian)."""
-    xa, ya = side_observables("A")
-    xb, yb = side_observables("B")
-    b = (
+def _chsh_operator() -> np.ndarray:
+    (xa, ya), (xb, yb) = _SIDE_OBSERVABLES["A"], _SIDE_OBSERVABLES["B"]
+    return _frozen(
         np.kron(xa.matrix, xb.matrix)
         - np.kron(xa.matrix, yb.matrix)
         + np.kron(ya.matrix, xb.matrix)
         + np.kron(ya.matrix, yb.matrix)
     )
-    return _frozen(b)
+
+
+_BELL_OPERATOR = _chsh_operator()
+
+
+def bell_operator() -> np.ndarray:
+    """CHSH operator X_A X_B - X_A Y_B + Y_A X_B + Y_A Y_B (4x4 Hermitian, built once)."""
+    return _BELL_OPERATOR
 
 
 def bell_expectation(state: TwoQubitState) -> float:

@@ -43,26 +43,77 @@ def assert_one_line_error(result, *fragments):
         assert fragment in result.output
 
 
-@pytest.mark.parametrize("args", [
-    pytest.param(["simulate", "--theta-a", "nan"], id="simulate-nan"),
-    pytest.param(["simulate", "--theta-a", "inf"], id="simulate-inf"),
-    pytest.param(["simulate", "--theta-b", "-inf", "--format", "csv"], id="simulate-csv"),
-    pytest.param(["simulate", "--config", "nan.cfg"], id="simulate-config"),
-    pytest.param(["counts", "--theta-a", "nan", "--out", "x.csv"], id="counts-angle"),
-    pytest.param(["counts", "--duration-s", "nan", "--out", "x.csv"], id="counts-duration"),
-    pytest.param(["analyze", "c.csv", "--theta-a", "nan", "--theta-b", "20"], id="analyze-nan"),
-    pytest.param(["analyze", "c.csv", "--theta-a", "20", "--theta-b", "inf"], id="analyze-inf"),
-    pytest.param(["analyze", "nan.csv", "--theta-a", "20", "--theta-b", "20"],
+MIXED_MATRIX = "0.25 0 0 0\n0 0.25 0 0\n0 0 0.25 0\n0 0 0 0.25\n"
+
+
+@pytest.mark.parametrize("args, fragment", [
+    pytest.param(["simulate", "--theta-a", "nan"], "finite", id="simulate-nan"),
+    pytest.param(["simulate", "--theta-a", "inf"], "finite", id="simulate-inf"),
+    pytest.param(["simulate", "--theta-b", "-inf", "--format", "csv"], "finite",
+                 id="simulate-csv"),
+    pytest.param(["simulate", "--config", "nan.cfg"], "finite", id="simulate-config"),
+    pytest.param(["counts", "--theta-a", "nan", "--out", "x.csv"], "finite", id="counts-angle"),
+    pytest.param(["counts", "--duration-s", "nan", "--out", "x.csv"], "finite",
+                 id="counts-duration"),
+    pytest.param(["analyze", "c.csv", "--theta-a", "nan", "--theta-b", "20"], "finite",
+                 id="analyze-nan"),
+    pytest.param(["analyze", "c.csv", "--theta-a", "20", "--theta-b", "inf"], "finite",
+                 id="analyze-inf"),
+    pytest.param(["analyze", "nan.csv", "--theta-a", "20", "--theta-b", "20"], "finite",
                  id="analyze-duration"),
+    pytest.param(["simulate", "--state", "nan.txt"], "entries must be finite", id="matrix-nan"),
+    pytest.param(["counts", "--state", "inf.txt", "--out", "x.csv"], "entries must be finite",
+                 id="matrix-inf"),
+    # Warnings shown, not raised, so a loadtxt warning printed before the error fails the test.
+    pytest.param(["sweep", "--state", "empty.txt", "--thetas", "0"], "cannot read matrix file",
+                 id="matrix-empty", marks=pytest.mark.filterwarnings("default")),
 ])
-def test_non_finite_input_fails(runner, tmp_path, monkeypatch, args):
+def test_non_finite_input_fails(runner, tmp_path, monkeypatch, args, fragment):
     monkeypatch.chdir(tmp_path)
     table = format_count_table(CountTable(counts={m: 4 for m in ALL_OUTCOMES}))
-    inputs = {"nan.cfg": "theta_a = nan\n", "c.csv": table, "nan.csv": table + "# duration_s=nan\n"}
+    inputs = {
+        "nan.cfg": "theta_a = nan\n", "c.csv": table, "nan.csv": table + "# duration_s=nan\n",
+        "nan.txt": MIXED_MATRIX.replace("0.25 0 0 0", "0.25 nan 0 0"),
+        "inf.txt": MIXED_MATRIX.replace("0.25 0 0 0", "inf 0 0 0"), "empty.txt": "",
+    }
     for name, text in inputs.items():
         (tmp_path / name).write_text(text)
-    assert_one_line_error(runner.invoke(main, args), "finite")
+    assert_one_line_error(runner.invoke(main, args), fragment)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+
+
+@pytest.mark.parametrize("args, fragment", [
+    pytest.param(["simulate", "--out", "adir"], "Is a directory", id="simulate-out-dir"),
+    pytest.param(["analyze", "c.csv", "--theta-a", "20", "--theta-b", "20", "--out", "adir"],
+                 "Is a directory", id="analyze-out-dir"),
+    pytest.param(["counts", "--out", "adir"], "Is a directory", id="counts-out-dir"),
+    pytest.param(["sweep", "--thetas", "0,45", "--out", "adir"], "Is a directory",
+                 id="sweep-out-dir"),
+    pytest.param(["fit", "s.csv", "--out", "adir"], "Is a directory", id="fit-out-dir"),
+    pytest.param(["counts", "--out", "afile/x.csv"], "File exists", id="counts-under-file"),
+    pytest.param(["figures", "--which", "6", "--out-dir", "afile"], "File exists",
+                 id="figures-6-out-file"),
+    pytest.param(["figures", "--which", "9", "--out-dir", "afile"], "File exists",
+                 id="figures-9-out-file"),
+    pytest.param(["fit", "latin1.csv"], "latin1.csv: 'utf-8' codec", id="fit-not-utf8"),
+])
+def test_file_errors_fail(runner, tmp_path, monkeypatch, args, fragment):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("x\n")
+    (tmp_path / "latin1.csv").write_bytes(b"theta_deg,x_a\n\xe9\xff\n")
+    (tmp_path / "c.csv").write_text(format_count_table(CountTable({m: 4 for m in ALL_OUTCOMES})))
+    assert runner.invoke(main, ["sweep", "--thetas", "0,90", "--out", "s.csv"]).exit_code == 0
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    assert_one_line_error(runner.invoke(main, args), fragment)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
+def test_counts_creates_parent_directory(runner, tmp_path):
+    out = tmp_path / "nodir" / "x.csv"
+    result = runner.invoke(main, ["counts", "--out", str(out)])
+    assert result.output == f"wrote {out}\n"
+    assert out.read_text().startswith("x_a,y_a,x_b,y_b,counts\n")
 
 
 def test_json_writer_rejects_nan():

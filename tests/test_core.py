@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from jointbell.core import (
     CIRELSON_BOUND,
+    OBSERVABLE_ANGLES,
     InvalidStateError,
     MeasurementSetting,
     TwoQubitState,
@@ -85,6 +87,19 @@ class TestObservables:
         xb, yb = side_observables("B")
         assert (xa.plus_angle_deg, ya.plus_angle_deg) == (0.0, 45.0)
         assert (xb.plus_angle_deg, yb.plus_angle_deg) == (22.5, 67.5)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_table_matches_rotation_form(self, side):
+        for axis, obs in zip("xy", side_observables(side)):
+            expected = rotation_form(OBSERVABLE_ANGLES[side][axis])
+            assert np.max(np.abs(obs.matrix - expected)) < 1e-12
+
+    def test_table_is_shared_and_read_only(self):
+        for side in ("A", "B"):
+            assert side_observables(side) is side_observables(side)
+            for obs in side_observables(side):
+                with pytest.raises(ValueError):
+                    obs.matrix[0, 0] = 0.0
 
     def test_bad_side(self):
         with pytest.raises(ValueError):
@@ -243,6 +258,11 @@ class TestStates:
             TwoQubitState(rho=np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
         with pytest.raises(InvalidStateError):
             TwoQubitState(rho=np.eye(2, dtype=complex) / 2)
+        for value, entry in itertools.product((math.nan, math.inf), ((0, 0), (0, 1))):
+            bad = np.eye(4, dtype=complex) / 4
+            bad[entry] = value
+            with pytest.raises(InvalidStateError, match="finite"):
+                TwoQubitState(rho=bad)
 
     def test_random_states_are_valid(self):
         rng = np.random.default_rng(5)
@@ -253,6 +273,18 @@ class TestStates:
 
 
 class TestBellOperator:
+    def test_matches_rotation_forms(self):
+        (xa, ya), (xb, yb) = (
+            [rotation_form(OBSERVABLE_ANGLES[side][axis]) for axis in "xy"] for side in "AB"
+        )
+        expected = np.kron(xa, xb) - np.kron(xa, yb) + np.kron(ya, xb) + np.kron(ya, yb)
+        assert np.max(np.abs(bell_operator() - expected)) < 1e-12
+
+    def test_shared_and_read_only(self):
+        assert bell_operator() is bell_operator()
+        with pytest.raises(ValueError):
+            bell_operator()[0, 0] = 0.0
+
     def test_spectrum_extremes(self):
         eigs = np.linalg.eigvalsh(bell_operator())
         assert eigs[0] == pytest.approx(-CIRELSON_BOUND, abs=1e-10)
