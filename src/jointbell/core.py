@@ -93,6 +93,15 @@ _SIDE_OBSERVABLES = {
     for side, angles in OBSERVABLE_ANGLES.items()
 }
 
+#: The operator basis (I, X, Y) of each side as a read-only (3, 2, 2) stack.
+_SIDE_BASES = {
+    side: _frozen(np.stack([np.eye(2, dtype=complex), obs_x.matrix, obs_y.matrix]))
+    for side, (obs_x, obs_y) in _SIDE_OBSERVABLES.items()
+}
+
+#: Signs of the (I, X, Y) coefficients (1, x, y) of each element, in OUTCOME_SIGNS order.
+_ELEMENT_SIGNS = _frozen(np.array([(1, x, y) for x, y in OUTCOME_SIGNS], dtype=float))
+
 
 def side_observables(side: Side) -> tuple[PolarizationObservable, PolarizationObservable]:
     """The (X, Y) observable pair measured on one side."""
@@ -173,46 +182,36 @@ class MeasurementSetting:
         return _unit_circle(self.theta_deg)
 
 
-def povm_elements(
-    obs_x: PolarizationObservable,
-    obs_y: PolarizationObservable,
-    vx: float,
-    vy: float,
-) -> dict[tuple[int, int], np.ndarray]:
-    """Elements (I + x*vx*X + y*vy*Y)/4 keyed by outcome signs (x, y).
+def povm_elements(side: Side, vx: float, vy: float) -> np.ndarray:
+    """Elements (I + x*vx*X + y*vy*Y)/4 of one side as a read-only (4, 2, 2) stack in
+    OUTCOME_SIGNS order: one contraction of the side's fixed (I, X, Y) basis.
 
     No positivity guard: callers own the uncertainty-bound check, and the
     unphysical region is deliberately reachable so tests can confirm that
     vx**2 + vy**2 = 1 is exactly the positivity boundary.
     """
-    eye = np.eye(2, dtype=complex)
-    elements = {}
-    for x, y in OUTCOME_SIGNS:
-        m = 0.25 * (eye + (x * vx) * obs_x.matrix + (y * vy) * obs_y.matrix)
-        elements[(x, y)] = _frozen(m)
-    return elements
+    coefficients = _ELEMENT_SIGNS * (1.0, vx, vy)
+    return _frozen(0.25 * np.einsum("ok,kab->oab", coefficients, _SIDE_BASES[side]))
 
 
 @dataclass(frozen=True)
 class JointPovm:
-    """Four-outcome joint measurement of the X and Y observables of one side."""
+    """Four-outcome joint measurement of one side, elements stacked in OUTCOME_SIGNS order."""
 
-    elements: dict[tuple[int, int], np.ndarray]
+    elements: np.ndarray
     setting: MeasurementSetting
     visibilities: tuple[float, float]
 
     def min_element_eigenvalue(self) -> float:
-        return min(min_eigenvalue(e) for e in self.elements.values())
+        return float(np.linalg.eigvalsh(self.elements).min())
 
     def completeness_defect(self) -> float:
         """Largest entrywise deviation of the element sum from the identity."""
-        total = sum(self.elements.values())
-        return float(np.max(np.abs(total - np.eye(2))))
+        return float(np.max(np.abs(self.elements.sum(axis=0) - np.eye(2))))
 
 
 def _joint_povm(setting: MeasurementSetting, vx: float, vy: float) -> JointPovm:
-    elements = povm_elements(*side_observables(setting.side), vx, vy)
-    return JointPovm(elements=elements, setting=setting, visibilities=(vx, vy))
+    return JointPovm(povm_elements(setting.side, vx, vy), setting, visibilities=(vx, vy))
 
 
 def build_joint_povm(setting: MeasurementSetting) -> JointPovm:

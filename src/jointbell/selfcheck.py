@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (
     CIRELSON_BOUND,
+    OUTCOME_SIGNS,
     MeasurementSetting,
     UncertaintyViolationError,
     VisibilityPair,
@@ -91,7 +92,6 @@ def check_povm_completeness() -> CheckResult:
 
 def check_uncertainty_boundary() -> CheckResult:
     rng = np.random.default_rng(20230)
-    obs_x, obs_y = side_observables("A")
     ok = True
     for _ in range(50):
         radius = math.sqrt(rng.uniform(1.0001, 1.9))
@@ -99,7 +99,7 @@ def check_uncertainty_boundary() -> CheckResult:
         vx, vy = radius * math.cos(angle), radius * math.sin(angle)
         if vx > 1 or vy > 1:
             continue
-        low = min(min_eigenvalue(e) for e in povm_elements(obs_x, obs_y, vx, vy).values())
+        low = min(min_eigenvalue(e) for e in povm_elements("A", vx, vy))
         ok = ok and low < 0
         try:
             povm_from_visibilities("A", VisibilityPair(vx, vy))
@@ -164,7 +164,7 @@ def check_marginal_consistency() -> CheckResult:
         rho_a = partial_trace(state.rho, keep="A")
         dist = joint_distribution(state, 30.0, 70.0)
         povm_a = build_joint_povm(MeasurementSetting(30.0, "A"))
-        for (x, y), element in povm_a.elements.items():
+        for (x, y), element in zip(OUTCOME_SIGNS, povm_a.elements):
             marginal = sum(
                 p for m, p in dist.probs.items() if (m.x_a, m.y_a) == (x, y)
             )

@@ -28,6 +28,11 @@ from .core import (
 PROB_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10
 
+#: Largest count a table holds: every integer up to 2**53 is exact as a float.
+MAX_COUNT = 2**53
+#: Largest sampling mean_total; Poisson draws stay far below MAX_COUNT.
+MAX_MEAN_TOTAL = 2.0**52
+
 
 class Outcome(NamedTuple):
     """One coincidence outcome: the four signs (x_A, y_A; x_B, y_B)."""
@@ -62,7 +67,8 @@ def _check_outcome_map(probs: dict) -> None:
     if set(probs) != set(ALL_OUTCOMES):
         raise ValueError("distribution must assign a value to each of the 16 outcomes")
     for m, v in probs.items():
-        if not math.isfinite(v):
+        # A Python int is finite; math.isfinite would overflow on one above ~1.8e308.
+        if not (isinstance(v, int) or math.isfinite(v)):
             raise ValueError(f"value of outcome {m.label()} is {v!r}, not a finite number")
 
 
@@ -135,6 +141,8 @@ class CountTable:
             n = self.counts[m]
             if n != int(n) or n < 0:
                 raise ValueError(f"count for {m.label()} must be a non-negative integer, got {n!r}")
+            if n > MAX_COUNT:
+                raise ValueError(f"count for {m.label()} exceeds 2**53")
             clean[m] = int(n)
         object.__setattr__(self, "counts", clean)
 
@@ -142,12 +150,15 @@ class CountTable:
         return sum(self.counts.values())
 
 
-def _outcome_probabilities(povm_a: dict, povm_b: dict, rho: np.ndarray) -> dict[Outcome, float]:
+def _outcome_probabilities(e_a: np.ndarray, e_b: np.ndarray, rho: np.ndarray) -> dict[Outcome, float]:
     """p(m) = tr[(E_A[x_A, y_A] (x) E_B[x_B, y_B]) rho] for all sixteen
-    outcomes: one contraction over the four stacked elements of each side."""
-    e_a, e_b = (np.stack([povm[s] for s in OUTCOME_SIGNS]) for povm in (povm_a, povm_b))
+    outcomes: one contraction over the (4, 2, 2) element stacks of each side."""
     p = np.einsum("iac,jbd,cdab->ij", e_a, e_b, rho.reshape(2, 2, 2, 2))
     return dict(zip(ALL_OUTCOMES, p.real.ravel().tolist()))
+
+
+#: The vx = vy = 1 element stacks of sides A and B, built once.
+_UNIT_ELEMENTS = (povm_elements("A", 1.0, 1.0), povm_elements("B", 1.0, 1.0))
 
 
 def joint_distribution(
@@ -167,9 +178,7 @@ def quasi_distribution(state: TwoQubitState) -> QuasiDistribution:
     Not a physical measurement: entries can be negative for Bell-violating
     states.  Sums to one by construction.
     """
-    ea = povm_elements(*side_observables("A"), 1.0, 1.0)
-    eb = povm_elements(*side_observables("B"), 1.0, 1.0)
-    return QuasiDistribution(values=_outcome_probabilities(ea, eb, state.rho))
+    return QuasiDistribution(values=_outcome_probabilities(*_UNIT_ELEMENTS, state.rho))
 
 
 def aggregate_b(dist: JointDistribution) -> BAggregate:
@@ -217,6 +226,8 @@ def _poisson(rng: np.random.Generator, mean: float) -> int:
 def _check_sampling(mean_total: float, seed: int) -> None:
     if not 0 < mean_total < math.inf:
         raise ValueError(f"mean_total must be positive and finite, got {mean_total}")
+    if mean_total > MAX_MEAN_TOTAL:
+        raise ValueError(f"mean_total must be positive and at most 2**52, got {mean_total}")
     if seed < 0 or seed != int(seed):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
@@ -340,7 +351,7 @@ def joint_visibilities(
                 f"precise {axis} expectation vanishes on side {side}; visibility undefined"
             )
         joint = 0.0
-        for (x, y), element in povm.elements.items():
+        for (x, y), element in zip(OUTCOME_SIGNS, povm.elements):
             sign = x if axis == "x" else y
             joint += sign * float(np.real(np.trace(element @ prepared)))
         ratios.append(joint / precise)

@@ -20,7 +20,6 @@ from jointbell.core import (
     povm_elements,
     povm_from_visibilities,
     random_two_qubit_state,
-    side_observables,
     singlet_state,
     werner_state,
 )
@@ -185,8 +184,7 @@ def test_criterion_07_povm_property_suite():
             worst_eig = min(worst_eig, povm.min_element_eigenvalue())
             worst_sum = max(worst_sum, povm.completeness_defect())
     vx = vy = math.sqrt(1.01 / 2.0)
-    ox, oy = side_observables("A")
-    low = min(min_eigenvalue(e) for e in povm_elements(ox, oy, vx, vy).values())
+    low = min(min_eigenvalue(e) for e in povm_elements("A", vx, vy))
     rejected = False
     try:
         povm_from_visibilities("A", VisibilityPair(vx, vy))

@@ -2,11 +2,15 @@ import csv
 import io
 import json
 import math
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jointbell.cli import (
     RunConfig,
@@ -61,6 +65,8 @@ MIXED_MATRIX = "0.25 0 0 0\n0 0.25 0 0\n0 0 0.25 0\n0 0 0 0.25\n"
                  id="analyze-inf"),
     pytest.param(["analyze", "nan.csv", "--theta-a", "20", "--theta-b", "20"], "finite",
                  id="analyze-duration"),
+    pytest.param(["analyze", "huge.csv", "--theta-a", "20", "--theta-b", "20"],
+                 "huge.csv: count for (+,+;+,+) exceeds 2**53", id="analyze-huge-count"),
     pytest.param(["simulate", "--state", "nan.txt"], "entries must be finite", id="matrix-nan"),
     pytest.param(["counts", "--state", "inf.txt", "--out", "x.csv"], "entries must be finite",
                  id="matrix-inf"),
@@ -73,6 +79,7 @@ def test_non_finite_input_fails(runner, tmp_path, monkeypatch, args, fragment):
     table = format_count_table(CountTable(counts={m: 4 for m in ALL_OUTCOMES}))
     inputs = {
         "nan.cfg": "theta_a = nan\n", "c.csv": table, "nan.csv": table + "# duration_s=nan\n",
+        "huge.csv": table.replace(",4\n", "," + "9" * 320 + "\n", 1),
         "nan.txt": MIXED_MATRIX.replace("0.25 0 0 0", "0.25 nan 0 0"),
         "inf.txt": MIXED_MATRIX.replace("0.25 0 0 0", "inf 0 0 0"), "empty.txt": "",
     }
@@ -119,6 +126,55 @@ def test_counts_creates_parent_directory(runner, tmp_path):
 def test_json_writer_rejects_nan():
     with pytest.raises(ValueError):
         _write_json(io.StringIO(), {"mean_b": float("nan")})
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-strict JSON constant {name}")
+
+
+def assert_clean_exit(result, out=None):
+    """Exit 0 with strict JSON on stdout (or ``wrote <out>``), or exit 1
+    through the one-line error path; True on success."""
+    if result.exit_code != 0:
+        assert_one_line_error(result)
+        return False
+    if out is None:
+        json.loads(result.output, parse_constant=_reject_constant)
+    else:
+        assert result.output == f"wrote {out}\n"
+    return True
+
+
+# Each draw mixes a range where commands succeed with any float at all.
+_ANGLES = st.one_of(st.floats(0.0, 90.0), st.floats())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    state=st.one_of(st.just("singlet"), st.floats(0.0, 1.0).map(lambda v: f"werner:{v!r}"),
+                    st.floats().map(lambda v: f"werner:{v!r}"), st.text(max_size=10)),
+    theta_a=_ANGLES,
+    theta_b=_ANGLES,
+    thetas=st.lists(_ANGLES, min_size=1, max_size=3),
+    mean_total=st.one_of(st.floats(1.0, 1e7), st.floats()),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(state="singlet", theta_a=20.0, theta_b=20.0, thetas=[10.0, 20.0], mean_total=1e308,
+         seed=1)
+def test_any_input_exits_cleanly(state, theta_a, theta_b, thetas, mean_total, seed):
+    runner = CliRunner()
+    angles = [f"--theta-a={theta_a!r}", f"--theta-b={theta_b!r}"]
+    sampling = [f"--mean-total={mean_total!r}", f"--seed={seed}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        table, sweep = Path(tmp, "c.csv"), Path(tmp, "s.csv")
+        assert_clean_exit(runner.invoke(main, ["simulate", f"--state={state}", *angles]))
+        args = ["counts", f"--state={state}", *angles, *sampling, f"--out={table}"]
+        if assert_clean_exit(runner.invoke(main, args), table):
+            assert_clean_exit(runner.invoke(main, ["analyze", str(table), *angles]))
+        args = ["sweep", f"--state={state}", "--thetas=" + ",".join(map(repr, thetas)),
+                "--sample", *sampling, f"--out={sweep}"]
+        if assert_clean_exit(runner.invoke(main, args), sweep):
+            assert_clean_exit(runner.invoke(main, ["fit", str(sweep)]))
 
 
 def csv_header(path):
@@ -292,6 +348,12 @@ class TestCounts:
                       "--out", "x.csv"], id="sweep-inf"),
         pytest.param(["figures", "--which", "9", "--sample", "--mean-total", "nan",
                       "--out-dir", "."], id="figures-nan"),
+        pytest.param(["counts", "--state", "singlet", "--mean-total", "1e308", "--seed", "1",
+                      "--out", "x.csv"], id="counts-1e308"),
+        pytest.param(["sweep", "--thetas", "10,20", "--sample", "--mean-total", "1e308",
+                      "--out", "x.csv"], id="sweep-1e308"),
+        pytest.param(["figures", "--which", "9", "--sample", "--mean-total", "1e308",
+                      "--out-dir", "."], id="figures-1e308"),
     ])
     def test_zero_mean_total_fails(self, runner, tmp_path, monkeypatch, args):
         monkeypatch.chdir(tmp_path)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from jointbell.core import (
     CIRELSON_BOUND,
     OBSERVABLE_ANGLES,
+    OUTCOME_SIGNS,
     InvalidStateError,
     MeasurementSetting,
     TwoQubitState,
@@ -111,14 +112,14 @@ class TestJointPovm:
         povm = build_joint_povm(MeasurementSetting(45.0, "A"))
         xa, ya = side_observables("A")
         expected = 0.25 * (np.eye(2) + (ROOT2 / 2) * xa.matrix + (ROOT2 / 2) * ya.matrix)
-        assert np.allclose(povm.elements[(1, 1)], expected, atol=1e-15)
+        assert np.allclose(povm.elements[OUTCOME_SIGNS.index((1, 1))], expected, atol=1e-15)
 
     def test_theta20_side_b_element(self):
         povm = build_joint_povm(MeasurementSetting(20.0, "B"))
         xb, yb = side_observables("B")
         c, s = math.cos(math.radians(20.0)), math.sin(math.radians(20.0))
         expected = 0.25 * (np.eye(2) - c * xb.matrix + s * yb.matrix)
-        assert np.allclose(povm.elements[(-1, 1)], expected, atol=1e-15)
+        assert np.allclose(povm.elements[OUTCOME_SIGNS.index((-1, 1))], expected, atol=1e-15)
         assert c == pytest.approx(0.9397, abs=5e-5)
         assert s == pytest.approx(0.3420, abs=5e-5)
 
@@ -127,8 +128,8 @@ class TestJointPovm:
         xa, _ = side_observables("A")
         for x in (1, -1):
             expected = 0.25 * (np.eye(2) + x * xa.matrix)
-            assert np.allclose(povm.elements[(x, 1)], expected, atol=1e-15)
-            assert np.allclose(povm.elements[(x, -1)], expected, atol=1e-15)
+            assert np.allclose(povm.elements[OUTCOME_SIGNS.index((x, 1))], expected, atol=1e-15)
+            assert np.allclose(povm.elements[OUTCOME_SIGNS.index((x, -1))], expected, atol=1e-15)
 
     @pytest.mark.parametrize("side", ["A", "B"])
     def test_grid_positivity_completeness(self, side):
@@ -158,8 +159,7 @@ class TestJointPovm:
         vy = math.sqrt(r2) * math.sin(angle)
         if vx > 1.0 or vy > 1.0:
             return
-        ox, oy = side_observables(side)
-        low = min(min_eigenvalue(e) for e in povm_elements(ox, oy, vx, vy).values())
+        low = min(min_eigenvalue(e) for e in povm_elements(side, vx, vy))
         assert low < 0
         with pytest.raises(UncertaintyViolationError):
             povm_from_visibilities(side, VisibilityPair(vx, vy))
@@ -198,6 +198,17 @@ class TestJointPovm:
     def test_setting_rejects_non_finite_angle(self, theta):
         with pytest.raises(ValueError, match="finite"):
             MeasurementSetting(theta, "A")
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_element_stack_matches_rotation_forms(self, side):
+        ox, oy = (rotation_form(OBSERVABLE_ANGLES[side][axis]) for axis in "xy")
+        rng = np.random.default_rng(340)
+        for vx, vy in [(1.0, 1.0), (0.0, 0.0), *rng.uniform(0.0, 1.0, size=(20, 2))]:
+            elements = povm_elements(side, vx, vy)
+            assert elements.shape == (4, 2, 2) and not elements.flags.writeable
+            for (x, y), element in zip(OUTCOME_SIGNS, elements):
+                expected = 0.25 * (np.eye(2) + x * vx * ox + y * vy * oy)
+                assert np.max(np.abs(element - expected)) < 1e-15
 
     def test_setting_rejects_bad_side(self):
         with pytest.raises(ValueError):
@@ -315,6 +326,35 @@ class TestBellOperator:
         ]
         assert correlations == pytest.approx([-ROOT2 / 2] * 4, abs=1e-12)
         assert sum(correlations) == pytest.approx(bell_expectation(state), abs=1e-12)
+
+
+PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def horodecki_bound(rho: np.ndarray) -> float:
+    """Largest CHSH value 2*sqrt(t1^2 + t2^2) over all settings (Horodecki,
+    Horodecki & Horodecki 1995), from the two largest singular values of the
+    Pauli correlation matrix T_ij = tr[rho (sigma_i (x) sigma_j)]."""
+    t = np.array([[np.trace(rho @ np.kron(a, b)).real for b in PAULIS] for a in PAULIS])
+    t1, t2, _ = np.linalg.svd(t, compute_uv=False)
+    return 2.0 * math.sqrt(t1 * t1 + t2 * t2)
+
+
+class TestHorodeckiBound:
+    def test_random_states_within_bound(self):
+        rng = np.random.default_rng(1995)
+        for _ in range(500):
+            state = random_two_qubit_state(rng)
+            assert abs(bell_expectation(state)) <= horodecki_bound(state.rho) + 1e-12
+
+    @pytest.mark.parametrize("v", [1.0, 0.9716, 0.5])
+    def test_werner_states_attain_bound(self, v):
+        state = werner_state(v)
+        assert abs(abs(bell_expectation(state)) - horodecki_bound(state.rho)) <= 1e-12
 
 
 class TestPartialTrace:

@@ -131,14 +131,14 @@ class TestJointDistribution:
             assert min(dist.probs.values()) >= -1e-12
 
     def test_marginals_match_single_povm(self):
-        from jointbell.core import MeasurementSetting, build_joint_povm, partial_trace
+        from jointbell.core import OUTCOME_SIGNS, MeasurementSetting, build_joint_povm, partial_trace
 
         rng = np.random.default_rng(98)
         state = random_two_qubit_state(rng)
         dist = joint_distribution(state, 30.0, 70.0)
         rho_a = partial_trace(state.rho, "A")
         povm_a = build_joint_povm(MeasurementSetting(30.0, "A"))
-        for (x, y), element in povm_a.elements.items():
+        for (x, y), element in zip(OUTCOME_SIGNS, povm_a.elements):
             marginal = sum(p for m, p in dist.probs.items() if (m.x_a, m.y_a) == (x, y))
             direct = float(np.real(np.trace(element @ rho_a)))
             assert marginal == pytest.approx(direct, abs=1e-12)
@@ -311,6 +311,53 @@ class TestSampleCounts:
         for mean_total in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 sample_counts(dist, mean_total, seed=1)
+
+    def test_mean_total_upper_bound(self):
+        # Above 2**52 the Poisson draw could overflow or leave the exact-integer float range.
+        dist = joint_distribution(singlet_state(), 45.0, 45.0)
+        table = sample_counts(dist, 2.0**52, seed=1)
+        assert 0 < max(table.counts.values()) < 2**53
+        for mean_total in (math.nextafter(2.0**52, math.inf), 1e307, 1e308):
+            with pytest.raises(ValueError, match=r"positive and at most 2\*\*52"):
+                sample_counts(dist, mean_total, seed=1)
+
+
+# Literal streams: a change to the sampler or the per-angle seeds must update these on purpose.
+SEEDED_STREAMS = {
+    "werner-theta20-seed42": [
+        11207, 1182, 69489, 60122, 32278, 11078, 60028, 38499,
+        38560, 60188, 11201, 32670, 59904, 69598, 1123, 11108,
+    ],
+    "singlet-theta45-seed3": [0, 1, 14, 5, 10, 3, 6, 2, 1, 11, 4, 8, 13, 9, 4, 2],
+    "sweep-seed7-theta10": [
+        11155, 4298, 66649, 60156, 20852, 11039, 59930, 50186,
+        49909, 60005, 11107, 20990, 59924, 66947, 4218, 11231,
+    ],
+    "sweep-seed7-theta20": [
+        11129, 1127, 70038, 60055, 32706, 10873, 60215, 38602,
+        38332, 60120, 10964, 32291, 59987, 69842, 1136, 11273,
+    ],
+}
+
+
+class TestSeededStreams:
+    def test_werner_table(self):
+        dist = joint_distribution(werner_state(0.9716), 20.0, 20.0)
+        table = sample_counts(dist, 568352, seed=42)
+        assert [table.counts[m] for m in ALL_OUTCOMES] == SEEDED_STREAMS["werner-theta20-seed42"]
+
+    def test_singlet_table_uses_both_sampler_branches(self):
+        dist = joint_distribution(singlet_state(), 45.0, 45.0)
+        means = {round(p * 100, 2) for p in dist.probs.values()}
+        assert means == {1.83, 10.67}  # inversion below mean 10, PTRS above
+        table = sample_counts(dist, 100, seed=3)
+        assert [table.counts[m] for m in ALL_OUTCOMES] == SEEDED_STREAMS["singlet-theta45-seed3"]
+
+    def test_angle_sweep_tables(self):
+        items = angle_sweep(werner_state(0.9716), [10, 20], 568352, seed=7)
+        for theta, item in zip((10, 20), items):
+            expected = SEEDED_STREAMS[f"sweep-seed7-theta{theta}"]
+            assert [item.table.counts[m] for m in ALL_OUTCOMES] == expected
 
 
 class TestAngleSweep:
@@ -548,3 +595,15 @@ class TestCountTableFormat:
         counts[Outcome(1, 1, 1, 1)] = -1
         with pytest.raises(ValueError):
             CountTable(counts=counts)
+
+    def test_count_above_exact_float_range_rejected(self):
+        counts = {m: 2**53 for m in ALL_OUTCOMES}
+        assert CountTable(counts=counts).total() == 2**57
+        for big in (2**53 + 1, 10**320, 1e300):
+            counts[Outcome(1, -1, 1, 1)] = big
+            with pytest.raises(ValueError, match=r"\(\+,-;\+,\+\) exceeds 2\*\*53"):
+                CountTable(counts=counts)
+        lines = format_count_table(uniform_table(3)).splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + "," + "9" * 320
+        with pytest.raises(ValueError, match="exceeds"):
+            parse_count_table("\n".join(lines) + "\n")
