@@ -27,6 +27,8 @@ MINIMAL_OUTCOMES: tuple[Outcome, ...] = (
     Outcome(-1, 1, 1, 1),
     Outcome(1, -1, -1, -1),
 )
+#: Columns of the minimal outcomes in (n, 16) arrays ordered as ALL_OUTCOMES.
+MINIMAL_COLUMNS = [ALL_OUTCOMES.index(m) for m in MINIMAL_OUTCOMES]
 
 @dataclass(frozen=True)
 class FlipRates:
@@ -58,13 +60,26 @@ def pbflip_outcome(
 
     The flipped b is always +2 or -2, and a flip at rate (1 - V)/2 scales
     the mean of each sign by V, so the mean flipped b is the b-value of the
-    outcome with every sign scaled by its visibility, m o V.
+    outcome with every sign scaled by its visibility, m o V.  ``outcome`` may
+    also be four sign arrays, the columns of a stack of outcomes, which gives
+    one value per outcome in an array.
     """
     vis_a.require_uncertainty_bound()
     vis_b.require_uncertainty_bound()
     scales = (vis_a.vx, vis_a.vy, vis_b.vx, vis_b.vy)
     mean_flipped = b_value(tuple(s * v for s, v in zip(outcome, scales)))
     return 0.5 - b_value(outcome) * mean_flipped / 8.0
+
+
+#: The signs (x_A, y_A, x_B, y_B) of the sixteen outcomes as four columns.
+_SIGN_COLUMNS = tuple(np.array(ALL_OUTCOMES).T)
+
+
+def pbflip_grid(thetas: Sequence[float]) -> np.ndarray:
+    """``pbflip_outcome`` of all sixteen outcomes at theta_A = theta_B = theta for each
+    of n angles, as an (n, 16) array with columns in ALL_OUTCOMES order."""
+    pairs = map(VisibilityPair.from_theta, thetas)
+    return np.array([pbflip_outcome(_SIGN_COLUMNS, v, v) for v in pairs]).reshape(-1, 16)
 
 
 def pbflip_uniform(mean_b: float, bell_expectation: float) -> float:

@@ -18,15 +18,16 @@ import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, TextIO
 
 import click
 import numpy as np
 
 from . import figures as figmod
 from . import selfcheck
-from .analysis import MINIMAL_OUTCOMES, FitResult, fit_bell_magnitude, pbflip_outcome
+from .analysis import MINIMAL_OUTCOMES, FitResult, fit_bell_magnitude, pbflip_grid, pbflip_outcome
 from .core import (
     CIRELSON_BOUND,
     MeasurementSetting,
@@ -39,12 +40,12 @@ from .core import (
 from .sim import (
     ALL_OUTCOMES,
     aggregate_b,
-    angle_sweep,
     b_value,
     joint_distribution,
     probabilities_from_counts,
     read_count_table,
     sample_counts,
+    sweep_grid,
     write_count_table,
 )
 
@@ -159,10 +160,21 @@ def _usage_errors(prefix: str = ""):
 
 @contextmanager
 def _writing(out: Path):
-    """Make the directory of ``out`` for a block that writes it, then echo ``wrote <out>``."""
+    """Make the directory of ``out``, yield the path a block writes ``out`` through, then
+    echo ``wrote <out>``.  That path is a temporary file beside a new or regular ``out``,
+    moved onto it only if the block succeeds, so a failed command leaves no partial file."""
     with _usage_errors():
         out.parent.mkdir(parents=True, exist_ok=True)
-        yield
+        target = Path(os.path.realpath(out))
+        if target.exists() and not target.is_file():
+            yield out
+        else:
+            tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            try:
+                yield tmp
+                os.replace(tmp, target)
+            finally:
+                tmp.unlink(missing_ok=True)
     click.echo(f"wrote {out}")
 
 
@@ -191,9 +203,9 @@ def _write_json(fh: TextIO, report: dict) -> None:
     fh.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
-def _write_csv(fh: TextIO, rows: Iterable[dict], fieldnames: Sequence[str] | None = None) -> None:
-    """Stream dict rows to ``fh``; columns default to the keys of ``rows[0]``."""
-    writer = csv.DictWriter(fh, fieldnames=list(fieldnames or rows[0]), lineterminator="\n")
+def _write_csv(fh: TextIO, rows: list[dict]) -> None:
+    """Write dict rows to ``fh`` with the keys of ``rows[0]`` as the columns."""
+    writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
 
@@ -206,7 +218,7 @@ def _write_output(out: Path | None, write: Callable[[TextIO], None]) -> None:
         write(buffer)
         click.echo(buffer.getvalue(), nl=False)
         return
-    with _writing(out), open(out, "w", newline="") as fh:
+    with _writing(out) as path, open(path, "w", newline="") as fh:
         write(fh)
 
 
@@ -300,8 +312,8 @@ def counts(config_path, state, theta_a, theta_b, mean_total, seed, duration_s, o
         dist = joint_distribution(prepared, cfg.theta_a, cfg.theta_b)
         table = sample_counts(dist, cfg.mean_total, seed=cfg.seed, duration_s=duration_s)
     path = _resolve_out(cfg.out, "counts.csv")
-    with _writing(path):
-        write_count_table(table, path)
+    with _writing(path) as tmp:
+        write_count_table(table, tmp)
 
 
 @main.command()
@@ -355,6 +367,13 @@ _SWEEP_COLUMNS = (
     "theta_deg", "x_a", "y_a", "x_b", "y_b", "b",
     "p_theory", "p_bflip", "counts", "p_obs", "std_err",
 )
+#: The sign and b fields of a sweep's sixteen rows per angle, in ALL_OUTCOMES order.
+_OUTCOME_FIELDS = [",".join(map(str, (*m, b_value(m)))) for m in ALL_OUTCOMES]
+#: A sweep row, exact or sampled.  No field needs CSV quoting, and floats are written as
+#: their repr, as ``csv`` writes them.
+_SWEEP_ROW = {False: "%s,%s,%r,%r,,,\n", True: "%s,%s,%r,%r,%d,%r,%r\n"}
+#: The columns ``fit`` reads from every row.
+_FIT_COLUMNS = ("x_a", "y_a", "x_b", "y_b", "p_theory", "p_bflip", "p_obs", "std_err")
 
 
 @main.command()
@@ -381,28 +400,20 @@ def sweep(config_path, state, thetas, sample, mean_total, seed, out) -> None:
         raise click.ClickException("sweep angles must lie in [0, 90] degrees")
     prepared = _state_or_fail(cfg.state)
     with _usage_errors():
-        samples = angle_sweep(
+        grid = sweep_grid(
             prepared, theta_list, cfg.mean_total if sample else None, cfg.seed if sample else None
         )
+    columns = (grid.p_theory, pbflip_grid(grid.thetas), grid.counts, grid.p_obs, grid.std_err)
+    columns = [c for c in columns if c is not None]
+    row_format = _SWEEP_ROW[grid.counts is not None]
 
-    def records():
-        for item in samples:
-            vis = VisibilityPair.from_theta(item.theta_deg)
-            sampled = item.table is not None
-            for m in ALL_OUTCOMES:
-                yield {
-                    "theta_deg": item.theta_deg,
-                    **m._asdict(),
-                    "b": b_value(m),
-                    "p_theory": item.dist.probs[m],
-                    "p_bflip": pbflip_outcome(m, vis, vis),
-                    "counts": item.table.counts[m] if sampled else "",
-                    "p_obs": item.observed.probs[m] if sampled else "",
-                    "std_err": item.errors[m] if sampled else "",
-                }
+    def write(fh: TextIO) -> None:
+        fh.write(",".join(_SWEEP_COLUMNS) + "\n")
+        for theta, *values in zip(map(repr, grid.thetas), *(c.tolist() for c in columns)):
+            rows = zip(_OUTCOME_FIELDS, *values)
+            fh.write("".join([row_format % ((theta,) + row) for row in rows]))
 
-    path = _resolve_out(cfg.out, "sweep.csv")
-    _write_output(path, lambda fh: _write_csv(fh, records(), _SWEEP_COLUMNS))
+    _write_output(_resolve_out(cfg.out, "sweep.csv"), write)
 
 
 @main.command()
@@ -410,22 +421,23 @@ def sweep(config_path, state, thetas, sample, mean_total, seed, out) -> None:
 @click.option("--out", default=None, help="Output file (default: stdout).")
 def fit(sweepfile, out) -> None:
     """Fit the minimal-outcome line from a sweep table and report |<B>|."""
-    minimal = {tuple(m): m for m in MINIMAL_OUTCOMES}
+    minimal = set(MINIMAL_OUTCOMES)
     points = []
     with _usage_errors(f"{sweepfile}: "), open(sweepfile, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        missing = [c for c in _SWEEP_COLUMNS[:8] if c not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in _SWEEP_COLUMNS[:8] if c not in header]
         if missing:
             raise click.ClickException(f"{sweepfile}: missing columns {missing}")
-        for row in reader:
-            key = (int(row["x_a"]), int(row["y_a"]), int(row["x_b"]), int(row["y_b"]))
-            if key not in minimal:
-                continue
-            x = float(row["p_bflip"])
-            if row.get("p_obs"):
-                points.append((x, float(row["p_obs"]), float(row["std_err"])))
-            else:
-                points.append((x, float(row["p_theory"])))
+        # A column missing from the header, like a field missing from a row, reads as blank.
+        column = {name: i for i, name in enumerate(header)}
+        fields = itemgetter(*(column.get(c, len(header)) for c in _FIT_COLUMNS))
+        for row in filter(None, reader):
+            row += [""] * (len(header) + 1 - len(row))
+            *signs, theory, flip, obs, err = fields(row)
+            if tuple(map(int, signs)) in minimal:
+                x = float(flip)
+                points.append((x, float(obs), float(err)) if obs else (x, float(theory)))
         if len({len(p) for p in points}) > 1:
             raise click.ClickException(f"{sweepfile}: mixes sampled and exact rows")
         result = fit_bell_magnitude(points)
@@ -458,14 +470,13 @@ def figures(which, fmt, state, sample, mean_total, seed, out_dir) -> None:
     mean_total, seed = (mean_total, seed) if sample else (None, None)
     if which != "9":
         with _usage_errors():
-            samples = angle_sweep(prepared, figmod.FIGURE_THETAS[int(which)], mean_total, seed)
-        for item in samples:
-            rows = figmod.distribution_rows(item)
-            stem = directory / f"figure{which}_theta{item.theta_deg:g}"
+            grid = sweep_grid(prepared, figmod.FIGURE_THETAS[int(which)], mean_total, seed)
+        for theta, rows in zip(grid.thetas, figmod.distribution_rows(grid)):
+            stem = directory / f"figure{which}_theta{theta:g}"
             if fmt == "csv":
                 _write_output(stem.with_suffix(".csv"), lambda fh: _write_csv(fh, rows))
             else:
-                svg = figmod.bars_svg(rows, f"joint distribution at theta = {item.theta_deg:g} deg")
+                svg = figmod.bars_svg(rows, f"joint distribution at theta = {theta:g} deg")
                 _write_output(stem.with_suffix(".svg"), lambda fh: fh.write(svg))
         return
     with _usage_errors():

@@ -182,16 +182,19 @@ class MeasurementSetting:
         return _unit_circle(self.theta_deg)
 
 
-def povm_elements(side: Side, vx: float, vy: float) -> np.ndarray:
-    """Elements (I + x*vx*X + y*vy*Y)/4 of one side as a read-only (4, 2, 2) stack in
-    OUTCOME_SIGNS order: one contraction of the side's fixed (I, X, Y) basis.
+def povm_elements(side: Side, vx, vy) -> np.ndarray:
+    """Elements (I + x*vx*X + y*vy*Y)/4 of one side as a read-only (..., 4, 2, 2) stack in
+    OUTCOME_SIGNS order: one contraction of the side's fixed (I, X, Y) basis.  ``vx`` and
+    ``vy`` are two floats, or two arrays of one shape that becomes the leading axes.
 
     No positivity guard: callers own the uncertainty-bound check, and the
     unphysical region is deliberately reachable so tests can confirm that
     vx**2 + vy**2 = 1 is exactly the positivity boundary.
     """
-    coefficients = _ELEMENT_SIGNS * (1.0, vx, vy)
-    return _frozen(0.25 * np.einsum("ok,kab->oab", coefficients, _SIDE_BASES[side]))
+    weights = np.empty(np.shape(vx) + (3,))
+    weights[..., 0], weights[..., 1], weights[..., 2] = 1.0, vx, vy
+    coefficients = _ELEMENT_SIGNS * weights[..., None, :]
+    return _frozen(0.25 * np.einsum("...ok,kab->...oab", coefficients, _SIDE_BASES[side]))
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,10 @@ configuration and seed.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
-from .core import TwoQubitState, VisibilityPair
-from .sim import ALL_OUTCOMES, AngleSample, Outcome, angle_sweep, b_value
+from .core import TwoQubitState
+from .sim import ALL_OUTCOMES, Outcome, SweepGrid, b_value, sweep_grid
 from .sim import joint_distribution  # noqa: F401  (bench/tests/test_bench.py traces this binding)
-from .analysis import MINIMAL_OUTCOMES, FitResult, fit_bell_magnitude, pbflip_outcome
+from .analysis import MINIMAL_COLUMNS, MINIMAL_OUTCOMES, FitResult, fit_bell_magnitude, pbflip_grid
 
 FIGURE_THETAS: dict[int, tuple[float, ...]] = {
     6: (45.0,),
@@ -26,22 +24,18 @@ FIGURE_THETAS: dict[int, tuple[float, ...]] = {
 FIT_GRID: tuple[float, ...] = tuple(float(t) for t in range(0, 91, 10))
 
 
-def distribution_rows(sample: AngleSample) -> list[dict]:
-    """Sixteen outcome rows at one trade-off angle, with sampled counts and
-    count-derived probabilities when the angle was sampled."""
-    rows = []
-    for m in ALL_OUTCOMES:
-        row = {
-            "theta_deg": sample.theta_deg,
-            **m._asdict(),
-            "b": b_value(m),
-            "probability": sample.dist.probs[m],
-        }
-        if sample.table is not None:
-            row["counts"] = sample.table.counts[m]
-            row["p_obs"] = sample.observed.probs[m]
-        rows.append(row)
-    return rows
+def distribution_rows(grid: SweepGrid) -> list[list[dict]]:
+    """The sixteen outcome rows of each angle of a sweep, with sampled counts and
+    count-derived probabilities when the sweep was sampled."""
+    columns = {"probability": grid.p_theory, "counts": grid.counts, "p_obs": grid.p_obs}
+    columns = {key: c.tolist() for key, c in columns.items() if c is not None}
+    return [
+        [
+            {"theta_deg": theta, **m._asdict(), "b": b_value(m), **dict(zip(columns, values))}
+            for m, *values in zip(ALL_OUTCOMES, *per_outcome)
+        ]
+        for theta, *per_outcome in zip(grid.thetas, *columns.values())
+    ]
 
 
 def line_points(
@@ -52,26 +46,17 @@ def line_points(
 ) -> tuple[list[dict], FitResult]:
     """(p_bflip, probability) points for the minimal outcomes plus their
     straight-line fit (view 9)."""
-    points = []
-    for sample in angle_sweep(state, thetas, mean_total, seed):
-        vis = VisibilityPair.from_theta(sample.theta_deg)
-        for m in MINIMAL_OUTCOMES:
-            point = {
-                "theta_deg": sample.theta_deg,
-                **m._asdict(),
-                "p_bflip": pbflip_outcome(m, vis, vis),
-                "probability": sample.dist.probs[m],
-            }
-            if sample.table is not None:
-                point["p_obs"] = sample.observed.probs[m]
-                point["std_err"] = sample.errors[m]
-            points.append(point)
-    if points and "p_obs" in points[0]:
-        fit = fit_bell_magnitude(
-            [(p["p_bflip"], p["p_obs"], p["std_err"]) for p in points]
-        )
-    else:
-        fit = fit_bell_magnitude([(p["p_bflip"], p["probability"]) for p in points])
+    grid = sweep_grid(state, thetas, mean_total, seed)
+    columns = {"p_bflip": pbflip_grid(grid.thetas), "probability": grid.p_theory,
+               "p_obs": grid.p_obs, "std_err": grid.std_err}
+    columns = {key: c[:, MINIMAL_COLUMNS].tolist() for key, c in columns.items() if c is not None}
+    points = [
+        {"theta_deg": theta, **m._asdict(), **dict(zip(columns, values))}
+        for theta, *per_outcome in zip(grid.thetas, *columns.values())
+        for m, *values in zip(MINIMAL_OUTCOMES, *per_outcome)
+    ]
+    fit_keys = ("p_bflip", "p_obs", "std_err") if "p_obs" in columns else ("p_bflip", "probability")
+    fit = fit_bell_magnitude([tuple(p[k] for k in fit_keys) for p in points])
     return points, fit
 
 
@@ -84,6 +69,12 @@ _MARGIN = 55
 _BAR_FILL = {2: "#e6b800", -2: "#3a9d46"}  # b=+2 amber, b=-2 green
 
 
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities: ``html.escape(text, quote=False)``
+    without importing the entity tables of ``html``."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _svg_document(body: list[str], title: str) -> str:
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -91,7 +82,7 @@ def _svg_document(body: list[str], title: str) -> str:
     )
     caption = (
         f'<text x="{_W / 2}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
+        f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
     )
     return "\n".join([head, caption, *body, "</svg>"]) + "\n"
 
@@ -101,9 +92,9 @@ def _axes(x_label: str, y_label: str) -> list[str]:
         f'<line x1="{_MARGIN}" y1="{_H - _MARGIN}" x2="{_W - 15}" y2="{_H - _MARGIN}" stroke="black"/>',
         f'<line x1="{_MARGIN}" y1="{_H - _MARGIN}" x2="{_MARGIN}" y2="30" stroke="black"/>',
         f'<text x="{_W / 2}" y="{_H - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{escape(x_label)}</text>',
+        f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>',
         f'<text x="14" y="{_H / 2}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12" transform="rotate(-90 14 {_H / 2})">{escape(y_label)}</text>',
+        f'font-size="12" transform="rotate(-90 14 {_H / 2})">{_escape(y_label)}</text>',
     ]
 
 
@@ -125,13 +116,13 @@ def bars_svg(rows: list[dict], title: str) -> str:
         label = Outcome(row["x_a"], row["y_a"], row["x_b"], row["y_b"]).label()
         body.append(
             f'<rect x="{x:.2f}" y="{y:.2f}" width="{0.7 * slot:.2f}" height="{h:.2f}" '
-            f'fill="{_BAR_FILL[row["b"]]}"><title>{escape(label)}</title></rect>'
+            f'fill="{_BAR_FILL[row["b"]]}"><title>{_escape(label)}</title></rect>'
         )
         cx = _MARGIN + (i + 0.5) * slot
         body.append(
             f'<text x="{cx:.2f}" y="{_H - _MARGIN + 10}" text-anchor="end" '
             f'font-family="sans-serif" font-size="8" '
-            f'transform="rotate(-60 {cx:.2f} {_H - _MARGIN + 10})">{escape(label)}</text>'
+            f'transform="rotate(-60 {cx:.2f} {_H - _MARGIN + 10})">{_escape(label)}</text>'
         )
     return _svg_document(body, title)
 
@@ -154,7 +145,7 @@ def scatter_svg(points: list[dict], fit: FitResult, title: str) -> str:
     for x, label in ((x_lo, f"{x_lo:.2g}"), (x_hi, f"{x_hi:.3g}")):
         body.append(
             f'<text x="{px(x):.2f}" y="{_H - _MARGIN + 14}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{escape(label)}</text>'
+            f'font-family="sans-serif" font-size="10">{_escape(label)}</text>'
         )
     for y in (y_lo, 0.0, y_hi):
         body.append(

@@ -44,12 +44,13 @@ from .sim import (
     probabilities_from_counts,
     quasi_distribution,
     sample_counts,
+    sweep_grid,
 )
 from .analysis import (
-    MINIMAL_OUTCOMES,
+    MINIMAL_COLUMNS,
     cirelson_floor,
     flip_convolve,
-    pbflip_outcome,
+    pbflip_grid,
     predicted_probability,
 )
 
@@ -61,11 +62,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _vis(theta_deg: float) -> VisibilityPair:
-    t = math.radians(theta_deg)
-    return VisibilityPair(vx=abs(math.cos(t)), vy=abs(math.sin(t)))
 
 
 def check_povm_positivity() -> CheckResult:
@@ -143,11 +139,9 @@ def check_distribution_normalization() -> CheckResult:
     worst_sum = 0.0
     worst_neg = 0.0
     for _ in range(10):
-        state = random_two_qubit_state(rng)
-        for theta in _THETA_SET:
-            dist = joint_distribution(state, theta, theta)
-            worst_sum = max(worst_sum, abs(sum(dist.probs.values()) - 1.0))
-            worst_neg = min(worst_neg, min(dist.probs.values()))
+        for row in sweep_grid(random_two_qubit_state(rng), _THETA_SET).p_theory.tolist():
+            worst_sum = max(worst_sum, abs(sum(row) - 1.0))
+            worst_neg = min(worst_neg, min(row))
     ok = worst_sum <= 1e-10 and worst_neg >= -1e-12
     return CheckResult(
         "distribution-normalization",
@@ -220,38 +214,27 @@ def check_flip_convolution() -> CheckResult:
     for _ in range(10):
         state = random_two_qubit_state(rng)
         quasi = quasi_distribution(state)
-        for theta in _THETA_SET:
-            vis = _vis(theta)
-            convolved = flip_convolve(quasi, vis, vis)
-            direct = joint_distribution(state, theta, theta)
-            for m in ALL_OUTCOMES:
-                worst = max(worst, abs(convolved.probs[m] - direct.probs[m]))
+        for theta, direct in zip(_THETA_SET, sweep_grid(state, _THETA_SET).p_theory.tolist()):
+            vis = VisibilityPair.from_theta(theta)
+            convolved = flip_convolve(quasi, vis, vis).probs
+            worst = max([worst] + [abs(convolved[m] - p) for m, p in zip(ALL_OUTCOMES, direct)])
     return CheckResult("flip-convolution", worst <= 1e-10, f"max |error| {worst:.2e}")
 
 
 def check_line_consistency() -> CheckResult:
-    state = singlet_state()
-    worst = 0.0
-    for theta in np.arange(0.0, 90.0 + 1e-9, 5.0):
-        vis = _vis(float(theta))
-        dist = joint_distribution(state, float(theta), float(theta))
-        for m in MINIMAL_OUTCOMES:
-            predicted = predicted_probability(CIRELSON_BOUND, pbflip_outcome(m, vis, vis))
-            worst = max(worst, abs(dist.probs[m] - predicted))
+    grid = np.arange(0.0, 90.0 + 1e-9, 5.0).tolist()
+    observed = sweep_grid(singlet_state(), grid).p_theory[:, MINIMAL_COLUMNS]
+    predicted = predicted_probability(CIRELSON_BOUND, pbflip_grid(grid)[:, MINIMAL_COLUMNS])
+    worst = float(np.max(np.abs(observed - predicted)))
     return CheckResult("line-consistency", worst <= 1e-10, f"max |error| {worst:.2e}")
 
 
 def check_flip_floor() -> CheckResult:
     floor = cirelson_floor(CIRELSON_BOUND)
-    low = math.inf
-    for theta in np.arange(0.0, 90.0 + 1e-9, 0.5):
-        vis = _vis(float(theta))
-        for m in MINIMAL_OUTCOMES:
-            low = min(low, pbflip_outcome(m, vis, vis))
-    saturated = min(
-        pbflip_outcome(MINIMAL_OUTCOMES[0], _vis(22.5), _vis(22.5)),
-        pbflip_outcome(MINIMAL_OUTCOMES[2], _vis(67.5), _vis(67.5)),
-    )
+    grid = np.arange(0.0, 90.0 + 1e-9, 0.5).tolist()
+    flips = pbflip_grid(grid)[:, MINIMAL_COLUMNS].tolist()
+    low = min(map(min, flips))
+    saturated = min(flips[grid.index(22.5)][0], flips[grid.index(67.5)][2])
     ok = low >= floor - 1e-12 and abs(saturated - floor) <= 1e-12
     return CheckResult(
         "flip-floor", ok, f"min p_bflip {low:.6f} vs floor {floor:.6f}"
@@ -259,22 +242,13 @@ def check_flip_floor() -> CheckResult:
 
 
 def check_minimal_outcome_monotonicity() -> CheckResult:
-    state = singlet_state()
-
-    def prob(outcome: Outcome, theta: float) -> float:
-        return joint_distribution(state, theta, theta).probs[outcome]
-
-    grid = [float(t) for t in np.arange(0.0, 90.0 + 1e-9, 2.5)]
-    first = [prob(Outcome(1, 1, 1, -1), t) for t in grid]
-    second = [prob(Outcome(-1, 1, 1, 1), t) for t in grid]
-    i_min_first = grid.index(22.5)
-    i_min_second = grid.index(67.5)
-    ok = all(first[i] > first[i + 1] for i in range(i_min_first))
-    ok = ok and all(first[i] < first[i + 1] for i in range(i_min_first, len(grid) - 1))
-    ok = ok and abs(first[i_min_first]) <= 1e-10
-    ok = ok and all(second[i] > second[i + 1] for i in range(i_min_second))
-    ok = ok and all(second[i] < second[i + 1] for i in range(i_min_second, len(grid) - 1))
-    ok = ok and abs(second[i_min_second]) <= 1e-10
+    grid = np.arange(0.0, 90.0 + 1e-9, 2.5).tolist()
+    probs = sweep_grid(singlet_state(), grid).p_theory
+    ok = True
+    for outcome, theta_min in ((Outcome(1, 1, 1, -1), 22.5), (Outcome(-1, 1, 1, 1), 67.5)):
+        curve, i = probs[:, ALL_OUTCOMES.index(outcome)].tolist(), grid.index(theta_min)
+        ok = ok and all(np.diff(curve[: i + 1]) < 0) and all(np.diff(curve[i:]) > 0)
+        ok = ok and abs(curve[i]) <= 1e-10
     return CheckResult(
         "minimal-outcome-monotonicity",
         ok,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,6 +72,16 @@ def _check_outcome_map(probs: dict) -> None:
             raise ValueError(f"value of outcome {m.label()} is {v!r}, not a finite number")
 
 
+def _check_probabilities(values: Iterable[float]) -> None:
+    """Sixteen probabilities, in a re-iterable collection, must be non-negative and sum to one."""
+    low = min(values)
+    if low < -PROB_TOL:
+        raise ValueError(f"negative outcome probability {low:.3e}")
+    total = sum(values)
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1")
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Probabilities of the sixteen joint outcomes at given trade-off angles.
@@ -85,12 +95,7 @@ class JointDistribution:
 
     def __post_init__(self) -> None:
         _check_outcome_map(self.probs)
-        low = min(self.probs.values())
-        if low < -PROB_TOL:
-            raise ValueError(f"negative outcome probability {low:.3e}")
-        total = sum(self.probs.values())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
+        _check_probabilities(self.probs.values())
 
 
 @dataclass(frozen=True)
@@ -150,15 +155,16 @@ class CountTable:
         return sum(self.counts.values())
 
 
-def _outcome_probabilities(e_a: np.ndarray, e_b: np.ndarray, rho: np.ndarray) -> dict[Outcome, float]:
-    """p(m) = tr[(E_A[x_A, y_A] (x) E_B[x_B, y_B]) rho] for all sixteen
-    outcomes: one contraction over the (4, 2, 2) element stacks of each side."""
-    p = np.einsum("iac,jbd,cdab->ij", e_a, e_b, rho.reshape(2, 2, 2, 2))
-    return dict(zip(ALL_OUTCOMES, p.real.ravel().tolist()))
+def _outcome_probabilities(e_a: np.ndarray, e_b: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """p[n, m] = tr[(E_A[n, x_A, y_A] (x) E_B[n, x_B, y_B]) rho] for all sixteen outcomes
+    at each of n setting pairs: one contraction over the (n, 4, 2, 2) element stacks of
+    each side, giving an (n, 16) array with columns in ALL_OUTCOMES order."""
+    p = np.einsum("niac,njbd,cdab->nij", e_a, e_b, rho.reshape(2, 2, 2, 2))
+    return p.real.reshape(len(p), 16)
 
 
-#: The vx = vy = 1 element stacks of sides A and B, built once.
-_UNIT_ELEMENTS = (povm_elements("A", 1.0, 1.0), povm_elements("B", 1.0, 1.0))
+#: The vx = vy = 1 element stacks of sides A and B (n = 1), built once.
+_UNIT_ELEMENTS = (povm_elements("A", [1.0], [1.0]), povm_elements("B", [1.0], [1.0]))
 
 
 def joint_distribution(
@@ -168,8 +174,8 @@ def joint_distribution(
     measurements at trade-off angles theta_A and theta_B."""
     povm_a = build_joint_povm(MeasurementSetting(theta_a_deg, "A"))
     povm_b = build_joint_povm(MeasurementSetting(theta_b_deg, "B"))
-    probs = _outcome_probabilities(povm_a.elements, povm_b.elements, state.rho)
-    return JointDistribution(probs=probs, settings=(theta_a_deg, theta_b_deg))
+    p = _outcome_probabilities(povm_a.elements[None], povm_b.elements[None], state.rho)
+    return JointDistribution(dict(zip(ALL_OUTCOMES, p[0].tolist())), (theta_a_deg, theta_b_deg))
 
 
 def quasi_distribution(state: TwoQubitState) -> QuasiDistribution:
@@ -178,7 +184,8 @@ def quasi_distribution(state: TwoQubitState) -> QuasiDistribution:
     Not a physical measurement: entries can be negative for Bell-violating
     states.  Sums to one by construction.
     """
-    return QuasiDistribution(values=_outcome_probabilities(*_UNIT_ELEMENTS, state.rho))
+    p = _outcome_probabilities(*_UNIT_ELEMENTS, state.rho)
+    return QuasiDistribution(dict(zip(ALL_OUTCOMES, p[0].tolist())))
 
 
 def aggregate_b(dist: JointDistribution) -> BAggregate:
@@ -232,6 +239,18 @@ def _check_sampling(mean_total: float, seed: int) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
+def _draw(probs: Iterable[float], mean_total: float, seed: int) -> list[int]:
+    """Poisson counts with means max(p, 0) * mean_total, drawn in order from a PCG64 stream
+    seeded with ``seed``."""
+    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    return [_poisson(rng, max(p, 0.0) * mean_total) for p in probs]
+
+
+def _check_total(total: int) -> None:
+    if total <= 0:
+        raise ValueError("count table is empty; probabilities are undefined")
+
+
 def sample_counts(
     dist: JointDistribution,
     mean_total: float,
@@ -244,11 +263,8 @@ def sample_counts(
     from a PCG64 stream seeded with ``seed``.
     """
     _check_sampling(mean_total, seed)
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
-    counts = {}
-    for m in ALL_OUTCOMES:
-        counts[m] = _poisson(rng, max(dist.probs[m], 0.0) * mean_total)
-    return CountTable(counts=counts, duration_s=duration_s)
+    counts = _draw((dist.probs[m] for m in ALL_OUTCOMES), mean_total, seed)
+    return CountTable(counts=dict(zip(ALL_OUTCOMES, counts)), duration_s=duration_s)
 
 
 def probabilities_from_counts(
@@ -257,11 +273,15 @@ def probabilities_from_counts(
     """Relative frequencies N(m)/N with per-outcome Poisson standard errors
     sqrt(N(m))/N."""
     total = table.total()
-    if total <= 0:
-        raise ValueError("count table is empty; probabilities are undefined")
+    _check_total(total)
     probs = {m: table.counts[m] / total for m in ALL_OUTCOMES}
     errors = {m: math.sqrt(table.counts[m]) / total for m in ALL_OUTCOMES}
     return JointDistribution(probs=probs, settings=None), errors
+
+
+def _angle_seed(seed: int, index: int) -> int:
+    """The seed of angle ``index`` of a sampled sweep: the one place streams are derived."""
+    return seed ^ index
 
 
 class AngleSample(NamedTuple):
@@ -298,10 +318,48 @@ def angle_sweep(
             if not sampled:
                 yield AngleSample(theta, dist)
                 continue
-            table = sample_counts(dist, mean_total, seed=seed ^ index)
+            table = sample_counts(dist, mean_total, seed=_angle_seed(seed, index))
             yield AngleSample(theta, dist, table, *probabilities_from_counts(table))
 
     return samples()
+
+
+class SweepGrid(NamedTuple):
+    """A sweep over angles theta = theta_A = theta_B as (n, 16) arrays: one row per angle,
+    columns in ALL_OUTCOMES order; the sampled arrays are None unless the sweep is sampled."""
+
+    thetas: tuple[float, ...]
+    p_theory: np.ndarray
+    counts: np.ndarray | None = None
+    p_obs: np.ndarray | None = None
+    std_err: np.ndarray | None = None
+
+
+def sweep_grid(
+    state: TwoQubitState,
+    thetas: Sequence[float],
+    mean_total: float | None = None,
+    seed: int | None = None,
+) -> SweepGrid:
+    """``angle_sweep`` as arrays, with the same values bit for bit: all distributions
+    from one contraction and, when both ``mean_total`` and ``seed`` are given, each
+    angle's counts from its own stream, with estimates N(m)/N and sqrt(N(m))/N."""
+    sampled = mean_total is not None and seed is not None
+    if sampled:
+        _check_sampling(mean_total, seed)
+    thetas = tuple(thetas)
+    vx, vy = np.array([MeasurementSetting(t, "A").visibilities for t in thetas]).reshape(-1, 2).T
+    p = _outcome_probabilities(povm_elements("A", vx, vy), povm_elements("B", vx, vy), state.rho)
+    rows = p.tolist()
+    for row in rows:
+        _check_probabilities(row)
+    if not sampled:
+        return SweepGrid(thetas, p)
+    draws = [_draw(row, mean_total, _angle_seed(seed, index)) for index, row in enumerate(rows)]
+    counts = np.array(draws, dtype=np.int64).reshape(len(rows), 16)
+    total = counts.sum(axis=1, keepdims=True)
+    _check_total(total.min(initial=1))
+    return SweepGrid(thetas, p, counts, counts / total, np.sqrt(counts) / total)
 
 
 def conditional_state(

@@ -30,6 +30,7 @@ from jointbell.analysis import (
     fit_bell_magnitude,
     flip_convolve,
     intrinsic_probs,
+    pbflip_grid,
     pbflip_outcome,
     pbflip_uniform,
     predicted_probability,
@@ -160,6 +161,27 @@ class TestPbflipOutcome:
                 assert pbflip_outcome(m, v, v) >= floor - 1e-12
         v = vis(22.5)
         assert pbflip_outcome(Outcome(1, 1, 1, -1), v, v) == pytest.approx(floor, abs=1e-12)
+
+
+class TestPbflipGrid:
+    def test_matches_enumeration(self):
+        thetas = [0.0, 22.5, 45.0, 67.5, 90.0, *np.random.default_rng(12).uniform(0, 90, 20)]
+        grid = pbflip_grid(thetas)
+        assert grid.shape == (len(thetas), 16)
+        for theta, row in zip(thetas, grid):
+            expected = [enumerated_pbflip(m, vis(theta), vis(theta)) for m in ALL_OUTCOMES]
+            assert row == pytest.approx(expected, abs=1e-15)
+
+    def test_rows_equal_pbflip_outcome_bit_for_bit(self):
+        thetas = [float(t) for t in np.linspace(0.0, 90.0, 181)]
+        for theta, row in zip(thetas, pbflip_grid(thetas).tolist()):
+            pair = VisibilityPair.from_theta(theta)
+            assert row == [pbflip_outcome(m, pair, pair) for m in ALL_OUTCOMES]
+
+    def test_angles_outside_the_quarter_circle_rejected(self):
+        with pytest.raises(ValueError, match="visibilities must lie in"):
+            pbflip_grid([45.0, 91.0])
+        assert pbflip_grid([]).shape == (0, 16)
 
 
 class TestFlipRates:

@@ -1,13 +1,18 @@
 import csv
+import hashlib
+import html
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+import click
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +20,7 @@ from hypothesis import strategies as st
 from jointbell.cli import (
     RunConfig,
     _write_json,
+    _write_output,
     build_config,
     main,
     parse_config_text,
@@ -123,6 +129,50 @@ def test_counts_creates_parent_directory(runner, tmp_path):
     assert out.read_text().startswith("x_a,y_a,x_b,y_b,counts\n")
 
 
+def _fail_midway(fh):
+    fh.write("x_a,y_a\n1,")
+    raise ValueError("stopped")
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path):
+    out = tmp_path / "new" / "s.csv"
+    with pytest.raises(click.ClickException, match="stopped"):
+        _write_output(out, _fail_midway)
+    assert list(out.parent.iterdir()) == []
+
+
+def test_failed_write_keeps_the_existing_file(tmp_path):
+    out = tmp_path / "s.csv"
+    out.write_text("old\n")
+    with pytest.raises(click.ClickException, match="stopped"):
+        _write_output(out, _fail_midway)
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"] and out.read_text() == "old\n"
+
+
+def test_write_through_a_symlink_replaces_its_target(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    _write_output(link, lambda fh: fh.write("new\n"))
+    assert link.is_symlink() and target.read_text() == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+def test_import_pulls_in_no_network_modules():
+    code = ("import sys, jointbell.cli; "
+            "print(sorted({'ssl', 'http.client', 'urllib.request'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_svg_escape_matches_html_escape():
+    from jointbell.figures import _escape
+
+    text = "a & b < c > d \"e\" 'f' &amp;"
+    assert _escape(text) == html.escape(text, quote=False)
+
+
 def test_json_writer_rejects_nan():
     with pytest.raises(ValueError):
         _write_json(io.StringIO(), {"mean_b": float("nan")})
@@ -161,6 +211,8 @@ _ANGLES = st.one_of(st.floats(0.0, 90.0), st.floats())
 )
 @example(state="singlet", theta_a=20.0, theta_b=20.0, thetas=[10.0, 20.0], mean_total=1e308,
          seed=1)
+@example(state="singlet", theta_a=20.0, theta_b=20.0, thetas=[0.0, 45.0], mean_total=1e-300,
+         seed=1)
 def test_any_input_exits_cleanly(state, theta_a, theta_b, thetas, mean_total, seed):
     runner = CliRunner()
     angles = [f"--theta-a={theta_a!r}", f"--theta-b={theta_b!r}"]
@@ -169,12 +221,17 @@ def test_any_input_exits_cleanly(state, theta_a, theta_b, thetas, mean_total, se
         table, sweep = Path(tmp, "c.csv"), Path(tmp, "s.csv")
         assert_clean_exit(runner.invoke(main, ["simulate", f"--state={state}", *angles]))
         args = ["counts", f"--state={state}", *angles, *sampling, f"--out={table}"]
-        if assert_clean_exit(runner.invoke(main, args), table):
+        counted = assert_clean_exit(runner.invoke(main, args), table)
+        if counted:
             assert_clean_exit(runner.invoke(main, ["analyze", str(table), *angles]))
         args = ["sweep", f"--state={state}", "--thetas=" + ",".join(map(repr, thetas)),
                 "--sample", *sampling, f"--out={sweep}"]
-        if assert_clean_exit(runner.invoke(main, args), sweep):
+        swept = assert_clean_exit(runner.invoke(main, args), sweep)
+        if swept:
             assert_clean_exit(runner.invoke(main, ["fit", str(sweep)]))
+        # A failed command leaves no file behind, partial or temporary.
+        written = [path.name for path, ok in ((table, counted), (sweep, swept)) if ok]
+        assert sorted(p.name for p in Path(tmp).iterdir()) == written
 
 
 def csv_header(path):
@@ -354,6 +411,11 @@ class TestCounts:
                       "--out", "x.csv"], id="sweep-1e308"),
         pytest.param(["figures", "--which", "9", "--sample", "--mean-total", "1e308",
                       "--out-dir", "."], id="figures-1e308"),
+        # Passes the sampling checks, then fails with nothing drawn: no partial s.csv.
+        pytest.param(["sweep", "--thetas", "0,45", "--sample", "--mean-total", "1e-300",
+                      "--seed", "1", "--out", "s.csv"], id="sweep-empty"),
+        pytest.param(["figures", "--which", "7", "--sample", "--mean-total", "1e-300",
+                      "--out-dir", "."], id="figures-7-empty"),
     ])
     def test_zero_mean_total_fails(self, runner, tmp_path, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
@@ -361,7 +423,7 @@ class TestCounts:
         result = runner.invoke(main, args)
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert "positive" in result.output
+        assert ("count table is empty" if "1e-300" in args else "positive") in result.output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["zero.cfg"]
 
     def test_default_location_from_env(self, runner, tmp_path):
@@ -588,6 +650,14 @@ class TestFit:
         result = runner.invoke(main, ["fit", str(sweep_path)])
         assert_one_line_error(result, str(sweep_path), fragment)
 
+    def test_missing_std_err_column_names_file(self, runner, tmp_path):
+        sweep_path = tmp_path / "s.csv"
+        self._sweep(runner, sweep_path, sample=True)
+        lines = [line.rsplit(",", 1)[0] for line in sweep_path.read_text().splitlines()]
+        sweep_path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["fit", str(sweep_path)])
+        assert_one_line_error(result, str(sweep_path), "could not convert")
+
     def test_missing_columns_fail(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
@@ -673,6 +743,27 @@ class TestFigures:
     def test_unknown_figure_rejected(self, runner):
         result = runner.invoke(main, ["figures", "--which", "5"])
         assert result.exit_code != 0
+
+
+# sha256 of outputs for a fixed 19-angle grid, taken before the sweep became an array
+# pipeline: a change to the kernel, the sampler or the writers that moves one byte fails.
+PINNED_SHA256 = {
+    "exact.csv": "f14d5f0ca72cd39fb8aae95f2661e330df547d7b8a79b7151b4baf72ab6ee148",
+    "sampled.csv": "dbb992512a8742d9fb0ced41cc991e78ac9ec91447285263b4c499066a9cd3f3",
+    "fit.json": "5098bdf2bb5852af85a142c7e2c60d1fb02296087d2dcc55f0bc80b935cb71bc",
+}
+
+
+def test_sweep_and_fit_bytes_pinned(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    thetas = ",".join(str(t) for t in range(0, 91, 5))
+    sweep = ["sweep", "--state", "werner:0.9716", "--thetas", thetas]
+    assert runner.invoke(main, [*sweep, "--out", "exact.csv"]).exit_code == 0
+    assert runner.invoke(main, [*sweep, "--sample", "--mean-total", "568352", "--seed", "11",
+                                "--out", "sampled.csv"]).exit_code == 0
+    assert runner.invoke(main, ["fit", "sampled.csv", "--out", "fit.json"]).exit_code == 0
+    digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in PINNED_SHA256}
+    assert digests == PINNED_SHA256
 
 
 class TestValidate:

@@ -34,6 +34,7 @@ from jointbell.sim import (
     quasi_distribution,
     read_count_table,
     sample_counts,
+    sweep_grid,
     write_count_table,
 )
 
@@ -398,6 +399,73 @@ class TestAngleSweep:
             angle_sweep(singlet_state(), iter(()), mean_total=0.0, seed=1)
         with pytest.raises(ValueError, match="non-negative"):
             angle_sweep(singlet_state(), iter(()), mean_total=1e3, seed=-1)
+
+
+def trace_oracle(rho: np.ndarray, theta: float) -> list[float]:
+    """Independent oracle: tr[(E_A (x) E_B) rho] outcome by outcome, with each element
+    (I + x cos(theta) X + y sin(theta) Y)/4 built from the closed rotation forms
+    cos(2a) Z + sin(2a) X of the four observables."""
+    c, s = math.cos(math.radians(theta)), math.sin(math.radians(theta))
+
+    def rotation(angle_deg):
+        two_a = math.radians(2.0 * angle_deg)
+        return np.array([[math.cos(two_a), math.sin(two_a)], [math.sin(two_a), -math.cos(two_a)]])
+
+    def element(x_angle, x, y):
+        return (np.eye(2) + x * c * rotation(x_angle) + y * s * rotation(x_angle + 45.0)) / 4.0
+
+    return [
+        float(np.trace(np.kron(element(0.0, m.x_a, m.y_a), element(22.5, m.x_b, m.y_b)) @ rho).real)
+        for m in ALL_OUTCOMES
+    ]
+
+
+class TestSweepGrid:
+    THETAS = (0.0, 12.5, 22.5, 45.0, 67.5, 80.0, 90.0)
+
+    def test_matches_trace_oracle_on_random_states(self):
+        rng = np.random.default_rng(606)
+        worst = 0.0
+        for _ in range(50):
+            state = random_two_qubit_state(rng)
+            grid = sweep_grid(state, self.THETAS)
+            assert grid.p_theory.shape == (len(self.THETAS), 16) and grid.counts is None
+            for theta, row in zip(self.THETAS, grid.p_theory):
+                worst = max(worst, np.max(np.abs(row - trace_oracle(state.rho, theta))))
+        assert worst <= 1e-15
+
+    def test_rows_are_joint_distributions_bit_for_bit(self):
+        state = random_two_qubit_state(np.random.default_rng(7))
+        thetas = [float(t) for t in np.random.default_rng(8).uniform(0.0, 90.0, 40)]
+        grid = sweep_grid(state, thetas)
+        for theta, row in zip(thetas, grid.p_theory.tolist()):
+            assert row == [joint_distribution(state, theta, theta).probs[m] for m in ALL_OUTCOMES]
+
+    def test_sampled_arrays_equal_the_per_angle_tables(self):
+        state = werner_state(0.9716)
+        grid = sweep_grid(state, TestAngleSweep.THETAS, mean_total=5e4, seed=6)
+        assert grid.thetas == TestAngleSweep.THETAS
+        items = angle_sweep(state, TestAngleSweep.THETAS, mean_total=5e4, seed=6)
+        for i, item in enumerate(items):
+            assert grid.counts[i].tolist() == [item.table.counts[m] for m in ALL_OUTCOMES]
+            assert grid.p_obs[i].tolist() == [item.observed.probs[m] for m in ALL_OUTCOMES]
+            assert grid.std_err[i].tolist() == [item.errors[m] for m in ALL_OUTCOMES]
+
+    def test_seeded_stream_table(self):
+        grid = sweep_grid(werner_state(0.9716), [10, 20], 568352, seed=7)
+        assert grid.counts.tolist() == [SEEDED_STREAMS["sweep-seed7-theta10"],
+                                        SEEDED_STREAMS["sweep-seed7-theta20"]]
+
+    def test_checks(self):
+        with pytest.raises(ValueError, match="positive"):
+            sweep_grid(singlet_state(), [10.0], mean_total=0.0, seed=1)
+        with pytest.raises(ValueError, match="count table is empty"):
+            sweep_grid(singlet_state(), [10.0], mean_total=1e-300, seed=1)
+        # Passes the state's 1e-10 positivity tolerance, not the 1e-12 of a probability.
+        rho = np.diag([0.5 + 2e-11, 0.5 - 1e-11, 0.0, -1e-11]).astype(complex)
+        with pytest.raises(ValueError, match="negative outcome probability"):
+            sweep_grid(TwoQubitState(rho), [0.0])
+        assert sweep_grid(singlet_state(), []).p_theory.shape == (0, 16)
 
 
 class TestProbabilitiesFromCounts:
