@@ -231,27 +231,34 @@ def fit_bell_magnitude(
     if sigmas:
         if any(s <= 0 or not math.isfinite(s) for s in sigmas):
             raise ValueError("standard errors must be positive and finite")
-        weights = [1.0 / (s * s) for s in sigmas]
+        weights = [1.0 / (s * s) if s * s > 0 else math.inf for s in sigmas]
+        if not all(0 < w < math.inf for w in weights):
+            raise ValueError("weights 1/std_err**2 must be positive and finite")
     else:
         weights = [1.0] * n
 
-    sw = sum(weights)
-    x_bar = sum(w * x for w, x in zip(weights, xs)) / sw
-    y_bar = sum(w * y for w, y in zip(weights, ys)) / sw
-    stt = sum(w * (x - x_bar) ** 2 for w, x in zip(weights, xs))
-    if stt <= 0:
-        raise ValueError("fit requires at least two points with distinct abscissae")
-    slope = sum(w * (x - x_bar) * y for w, x, y in zip(weights, xs, ys)) / stt
-    intercept = y_bar - slope * x_bar
+    try:
+        sw = sum(weights)
+        x_bar = sum(w * x for w, x in zip(weights, xs)) / sw
+        y_bar = sum(w * y for w, y in zip(weights, ys)) / sw
+        stt = sum(w * (x - x_bar) ** 2 for w, x in zip(weights, xs))
+        if stt <= 0:
+            raise ValueError("fit requires at least two points with distinct abscissae")
+        slope = sum(w * (x - x_bar) * y for w, x, y in zip(weights, xs, ys)) / stt
+        intercept = y_bar - slope * x_bar
 
-    var_slope = 1.0 / stt
-    var_intercept = 1.0 / sw + x_bar * x_bar / stt
-    if not sigmas:
-        # Unweighted: scale by residual variance (unbiased, n - 2 dof).
-        ssr = sum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys))
-        scale = ssr / (n - 2) if n > 2 else 0.0
-        var_slope *= scale
-        var_intercept *= scale
+        var_slope = 1.0 / stt
+        var_intercept = 1.0 / sw + x_bar * x_bar / stt
+        if not sigmas:
+            # Unweighted: scale by residual variance (unbiased, n - 2 dof).
+            ssr = sum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys))
+            scale = ssr / (n - 2) if n > 2 else 0.0
+            var_slope *= scale
+            var_intercept *= scale
+    except OverflowError:  # a square beyond the float range
+        slope = intercept = var_slope = var_intercept = math.inf
+    if not all(map(math.isfinite, (slope, intercept, var_slope, var_intercept))):
+        raise ValueError("fit is not finite: the points are beyond the float range")
     return FitResult(
         slope=slope,
         intercept=intercept,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -284,46 +284,6 @@ def _angle_seed(seed: int, index: int) -> int:
     return seed ^ index
 
 
-class AngleSample(NamedTuple):
-    """Statistics at one trade-off angle theta = theta_A = theta_B; the
-    count table and its estimates are None unless the sweep is sampled."""
-
-    theta_deg: float
-    dist: JointDistribution
-    table: CountTable | None = None
-    observed: JointDistribution | None = None
-    errors: dict[Outcome, float] | None = None
-
-
-def angle_sweep(
-    state: TwoQubitState,
-    thetas: Iterable[float],
-    mean_total: float | None = None,
-    seed: int | None = None,
-) -> Iterator[AngleSample]:
-    """Lazily compute each angle's exact distribution and, when both
-    ``mean_total`` and ``seed`` are given, its sampled counts and estimates.
-
-    Angle ``i`` is sampled with seed XOR i, so seeds s and s XOR 1 share
-    every stream with the angles swapped.  Sampling arguments are checked
-    here, before the first angle is computed.
-    """
-    sampled = mean_total is not None and seed is not None
-    if sampled:
-        _check_sampling(mean_total, seed)
-
-    def samples() -> Iterator[AngleSample]:
-        for index, theta in enumerate(thetas):
-            dist = joint_distribution(state, theta, theta)
-            if not sampled:
-                yield AngleSample(theta, dist)
-                continue
-            table = sample_counts(dist, mean_total, seed=_angle_seed(seed, index))
-            yield AngleSample(theta, dist, table, *probabilities_from_counts(table))
-
-    return samples()
-
-
 class SweepGrid(NamedTuple):
     """A sweep over angles theta = theta_A = theta_B as (n, 16) arrays: one row per angle,
     columns in ALL_OUTCOMES order; the sampled arrays are None unless the sweep is sampled."""
@@ -341,9 +301,10 @@ def sweep_grid(
     mean_total: float | None = None,
     seed: int | None = None,
 ) -> SweepGrid:
-    """``angle_sweep`` as arrays, with the same values bit for bit: all distributions
-    from one contraction and, when both ``mean_total`` and ``seed`` are given, each
-    angle's counts from its own stream, with estimates N(m)/N and sqrt(N(m))/N."""
+    """Exact distributions at angles theta = theta_A = theta_B from one contraction and,
+    when both ``mean_total`` and ``seed`` are given, each angle's counts with estimates
+    N(m)/N and sqrt(N(m))/N.  Angle i is sampled as ``sample_counts`` samples with seed
+    XOR i, so seeds s and s XOR 1 share every stream with the angles swapped."""
     sampled = mean_total is not None and seed is not None
     if sampled:
         _check_sampling(mean_total, seed)
@@ -486,6 +447,9 @@ def parse_count_table(text: str) -> CountTable:
         outcome = Outcome(*(_parse_sign(f.strip(), row) for f in fields[:4]))
         token = fields[4].strip()
         try:
+            # Plain ASCII digits only: int() alone also takes "+5", "1_000" and other scripts.
+            if not (token.isascii() and token.removeprefix("-").isdigit()):
+                raise ValueError
             n = int(token)
         except ValueError:
             raise CountFileError(f"row {row}: count must be an integer, got {token!r}") from None

@@ -438,6 +438,13 @@ class TestFit:
             fit_bell_magnitude([(0.1, 0.2, 0.01), (0.2, 0.3)])
         with pytest.raises(ValueError):
             fit_bell_magnitude([(0.1, 0.2, 0.01, 1.0), (0.2, 0.3, 0.01, 1.0)])
+        # Finite inputs whose weights 1/s**2 or fitted values leave the float range.
+        for s in (1e-200, 1e-160, 1e200):
+            with pytest.raises(ValueError, match="weights"):
+                fit_bell_magnitude([(0.1, 0.2, s), (0.2, 0.3, s), (0.3, 0.1, s)])
+        for ys in ((1e308, -1e308, 1e308, -1e308), (1e308, -1e308, 1e308)):
+            with pytest.raises(ValueError, match="not finite"):
+                fit_bell_magnitude(list(zip((0.1, 0.2, 0.3, 0.4), ys)))
 
     def test_monte_carlo_sweep_within_reported_errors(self):
         truth = 0.9716 * CIRELSON_BOUND

@@ -638,6 +638,10 @@ class TestFit:
         pytest.param(lambda f: f[:-1] + [""], "could not convert", id="blank-std-err"),
         pytest.param(lambda f: f[:-1], "could not convert", id="short-row"),
         pytest.param(lambda f: f[:-2] + ["nan", f[-1]], "finite", id="nan-p-obs"),
+        pytest.param(lambda f: f[:-1] + ["1e-200"], "weights", id="tiny-std-err"),
+        pytest.param(lambda f: f[:-1] + ["1e-160"], "weights", id="subnormal-variance"),
+        pytest.param(lambda f: f[:-1] + ["1e200"], "weights", id="huge-std-err"),
+        pytest.param(lambda f: f[:-2] + ["1e308", f[-1]], "not finite", id="huge-p-obs"),
     ])
     def test_bad_sampled_row_names_file(self, runner, tmp_path, edit, fragment):
         sweep_path = tmp_path / "s.csv"

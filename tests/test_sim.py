@@ -22,7 +22,6 @@ from jointbell.sim import (
     QuasiDistribution,
     _poisson,
     aggregate_b,
-    angle_sweep,
     b_value,
     conditional_state,
     format_count_table,
@@ -354,52 +353,6 @@ class TestSeededStreams:
         table = sample_counts(dist, 100, seed=3)
         assert [table.counts[m] for m in ALL_OUTCOMES] == SEEDED_STREAMS["singlet-theta45-seed3"]
 
-    def test_angle_sweep_tables(self):
-        items = angle_sweep(werner_state(0.9716), [10, 20], 568352, seed=7)
-        for theta, item in zip((10, 20), items):
-            expected = SEEDED_STREAMS[f"sweep-seed7-theta{theta}"]
-            assert [item.table.counts[m] for m in ALL_OUTCOMES] == expected
-
-
-class TestAngleSweep:
-    THETAS = (0.0, 20.0, 45.0, 70.0, 90.0)
-
-    def test_sampled_item_uses_seed_xor_index(self):
-        state = werner_state(0.9716)
-        items = list(angle_sweep(state, self.THETAS, mean_total=5e4, seed=6))
-        assert [item.theta_deg for item in items] == list(self.THETAS)
-        for i, item in enumerate(items):
-            dist = joint_distribution(state, item.theta_deg, item.theta_deg)
-            assert item.dist == dist
-            expected = sample_counts(dist, 5e4, seed=6 ^ i)
-            assert item.table == expected
-            assert (item.observed, item.errors) == probabilities_from_counts(expected)
-
-    @pytest.mark.parametrize("mean_total, seed", [(None, None), (5e4, None), (None, 3)])
-    def test_unsampled_item_carries_no_table(self, mean_total, seed):
-        for item in angle_sweep(singlet_state(), self.THETAS, mean_total, seed):
-            assert item.dist == joint_distribution(singlet_state(), item.theta_deg, item.theta_deg)
-            assert item.table is None and item.observed is None and item.errors is None
-
-    def test_lazy_over_angles(self):
-        consumed = []
-
-        def thetas():
-            for theta in self.THETAS:
-                consumed.append(theta)
-                yield theta
-
-        items = angle_sweep(singlet_state(), thetas(), mean_total=1e3, seed=1)
-        assert consumed == []
-        next(items)
-        assert consumed == [0.0]
-
-    def test_sampling_arguments_checked_before_first_angle(self):
-        with pytest.raises(ValueError, match="positive"):
-            angle_sweep(singlet_state(), iter(()), mean_total=0.0, seed=1)
-        with pytest.raises(ValueError, match="non-negative"):
-            angle_sweep(singlet_state(), iter(()), mean_total=1e3, seed=-1)
-
 
 def trace_oracle(rho: np.ndarray, theta: float) -> list[float]:
     """Independent oracle: tr[(E_A (x) E_B) rho] outcome by outcome, with each element
@@ -442,14 +395,22 @@ class TestSweepGrid:
             assert row == [joint_distribution(state, theta, theta).probs[m] for m in ALL_OUTCOMES]
 
     def test_sampled_arrays_equal_the_per_angle_tables(self):
+        # Angle i is sampled with seed 6 XOR i, written out here rather than taken from sim.
         state = werner_state(0.9716)
-        grid = sweep_grid(state, TestAngleSweep.THETAS, mean_total=5e4, seed=6)
-        assert grid.thetas == TestAngleSweep.THETAS
-        items = angle_sweep(state, TestAngleSweep.THETAS, mean_total=5e4, seed=6)
-        for i, item in enumerate(items):
-            assert grid.counts[i].tolist() == [item.table.counts[m] for m in ALL_OUTCOMES]
-            assert grid.p_obs[i].tolist() == [item.observed.probs[m] for m in ALL_OUTCOMES]
-            assert grid.std_err[i].tolist() == [item.errors[m] for m in ALL_OUTCOMES]
+        grid = sweep_grid(state, self.THETAS, mean_total=5e4, seed=6)
+        assert grid.thetas == self.THETAS
+        for i, theta in enumerate(self.THETAS):
+            table = sample_counts(joint_distribution(state, theta, theta), 5e4, seed=6 ^ i)
+            observed, errors = probabilities_from_counts(table)
+            assert grid.counts[i].tolist() == [table.counts[m] for m in ALL_OUTCOMES]
+            assert grid.p_obs[i].tolist() == [observed.probs[m] for m in ALL_OUTCOMES]
+            assert grid.std_err[i].tolist() == [errors[m] for m in ALL_OUTCOMES]
+
+    @pytest.mark.parametrize("mean_total, seed", [(None, None), (5e4, None), (None, 3)])
+    def test_unsampled_sweep_carries_no_counts(self, mean_total, seed):
+        grid = sweep_grid(singlet_state(), self.THETAS, mean_total, seed)
+        assert grid.counts is None and grid.p_obs is None and grid.std_err is None
+        assert grid.p_theory.tolist() == sweep_grid(singlet_state(), self.THETAS).p_theory.tolist()
 
     def test_seeded_stream_table(self):
         grid = sweep_grid(werner_state(0.9716), [10, 20], 568352, seed=7)
@@ -459,6 +420,8 @@ class TestSweepGrid:
     def test_checks(self):
         with pytest.raises(ValueError, match="positive"):
             sweep_grid(singlet_state(), [10.0], mean_total=0.0, seed=1)
+        with pytest.raises(ValueError, match="non-negative"):
+            sweep_grid(singlet_state(), [10.0], mean_total=1e3, seed=-1)
         with pytest.raises(ValueError, match="count table is empty"):
             sweep_grid(singlet_state(), [10.0], mean_total=1e-300, seed=1)
         # Passes the state's 1e-10 positivity tolerance, not the 1e-12 of a probability.
@@ -466,6 +429,37 @@ class TestSweepGrid:
         with pytest.raises(ValueError, match="negative outcome probability"):
             sweep_grid(TwoQubitState(rho), [0.0])
         assert sweep_grid(singlet_state(), []).p_theory.shape == (0, 16)
+
+
+class TestAngleSweep:
+    """The per-angle sampling contract of a sweep over angles."""
+
+    THETAS = (0.0, 20.0, 45.0, 70.0, 90.0)
+
+    def test_sampled_item_uses_seed_xor_index(self):
+        # Row i of a seed-6 sweep is the one-angle sweep of its angle at seed 6 XOR i.
+        state = werner_state(0.9716)
+        grid = sweep_grid(state, self.THETAS, mean_total=5e4, seed=6)
+        for i, theta in enumerate(self.THETAS):
+            single = sweep_grid(state, [theta], mean_total=5e4, seed=6 ^ i)
+            assert grid.p_theory[i].tolist() == single.p_theory[0].tolist()
+            assert grid.counts[i].tolist() == single.counts[0].tolist()
+            assert grid.p_obs[i].tolist() == single.p_obs[0].tolist()
+            assert grid.std_err[i].tolist() == single.std_err[0].tolist()
+
+    def test_sampling_arguments_checked_before_first_angle(self):
+        consumed = []
+
+        def thetas():
+            for theta in self.THETAS:
+                consumed.append(theta)
+                yield theta
+
+        with pytest.raises(ValueError, match="positive"):
+            sweep_grid(singlet_state(), thetas(), mean_total=0.0, seed=1)
+        with pytest.raises(ValueError, match="non-negative"):
+            sweep_grid(singlet_state(), thetas(), mean_total=1e3, seed=-1)
+        assert consumed == []
 
 
 class TestProbabilitiesFromCounts:
@@ -650,8 +644,14 @@ class TestCountTableFormat:
             parse_count_table("\n".join(bad_count) + "\n")
         negative = good.copy()
         negative[3] = negative[3].rsplit(",", 1)[0] + ",-2"
-        with pytest.raises(CountFileError, match="row 4"):
+        with pytest.raises(CountFileError, match="row 4: count must be non-negative"):
             parse_count_table("\n".join(negative) + "\n")
+        # int() would take these; the format writes counts as plain ASCII digits only.
+        for token in ("1_000", "+5", "\u0663"):
+            spelled = good.copy()
+            spelled[5] = spelled[5].rsplit(",", 1)[0] + "," + token
+            with pytest.raises(CountFileError, match="row 6: count must be an integer"):
+                parse_count_table("\n".join(spelled) + "\n")
 
     def test_unknown_metadata_rejected(self):
         text = format_count_table(uniform_table(3)) + "# other=1\n"
