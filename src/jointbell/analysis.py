@@ -30,27 +30,6 @@ MINIMAL_OUTCOMES: tuple[Outcome, ...] = (
 #: Columns of the minimal outcomes in (n, 16) arrays ordered as ALL_OUTCOMES.
 MINIMAL_COLUMNS = [ALL_OUTCOMES.index(m) for m in MINIMAL_OUTCOMES]
 
-@dataclass(frozen=True)
-class FlipRates:
-    """Independent flip rates (1 - V)/2 for x_A, y_A, x_B, y_B."""
-
-    x_a: float
-    y_a: float
-    x_b: float
-    y_b: float
-
-    @classmethod
-    def from_visibilities(cls, vis_a: VisibilityPair, vis_b: VisibilityPair) -> "FlipRates":
-        return cls(
-            x_a=(1.0 - vis_a.vx) / 2.0,
-            y_a=(1.0 - vis_a.vy) / 2.0,
-            x_b=(1.0 - vis_b.vx) / 2.0,
-            y_b=(1.0 - vis_b.vy) / 2.0,
-        )
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x_a, self.y_a, self.x_b, self.y_b)
-
 
 def pbflip_outcome(
     outcome: Outcome, vis_a: VisibilityPair, vis_b: VisibilityPair
@@ -132,7 +111,7 @@ def flip_convolve(
     invariant of the returned distribution when the state violates a Bell
     inequality strongly enough.
     """
-    rates = FlipRates.from_visibilities(vis_a, vis_b).as_tuple()
+    rates = [(1.0 - v) / 2.0 for v in (vis_a.vx, vis_a.vy, vis_b.vx, vis_b.vy)]
     flips = [np.array([[1.0 - r, r], [r, 1.0 - r]]) for r in rates]
     table = np.array([quasi.values[m] for m in ALL_OUTCOMES]).reshape(2, 2, 2, 2)
     # Sign index 0 is +1 and 1 is -1 on every axis (canonical outcome order).

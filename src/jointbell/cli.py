@@ -98,15 +98,6 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def serialize_config(config: RunConfig) -> str:
-    lines = []
-    for key in _CONFIG_FIELDS:
-        value = getattr(config, key)
-        if value is not None:
-            lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
-
-
 def build_config(file_values: dict | None = None, **overrides) -> RunConfig:
     config = RunConfig()
     if file_values:
@@ -182,7 +173,7 @@ def _load_config(config_path: str | None, **overrides) -> RunConfig:
     file_values = None
     if config_path is not None:
         with _usage_errors(f"{config_path}: "):
-            file_values = parse_config_text(Path(config_path).read_text())
+            file_values = parse_config_text(Path(config_path).read_text(encoding="utf-8"))
     with _usage_errors():
         return build_config(file_values, **overrides)
 
@@ -423,7 +414,7 @@ def fit(sweepfile, out) -> None:
     """Fit the minimal-outcome line from a sweep table and report |<B>|."""
     minimal = set(MINIMAL_OUTCOMES)
     points = []
-    with _usage_errors(f"{sweepfile}: "), open(sweepfile, newline="") as fh:
+    with _usage_errors(f"{sweepfile}: "), open(sweepfile, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [c for c in _SWEEP_COLUMNS[:8] if c not in header]

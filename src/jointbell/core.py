@@ -56,8 +56,8 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
 
 
 def min_eigenvalue(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(matrix)[0])
+    """Smallest eigenvalue of a Hermitian matrix, or of all the matrices of a stack."""
+    return float(np.linalg.eigvalsh(matrix).min())
 
 
 def _frozen(matrix: np.ndarray) -> np.ndarray:
@@ -150,10 +150,10 @@ class VisibilityPair:
     def radius(self) -> float:
         return math.hypot(self.vx, self.vy)
 
-    def require_uncertainty_bound(self, tol: float = POVM_TOL) -> None:
-        """Raise unless vx**2 + vy**2 <= 1 (within ``tol``)."""
+    def require_uncertainty_bound(self) -> None:
+        """Raise unless vx**2 + vy**2 <= 1 (within POVM_TOL)."""
         r2 = self.vx * self.vx + self.vy * self.vy
-        if r2 > 1.0 + tol:
+        if r2 > 1.0 + POVM_TOL:
             raise UncertaintyViolationError(
                 f"vx^2 + vy^2 = {r2:.6f} exceeds 1: no positive joint measurement"
             )
@@ -197,39 +197,17 @@ def povm_elements(side: Side, vx, vy) -> np.ndarray:
     return _frozen(0.25 * np.einsum("...ok,kab->...oab", coefficients, _SIDE_BASES[side]))
 
 
-@dataclass(frozen=True)
-class JointPovm:
-    """Four-outcome joint measurement of one side, elements stacked in OUTCOME_SIGNS order."""
-
-    elements: np.ndarray
-    setting: MeasurementSetting
-    visibilities: tuple[float, float]
-
-    def min_element_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.elements).min())
-
-    def completeness_defect(self) -> float:
-        """Largest entrywise deviation of the element sum from the identity."""
-        return float(np.max(np.abs(self.elements.sum(axis=0) - np.eye(2))))
+def build_joint_povm(setting: MeasurementSetting) -> np.ndarray:
+    """Element stack of the POVM with visibilities (cos theta, sin theta) for the side's
+    observables."""
+    return povm_elements(setting.side, *setting.visibilities)
 
 
-def _joint_povm(setting: MeasurementSetting, vx: float, vy: float) -> JointPovm:
-    return JointPovm(povm_elements(setting.side, vx, vy), setting, visibilities=(vx, vy))
-
-
-def build_joint_povm(setting: MeasurementSetting) -> JointPovm:
-    """POVM with visibilities (cos theta, sin theta) for the side's observables."""
-    return _joint_povm(setting, *setting.visibilities)
-
-
-def povm_from_visibilities(side: Side, vis: VisibilityPair) -> JointPovm:
-    """POVM from an explicit visibility pair; rejects unphysical pairs.
-
-    Interior pairs (vx**2 + vy**2 < 1) are allowed; the setting then
-    records the pair's nominal trade-off angle.
-    """
+def povm_from_visibilities(side: Side, vis: VisibilityPair) -> np.ndarray:
+    """Element stack of the POVM with an explicit visibility pair; rejects unphysical pairs.
+    Interior pairs (vx**2 + vy**2 < 1) are allowed."""
     vis.require_uncertainty_bound()
-    return _joint_povm(MeasurementSetting(theta_deg=vis.theta_deg, side=side), vis.vx, vis.vy)
+    return povm_elements(side, vis.vx, vis.vy)
 
 
 @dataclass(frozen=True)

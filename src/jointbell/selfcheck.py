@@ -69,7 +69,7 @@ def check_povm_positivity() -> CheckResult:
     for side in ("A", "B"):
         for theta in np.arange(0.0, 90.0 + 1e-9, 0.5):
             povm = build_joint_povm(MeasurementSetting(float(theta), side))
-            worst = min(worst, povm.min_element_eigenvalue())
+            worst = min(worst, min_eigenvalue(povm))
     return CheckResult(
         "povm-positivity", worst >= -1e-12, f"min element eigenvalue {worst:.2e}"
     )
@@ -80,7 +80,7 @@ def check_povm_completeness() -> CheckResult:
     for side in ("A", "B"):
         for theta in np.arange(0.0, 90.0 + 1e-9, 0.5):
             povm = build_joint_povm(MeasurementSetting(float(theta), side))
-            worst = max(worst, povm.completeness_defect())
+            worst = max(worst, float(np.max(np.abs(povm.sum(axis=0) - np.eye(2)))))
     return CheckResult(
         "povm-completeness", worst <= 1e-12, f"max |sum - I| = {worst:.2e}"
     )
@@ -95,8 +95,7 @@ def check_uncertainty_boundary() -> CheckResult:
         vx, vy = radius * math.cos(angle), radius * math.sin(angle)
         if vx > 1 or vy > 1:
             continue
-        low = min(min_eigenvalue(e) for e in povm_elements("A", vx, vy))
-        ok = ok and low < 0
+        ok = ok and min_eigenvalue(povm_elements("A", vx, vy)) < 0
         try:
             povm_from_visibilities("A", VisibilityPair(vx, vy))
             ok = False
@@ -158,7 +157,7 @@ def check_marginal_consistency() -> CheckResult:
         rho_a = partial_trace(state.rho, keep="A")
         dist = joint_distribution(state, 30.0, 70.0)
         povm_a = build_joint_povm(MeasurementSetting(30.0, "A"))
-        for (x, y), element in zip(OUTCOME_SIGNS, povm_a.elements):
+        for (x, y), element in zip(OUTCOME_SIGNS, povm_a):
             marginal = sum(
                 p for m, p in dist.probs.items() if (m.x_a, m.y_a) == (x, y)
             )

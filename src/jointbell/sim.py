@@ -174,7 +174,7 @@ def joint_distribution(
     measurements at trade-off angles theta_A and theta_B."""
     povm_a = build_joint_povm(MeasurementSetting(theta_a_deg, "A"))
     povm_b = build_joint_povm(MeasurementSetting(theta_b_deg, "B"))
-    p = _outcome_probabilities(povm_a.elements[None], povm_b.elements[None], state.rho)
+    p = _outcome_probabilities(povm_a[None], povm_b[None], state.rho)
     return JointDistribution(dict(zip(ALL_OUTCOMES, p[0].tolist())), (theta_a_deg, theta_b_deg))
 
 
@@ -370,7 +370,7 @@ def joint_visibilities(
                 f"precise {axis} expectation vanishes on side {side}; visibility undefined"
             )
         joint = 0.0
-        for (x, y), element in zip(OUTCOME_SIGNS, povm.elements):
+        for (x, y), element in zip(OUTCOME_SIGNS, povm):
             sign = x if axis == "x" else y
             joint += sign * float(np.real(np.trace(element @ prepared)))
         ratios.append(joint / precise)
@@ -470,5 +470,5 @@ def write_count_table(table: CountTable, path) -> None:
 
 
 def read_count_table(path) -> CountTable:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         return parse_count_table(fh.read())

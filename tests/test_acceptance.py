@@ -181,8 +181,8 @@ def test_criterion_07_povm_property_suite():
     for side in ("A", "B"):
         for theta in np.arange(0.0, 90.0 + 1e-9, 0.5):
             povm = build_joint_povm(MeasurementSetting(float(theta), side))
-            worst_eig = min(worst_eig, povm.min_element_eigenvalue())
-            worst_sum = max(worst_sum, povm.completeness_defect())
+            worst_eig = min(worst_eig, min_eigenvalue(povm))
+            worst_sum = max(worst_sum, float(np.max(np.abs(povm.sum(axis=0) - np.eye(2)))))
     vx = vy = math.sqrt(1.01 / 2.0)
     low = min(min_eigenvalue(e) for e in povm_elements("A", vx, vy))
     rejected = False

@@ -25,7 +25,6 @@ from jointbell.sim import (
 from jointbell.analysis import (
     MINIMAL_OUTCOMES,
     BitFlipModel,
-    FlipRates,
     cirelson_floor,
     fit_bell_magnitude,
     flip_convolve,
@@ -153,15 +152,6 @@ class TestPbflipOutcome:
         }
         assert min(mirror, key=mirror.get) == pytest.approx(67.5)
 
-    def test_floor_saturation(self):
-        floor = cirelson_floor(CIRELSON_BOUND)
-        for theta in np.arange(0.0, 90.5, 0.5):
-            v = vis(float(theta))
-            for m in MINIMAL_OUTCOMES:
-                assert pbflip_outcome(m, v, v) >= floor - 1e-12
-        v = vis(22.5)
-        assert pbflip_outcome(Outcome(1, 1, 1, -1), v, v) == pytest.approx(floor, abs=1e-12)
-
 
 class TestPbflipGrid:
     def test_matches_enumeration(self):
@@ -182,15 +172,6 @@ class TestPbflipGrid:
         with pytest.raises(ValueError, match="visibilities must lie in"):
             pbflip_grid([45.0, 91.0])
         assert pbflip_grid([]).shape == (0, 16)
-
-
-class TestFlipRates:
-    def test_values_and_range(self):
-        rates = FlipRates.from_visibilities(vis(20.0), vis(70.0))
-        assert rates.x_a == pytest.approx((1 - math.cos(math.radians(20))) / 2, abs=1e-15)
-        assert rates.y_b == pytest.approx((1 - math.sin(math.radians(70))) / 2, abs=1e-15)
-        for r in rates.as_tuple():
-            assert 0.0 <= r <= 0.5
 
 
 class TestPbflipUniform:
@@ -345,31 +326,6 @@ class TestBitFlipModel:
     def test_intrinsic_sum_enforced(self):
         with pytest.raises(ValueError):
             BitFlipModel(p_int_high=0.1, p_int_low=0.1, p_bflip={})
-
-
-class TestLineConsistency:
-    def test_minimal_outcomes_on_the_line(self):
-        state = singlet_state()
-        for theta in np.arange(0.0, 90.0 + 1e-9, 5.0):
-            v = vis(float(theta))
-            dist = joint_distribution(state, float(theta), float(theta))
-            for m in MINIMAL_OUTCOMES:
-                expected = predicted_probability(CIRELSON_BOUND, pbflip_outcome(m, v, v))
-                assert dist.probs[m] == pytest.approx(expected, abs=1e-10)
-
-    def test_monotonic_structure(self):
-        state = singlet_state()
-        thetas = [float(t) for t in np.arange(0.0, 90.0 + 1e-9, 2.5)]
-        first = [joint_distribution(state, t, t).probs[Outcome(1, 1, 1, -1)] for t in thetas]
-        k = thetas.index(22.5)
-        assert all(first[i] > first[i + 1] for i in range(k))
-        assert all(first[i] < first[i + 1] for i in range(k, len(thetas) - 1))
-        assert abs(first[k]) < 1e-10
-        mirror = [joint_distribution(state, t, t).probs[Outcome(-1, 1, 1, 1)] for t in thetas]
-        k2 = thetas.index(67.5)
-        assert all(mirror[i] > mirror[i + 1] for i in range(k2))
-        assert all(mirror[i] < mirror[i + 1] for i in range(k2, len(thetas) - 1))
-        assert abs(mirror[k2]) < 1e-10
 
 
 def line_points(magnitude: float, pbflips) -> list[tuple[float, float]]:

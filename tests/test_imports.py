@@ -32,3 +32,40 @@ def test_checker_flags_an_unused_import():
     source = "from typing import Iterable, Iterator\n\nx: Iterable = ()\n"
     assert unused_imports(source) == ["line 1: Iterator"]
     assert unused_imports("import os  # noqa: F401\n") == []
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_names`` (not dunders) defined in one of ``sources`` that no source
+    reads or imports."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+                defined.extend((module, n.id) for n in names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    private = [(m, name) for m, name in defined if name.startswith("_") and not name.endswith("__")]
+    return [f"{m}: {name}" for m, name in private if name not in read]
+
+
+def test_no_orphaned_private_helpers():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert orphaned_private_names(sources) == []
+
+
+def test_checker_flags_an_orphaned_private_helper():
+    sources = {
+        "a.py": "def _used(): ...\n\ndef _orphan(): ...\n\n_LIMIT = 3\n_SPARE: int = 4\n",
+        "b.py": "from .a import _used\n\n__all__ = ['x']\nx = _LIMIT\n",
+    }
+    assert orphaned_private_names(sources) == ["a.py: _orphan", "a.py: _SPARE"]

@@ -130,19 +130,6 @@ class TestJointDistribution:
             assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-10)
             assert min(dist.probs.values()) >= -1e-12
 
-    def test_marginals_match_single_povm(self):
-        from jointbell.core import OUTCOME_SIGNS, MeasurementSetting, build_joint_povm, partial_trace
-
-        rng = np.random.default_rng(98)
-        state = random_two_qubit_state(rng)
-        dist = joint_distribution(state, 30.0, 70.0)
-        rho_a = partial_trace(state.rho, "A")
-        povm_a = build_joint_povm(MeasurementSetting(30.0, "A"))
-        for (x, y), element in zip(OUTCOME_SIGNS, povm_a.elements):
-            marginal = sum(p for m, p in dist.probs.items() if (m.x_a, m.y_a) == (x, y))
-            direct = float(np.real(np.trace(element @ rho_a)))
-            assert marginal == pytest.approx(direct, abs=1e-12)
-
     def test_correlations_scale_with_visibilities(self):
         # <x_A x_B> under the joint measurement is V_XA V_XB <X_A X_B>, and
         # at equal 45-degree settings <b> is half the Bell expectation.
