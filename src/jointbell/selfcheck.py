@@ -297,7 +297,3 @@ ALL_CHECKS = (
     check_visibility_circle,
     check_count_roundtrip,
 )
-
-
-def run_all_checks() -> list[CheckResult]:
-    return [check() for check in ALL_CHECKS]

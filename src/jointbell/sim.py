@@ -195,41 +195,6 @@ def aggregate_b(dist: JointDistribution) -> BAggregate:
     return BAggregate(p_plus=p_plus, p_minus=p_minus, mean_b=2.0 * p_plus - 2.0 * p_minus)
 
 
-def _poisson(rng: np.random.Generator, mean: float) -> int:
-    """Exact Poisson sampler: sequential inversion below mean 10, Hormann's
-    transformed rejection (PTRS) above.  No normal approximation."""
-    if mean <= 0.0:
-        return 0
-    if mean < 10.0:
-        x = 0
-        p = math.exp(-mean)
-        s = p
-        u = rng.random()
-        while u > s:
-            x += 1
-            p *= mean / x
-            s += p
-        return x
-    b = 0.931 + 2.53 * math.sqrt(mean)
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    log_mean = math.log(mean)
-    while True:
-        u = rng.random() - 0.5
-        v = rng.random()
-        us = 0.5 - abs(u)
-        if us <= 0.0:
-            continue
-        k = math.floor((2.0 * a / us + b) * u + mean + 0.43)
-        if us >= 0.07 and v <= v_r:
-            return int(k)
-        if k < 0 or (us < 0.013 and v > us):
-            continue
-        if math.log(v * inv_alpha / (a / (us * us) + b)) <= k * log_mean - mean - math.lgamma(k + 1.0):
-            return int(k)
-
-
 def _check_sampling(mean_total: float, seed: int) -> None:
     if not 0 < mean_total < math.inf:
         raise ValueError(f"mean_total must be positive and finite, got {mean_total}")
@@ -239,11 +204,12 @@ def _check_sampling(mean_total: float, seed: int) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def _draw(probs: Iterable[float], mean_total: float, seed: int) -> list[int]:
-    """Poisson counts with means max(p, 0) * mean_total, drawn in order from a PCG64 stream
-    seeded with ``seed``."""
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
-    return [_poisson(rng, max(p, 0.0) * mean_total) for p in probs]
+def _draw(probs: Sequence[float], mean_total: float, seed: int) -> np.ndarray:
+    """Poisson counts with means max(p, 0) * mean_total, drawn in order by numpy's frozen
+    ``RandomState.poisson`` (multiplication below mean 10, PTRS above) on a PCG64 stream
+    seeded with ``seed``; a zero mean draws 0 and consumes nothing."""
+    rng = np.random.RandomState(np.random.PCG64(int(seed)))
+    return rng.poisson(np.maximum(probs, 0.0) * mean_total)
 
 
 def _check_total(total: int) -> None:
@@ -259,11 +225,11 @@ def sample_counts(
 ) -> CountTable:
     """Independent Poisson counts with mean p(m) * mean_total per outcome.
 
-    Deterministic for a fixed seed: outcomes are drawn in canonical order
-    from a PCG64 stream seeded with ``seed``.
+    Deterministic for a fixed seed: outcomes are drawn in canonical order by
+    numpy's frozen ``RandomState.poisson`` on a PCG64 stream seeded with ``seed``.
     """
     _check_sampling(mean_total, seed)
-    counts = _draw((dist.probs[m] for m in ALL_OUTCOMES), mean_total, seed)
+    counts = _draw([dist.probs[m] for m in ALL_OUTCOMES], mean_total, seed)
     return CountTable(counts=dict(zip(ALL_OUTCOMES, counts)), duration_s=duration_s)
 
 
@@ -316,8 +282,8 @@ def sweep_grid(
         _check_probabilities(row)
     if not sampled:
         return SweepGrid(thetas, p)
-    draws = [_draw(row, mean_total, _angle_seed(seed, index)) for index, row in enumerate(rows)]
-    counts = np.array(draws, dtype=np.int64).reshape(len(rows), 16)
+    draws = [_draw(row, mean_total, _angle_seed(seed, index)) for index, row in enumerate(p)]
+    counts = np.array(draws, dtype=np.int64).reshape(len(p), 16)
     total = counts.sum(axis=1, keepdims=True)
     _check_total(total.min(initial=1))
     return SweepGrid(thetas, p, counts, counts / total, np.sqrt(counts) / total)

@@ -789,3 +789,26 @@ class TestValidate:
         result = runner.invoke(main, ["validate"])
         assert result.exit_code == 0, result.output
         assert result.output.endswith("15/15 suites passed\n")
+
+    def test_raising_suite_fails_alone(self, monkeypatch, capsys):
+        printed_before = []
+
+        def check_exploding_suite():
+            printed_before.append(capsys.readouterr().out)
+            raise ValueError("negative outcome probability -1.831e-11")
+
+        checks = list(selfcheck.ALL_CHECKS)
+        checks[3] = check_exploding_suite
+        monkeypatch.setattr(selfcheck, "ALL_CHECKS", tuple(checks))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["validate"])
+        assert exit_info.value.code == 1
+        # The three suites before it printed their lines before it ran; the rest still ran.
+        assert len(printed_before[0].splitlines()) == 3
+        lines = (printed_before[0] + capsys.readouterr().out).splitlines()
+        names = [c.__name__.removeprefix("check_").replace("_", "-") for c in checks]
+        assert [line.split(":")[0] for line in lines[:15]] == [
+            f"{'FAIL' if i == 3 else 'PASS'}  {name}" for i, name in enumerate(names)
+        ]
+        assert lines[3] == "FAIL  exploding-suite: raised ValueError: negative outcome probability -1.831e-11"
+        assert lines[15:] == ["14/15 suites passed"]
