@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CIRELSON_BOUND, VisibilityPair
+from .core import CIRELSON_BOUND, VisibilityPair, _unit_circle
 from .sim import ALL_OUTCOMES, JointDistribution, Outcome, QuasiDistribution, b_value
 
 #: Outcomes whose flip probability dips lowest over the trade-off range:
@@ -41,7 +41,7 @@ def pbflip_outcome(
     the mean of each sign by V, so the mean flipped b is the b-value of the
     outcome with every sign scaled by its visibility, m o V.  ``outcome`` may
     also be four sign arrays, the columns of a stack of outcomes, which gives
-    one value per outcome in an array.
+    one value per outcome in an array; visibility arrays broadcast against them.
     """
     vis_a.require_uncertainty_bound()
     vis_b.require_uncertainty_bound()
@@ -55,10 +55,10 @@ _SIGN_COLUMNS = tuple(np.array(ALL_OUTCOMES).T)
 
 
 def pbflip_grid(thetas: Sequence[float]) -> np.ndarray:
-    """``pbflip_outcome`` of all sixteen outcomes at theta_A = theta_B = theta for each
-    of n angles, as an (n, 16) array with columns in ALL_OUTCOMES order."""
-    pairs = map(VisibilityPair.from_theta, thetas)
-    return np.array([pbflip_outcome(_SIGN_COLUMNS, v, v) for v in pairs]).reshape(-1, 16)
+    """``pbflip_outcome`` of all sixteen outcomes at theta_A = theta_B = theta, one call for
+    n angles: an (n, 16) array with columns in ALL_OUTCOMES order."""
+    v = VisibilityPair(*np.array([_unit_circle(t) for t in thetas]).reshape(-1, 2).T[..., None])
+    return pbflip_outcome(_SIGN_COLUMNS, v, v)
 
 
 def pbflip_uniform(mean_b: float, bell_expectation: float) -> float:

@@ -372,7 +372,7 @@ _FIT_COLUMNS = ("x_a", "y_a", "x_b", "y_b", "p_theory", "p_bflip", "p_obs", "std
 @_state_option
 @click.option("--thetas", default=None, help="Comma-separated trade-off angles in degrees.")
 @click.option("--sample/--no-sample", default=False,
-              help="Add Poisson-sampled counts per angle (seed derived per angle).")
+              help="Add Poisson-sampled counts per angle, all drawn on one stream from --seed.")
 @click.option("--mean-total", type=float, default=None)
 @click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--out", default=None, help="Output file (default: sweep.csv in the output dir).")

@@ -123,17 +123,21 @@ class VisibilityPair:
     Physical joint measurements additionally satisfy vx**2 + vy**2 <= 1;
     that bound is checked by :meth:`require_uncertainty_bound` wherever a
     POVM or an error model is built from the pair, so that the unphysical
-    region stays constructible for positivity probing.
+    region stays constructible for positivity probing.  ``vx`` and ``vy`` may
+    also be arrays of pairs, as in ``pbflip_grid``: both checks cover each pair.
     """
 
     vx: float
     vy: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.vx <= 1.0 and 0.0 <= self.vy <= 1.0):
-            raise ValueError(
-                f"visibilities must lie in [0, 1], got ({self.vx}, {self.vy})"
-            )
+        vx, vy = self.vx, self.vy
+        if type(vx) is float:
+            inside = 0.0 <= vx <= 1.0 and 0.0 <= vy <= 1.0
+        else:
+            inside = np.all((0.0 <= vx) & (vx <= 1.0) & (0.0 <= vy) & (vy <= 1.0))
+        if not inside:
+            raise ValueError(f"visibilities must lie in [0, 1], got ({vx}, {vy})")
 
     @classmethod
     def from_theta(cls, theta_deg: float) -> "VisibilityPair":
@@ -153,6 +157,8 @@ class VisibilityPair:
     def require_uncertainty_bound(self) -> None:
         """Raise unless vx**2 + vy**2 <= 1 (within POVM_TOL)."""
         r2 = self.vx * self.vx + self.vy * self.vy
+        if type(r2) is not float:
+            r2 = np.max(r2, initial=0.0)
         if r2 > 1.0 + POVM_TOL:
             raise UncertaintyViolationError(
                 f"vx^2 + vy^2 = {r2:.6f} exceeds 1: no positive joint measurement"

@@ -245,11 +245,6 @@ def probabilities_from_counts(
     return JointDistribution(probs=probs, settings=None), errors
 
 
-def _angle_seed(seed: int, index: int) -> int:
-    """The seed of angle ``index`` of a sampled sweep: the one place streams are derived."""
-    return seed ^ index
-
-
 class SweepGrid(NamedTuple):
     """A sweep over angles theta = theta_A = theta_B as (n, 16) arrays: one row per angle,
     columns in ALL_OUTCOMES order; the sampled arrays are None unless the sweep is sampled."""
@@ -269,21 +264,19 @@ def sweep_grid(
 ) -> SweepGrid:
     """Exact distributions at angles theta = theta_A = theta_B from one contraction and,
     when both ``mean_total`` and ``seed`` are given, each angle's counts with estimates
-    N(m)/N and sqrt(N(m))/N.  Angle i is sampled as ``sample_counts`` samples with seed
-    XOR i, so seeds s and s XOR 1 share every stream with the angles swapped."""
+    N(m)/N and sqrt(N(m))/N.  The counts are ``_draw`` on one stream, row after row: row 0
+    is ``sample_counts`` at the first angle, and appending angles keeps the earlier rows."""
     sampled = mean_total is not None and seed is not None
     if sampled:
         _check_sampling(mean_total, seed)
     thetas = tuple(thetas)
     vx, vy = np.array([MeasurementSetting(t, "A").visibilities for t in thetas]).reshape(-1, 2).T
     p = _outcome_probabilities(povm_elements("A", vx, vy), povm_elements("B", vx, vy), state.rho)
-    rows = p.tolist()
-    for row in rows:
+    for row in p.tolist():
         _check_probabilities(row)
     if not sampled:
         return SweepGrid(thetas, p)
-    draws = [_draw(row, mean_total, _angle_seed(seed, index)) for index, row in enumerate(p)]
-    counts = np.array(draws, dtype=np.int64).reshape(len(p), 16)
+    counts = _draw(p.ravel(), mean_total, seed).astype(np.int64, copy=False).reshape(len(p), 16)
     total = counts.sum(axis=1, keepdims=True)
     _check_total(total.min(initial=1))
     return SweepGrid(thetas, p, counts, counts / total, np.sqrt(counts) / total)

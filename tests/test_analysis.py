@@ -171,6 +171,9 @@ class TestPbflipGrid:
     def test_angles_outside_the_quarter_circle_rejected(self):
         with pytest.raises(ValueError, match="visibilities must lie in"):
             pbflip_grid([45.0, 91.0])
+        for bad in (math.nan, -1.0, 90.5):
+            with pytest.raises(ValueError, match="visibilities must lie in"):
+                pbflip_grid([0.0, 30.0, bad, 60.0, 90.0])
         assert pbflip_grid([]).shape == (0, 16)
 
 

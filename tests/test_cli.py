@@ -754,12 +754,13 @@ class TestFigures:
         assert result.exit_code != 0
 
 
-# sha256 of outputs for a fixed 19-angle grid, taken before the sweep became an array
-# pipeline: a change to the kernel, the sampler or the writers that moves one byte fails.
+# sha256 of outputs for a fixed 19-angle grid: exact.csv taken before the sweep became an
+# array pipeline, sampled.csv and fit.json when a sweep's counts became one stream.  A
+# change to the kernel, the sampler or the writers that moves one byte fails.
 PINNED_SHA256 = {
     "exact.csv": "f14d5f0ca72cd39fb8aae95f2661e330df547d7b8a79b7151b4baf72ab6ee148",
-    "sampled.csv": "dbb992512a8742d9fb0ced41cc991e78ac9ec91447285263b4c499066a9cd3f3",
-    "fit.json": "5098bdf2bb5852af85a142c7e2c60d1fb02296087d2dcc55f0bc80b935cb71bc",
+    "sampled.csv": "cea9797b81683de1e9ea813c768a6374206f9faa27aabbeaf18c67719e973b32",
+    "fit.json": "01661dafeb380676844b16e8a059520d163230718f5a18e06d6033ae48a07122",
 }
 
 

@@ -281,6 +281,12 @@ class TestPoissonSampler:
         chi2 = sum((o - e) ** 2 / e for o, e in zip(observed.tolist(), expected))
         assert chi2 < chi2_upper(len(expected) - 1, 3.7)
 
+    def test_flat_table_is_scalar_draws_on_one_stream(self):
+        # Zero means, multiplication below mean 10 and PTRS from 10, drawn in C order.
+        means = [0.0, 3.0, 40.0, 0.0, 0.4, 9.99, 10.0, 1e4, 0.0, 7.5, 250.0, 2.0] * 4
+        rng = np.random.RandomState(np.random.PCG64(31))
+        assert _draw(means, 1.0, 31).tolist() == [rng.poisson(mean) for mean in means]
+
     def test_zero_mean(self):
         # Zero and negative means draw 0 without consuming the stream.
         probs = [0.02, 0.5]  # means 2 and 50 at mean_total 100: both branches
@@ -335,7 +341,7 @@ class TestSampleCounts:
                 sample_counts(dist, mean_total, seed=1)
 
 
-# Literal streams: a change to the sampler or the per-angle seeds must update these on purpose.
+# Literal streams: a change to the sampler or to a sweep's stream must update these on purpose.
 SEEDED_STREAMS = {
     "werner-theta20-seed42": [
         11207, 1182, 69489, 60122, 32278, 11078, 60028, 38499,
@@ -347,8 +353,8 @@ SEEDED_STREAMS = {
         49909, 60005, 11107, 20990, 59924, 66947, 4218, 11231,
     ],
     "sweep-seed7-theta20": [
-        11129, 1127, 70038, 60055, 32706, 10873, 60215, 38602,
-        38332, 60120, 10964, 32291, 59987, 69842, 1136, 11273,
+        11044, 1141, 70010, 59536, 32518, 11075, 59425, 38428,
+        38730, 60000, 11172, 32484, 59859, 70699, 1157, 11257,
     ],
 }
 
@@ -407,17 +413,26 @@ class TestSweepGrid:
         for theta, row in zip(thetas, grid.p_theory.tolist()):
             assert row == [joint_distribution(state, theta, theta).probs[m] for m in ALL_OUTCOMES]
 
-    def test_sampled_arrays_equal_the_per_angle_tables(self):
-        # Angle i is sampled with seed 6 XOR i, written out here rather than taken from sim.
+    def test_sampled_arrays_continue_one_stream(self):
+        # One PCG64 stream seeded with 6 draws the means row by row, written out here
+        # rather than taken from sim.
         state = werner_state(0.9716)
         grid = sweep_grid(state, self.THETAS, mean_total=5e4, seed=6)
         assert grid.thetas == self.THETAS
-        for i, theta in enumerate(self.THETAS):
-            table = sample_counts(joint_distribution(state, theta, theta), 5e4, seed=6 ^ i)
+        rng = np.random.RandomState(np.random.PCG64(6))
+        means = [p * 5e4 for row in grid.p_theory.tolist() for p in row]
+        assert grid.counts.dtype == np.int64
+        assert grid.counts.ravel().tolist() == rng.poisson(means).tolist()
+        rows = zip(grid.counts.tolist(), grid.p_obs.tolist(), grid.std_err.tolist())
+        for counts, p_obs, std_err in rows:
+            table = CountTable(dict(zip(ALL_OUTCOMES, counts)))
             observed, errors = probabilities_from_counts(table)
-            assert grid.counts[i].tolist() == [table.counts[m] for m in ALL_OUTCOMES]
-            assert grid.p_obs[i].tolist() == [observed.probs[m] for m in ALL_OUTCOMES]
-            assert grid.std_err[i].tolist() == [errors[m] for m in ALL_OUTCOMES]
+            assert p_obs == [observed.probs[m] for m in ALL_OUTCOMES]
+            assert std_err == [errors[m] for m in ALL_OUTCOMES]
+        first = sample_counts(joint_distribution(state, 0.0, 0.0), 5e4, seed=6)
+        assert grid.counts[0].tolist() == [first.counts[m] for m in ALL_OUTCOMES]
+        head = sweep_grid(state, self.THETAS[:2], mean_total=5e4, seed=6)
+        assert head.counts.tolist() == grid.counts[:2].tolist()
 
     @pytest.mark.parametrize("mean_total, seed", [(None, None), (5e4, None), (None, 3)])
     def test_unsampled_sweep_carries_no_counts(self, mean_total, seed):
@@ -445,20 +460,18 @@ class TestSweepGrid:
 
 
 class TestAngleSweep:
-    """The per-angle sampling contract of a sweep over angles."""
+    """The sampling contract of a sweep over angles: one stream per sweep."""
 
     THETAS = (0.0, 20.0, 45.0, 70.0, 90.0)
 
-    def test_sampled_item_uses_seed_xor_index(self):
-        # Row i of a seed-6 sweep is the one-angle sweep of its angle at seed 6 XOR i.
+    def test_adjacent_seeds_share_no_count_row(self):
+        # Each angle twice: a stream shared between the sweeps, or within one, repeats a row.
+        # A stream per angle derived as seed XOR index gave seeds 6 and 7 the same rows.
         state = werner_state(0.9716)
-        grid = sweep_grid(state, self.THETAS, mean_total=5e4, seed=6)
-        for i, theta in enumerate(self.THETAS):
-            single = sweep_grid(state, [theta], mean_total=5e4, seed=6 ^ i)
-            assert grid.p_theory[i].tolist() == single.p_theory[0].tolist()
-            assert grid.counts[i].tolist() == single.counts[0].tolist()
-            assert grid.p_obs[i].tolist() == single.p_obs[0].tolist()
-            assert grid.std_err[i].tolist() == single.std_err[0].tolist()
+        thetas = [theta for theta in self.THETAS for _ in range(2)]
+        rows = [tuple(row) for seed in (6, 7)
+                for row in sweep_grid(state, thetas, mean_total=5e4, seed=seed).counts.tolist()]
+        assert len(set(rows)) == len(rows) == 20
 
     def test_sampling_arguments_checked_before_first_angle(self):
         consumed = []
