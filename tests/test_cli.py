@@ -776,6 +776,34 @@ def test_sweep_and_fit_bytes_pinned(runner, tmp_path, monkeypatch):
     assert digests == PINNED_SHA256
 
 
+REPORT_SHA256 = {
+    "simulate.json": "e204cf19ac6e73eb5753ee230545cbc950dee881043cde3197d8e64371e8b926",
+    "simulate.csv": "2f18e4aa7c18b643dd68204698cbdd816dbb3624f186a699d403fce4fe0984f1",
+    "counts.csv": "0498d18c1355fc2c94396a416b04695a47877fd6e39d9040e792c4159db32a5e",
+    "analyze.json": "fd7270b33275f5941133de13c81f477930d4371b93ca69e8860fde26eb970736",
+    "analyze.csv": "70a1236d78ff5cdedb65e98a384b3787486e6361d6b849fd1897b811acdf5d37",
+}
+
+
+def test_report_bytes_pinned(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    simulate = ["simulate", "--state", "werner:0.93", "--theta-a", "12.3", "--theta-b", "77.1"]
+    analyze = ["analyze", "counts.csv", "--theta-a", "20", "--theta-b", "20"]
+    commands = [
+        [*simulate, "--out", "simulate.json"],
+        [*simulate, "--format", "csv", "--out", "simulate.csv"],
+        ["counts", "--state", "werner:0.9716", "--theta-a", "20", "--theta-b", "20",
+         "--mean-total", "568352", "--seed", "7", "--out", "counts.csv"],
+        [*analyze, "--out", "analyze.json"],
+        [*analyze, "--format", "csv", "--out", "analyze.csv"],
+    ]
+    for args in commands:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in REPORT_SHA256}
+    assert digests == REPORT_SHA256
+
+
 class TestValidate:
     @pytest.mark.parametrize(
         "check",
