@@ -13,7 +13,6 @@ from .core import (
     bell_expectation,
     bell_operator,
     build_joint_povm,
-    maximally_mixed_state,
     observable_from_angle,
     partial_trace,
     polarizer_angles,
@@ -50,7 +49,6 @@ from .sim import (
 )
 from .analysis import (
     MINIMAL_OUTCOMES,
-    BitFlipModel,
     FitResult,
     cirelson_floor,
     fit_bell_magnitude,
@@ -58,7 +56,6 @@ from .analysis import (
     intrinsic_probs,
     pbflip_grid,
     pbflip_outcome,
-    pbflip_uniform,
     predicted_probability,
 )
 

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CIRELSON_BOUND, VisibilityPair, _unit_circle
-from .sim import ALL_OUTCOMES, JointDistribution, Outcome, QuasiDistribution, b_value
+from .core import CIRELSON_BOUND, VisibilityPair, unit_circle_grid
+from .sim import ALL_OUTCOMES, SIGN_COLUMNS, JointDistribution, Outcome, QuasiDistribution, b_value
 
 #: Outcomes whose flip probability dips lowest over the trade-off range:
 #: the first two bottom out at theta = 22.5 deg, the last two at 67.5 deg.
@@ -50,23 +50,11 @@ def pbflip_outcome(
     return 0.5 - b_value(outcome) * mean_flipped / 8.0
 
 
-#: The signs (x_A, y_A, x_B, y_B) of the sixteen outcomes as four columns.
-_SIGN_COLUMNS = tuple(np.array(ALL_OUTCOMES).T)
-
-
 def pbflip_grid(thetas: Sequence[float]) -> np.ndarray:
     """``pbflip_outcome`` of all sixteen outcomes at theta_A = theta_B = theta, one call for
     n angles: an (n, 16) array with columns in ALL_OUTCOMES order."""
-    v = VisibilityPair(*np.array([_unit_circle(t) for t in thetas]).reshape(-1, 2).T[..., None])
-    return pbflip_outcome(_SIGN_COLUMNS, v, v)
-
-
-def pbflip_uniform(mean_b: float, bell_expectation: float) -> float:
-    """Outcome-independent flip probability (1 - <b>/<B>)/2 for equal
-    visibilities."""
-    if abs(bell_expectation) < 1e-15:
-        raise ValueError("Bell expectation is zero; flip probability undefined")
-    return 0.5 * (1.0 - mean_b / bell_expectation)
+    v = VisibilityPair(*unit_circle_grid(thetas)[..., None])
+    return pbflip_outcome(SIGN_COLUMNS, v, v)
 
 
 def intrinsic_probs(bell_magnitude: float) -> tuple[float, float]:
@@ -113,40 +101,9 @@ def flip_convolve(
     """
     rates = [(1.0 - v) / 2.0 for v in (vis_a.vx, vis_a.vy, vis_b.vx, vis_b.vy)]
     flips = [np.array([[1.0 - r, r], [r, 1.0 - r]]) for r in rates]
-    table = np.array([quasi.values[m] for m in ALL_OUTCOMES]).reshape(2, 2, 2, 2)
     # Sign index 0 is +1 and 1 is -1 on every axis (canonical outcome order).
-    p = np.einsum("ai,bj,ck,dl,ijkl->abcd", *flips, table)
-    probs = dict(zip(ALL_OUTCOMES, p.ravel().tolist()))
-    return JointDistribution(probs=probs, settings=(vis_a.theta_deg, vis_b.theta_deg))
-
-
-@dataclass(frozen=True)
-class BitFlipModel:
-    """Two-level intrinsic distribution plus per-outcome flip probabilities."""
-
-    p_int_high: float
-    p_int_low: float
-    p_bflip: dict[Outcome, float]
-
-    def __post_init__(self) -> None:
-        if abs(self.p_int_high + self.p_int_low - 0.125) > 1e-12:
-            raise ValueError("intrinsic probabilities must sum to 1/8")
-
-    @classmethod
-    def from_magnitude_and_visibilities(
-        cls, bell_magnitude: float, vis_a: VisibilityPair, vis_b: VisibilityPair
-    ) -> "BitFlipModel":
-        high, low = intrinsic_probs(bell_magnitude)
-        flips = {m: pbflip_outcome(m, vis_a, vis_b) for m in ALL_OUTCOMES}
-        return cls(p_int_high=high, p_int_low=low, p_bflip=flips)
-
-    def predicted(self, outcome: Outcome) -> float:
-        """Observed probability of ``outcome``: intrinsic value mixed with
-        its opposite at the outcome's flip probability."""
-        pb = self.p_bflip[outcome]
-        if b_value(outcome) == 2:
-            return (1.0 - pb) * self.p_int_low + pb * self.p_int_high
-        return (1.0 - pb) * self.p_int_high + pb * self.p_int_low
+    p = np.einsum("ai,bj,ck,dl,ijkl->abcd", *flips, quasi.values.reshape(2, 2, 2, 2))
+    return JointDistribution(p.ravel(), settings=(vis_a.theta_deg, vis_b.theta_deg))
 
 
 @dataclass(frozen=True)

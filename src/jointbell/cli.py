@@ -39,6 +39,8 @@ from .core import (
 )
 from .sim import (
     ALL_OUTCOMES,
+    B_COLUMNS,
+    SIGN_COLUMNS,
     aggregate_b,
     b_value,
     joint_distribution,
@@ -187,7 +189,8 @@ def _pbflip_table(theta_a: float, theta_b: float) -> dict[str, float] | None:
     if not (0.0 <= theta_a <= 90.0 and 0.0 <= theta_b <= 90.0):
         return None
     vis_a, vis_b = VisibilityPair.from_theta(theta_a), VisibilityPair.from_theta(theta_b)
-    return {m.label(): pbflip_outcome(m, vis_a, vis_b) for m in ALL_OUTCOMES}
+    flips = pbflip_outcome(SIGN_COLUMNS, vis_a, vis_b).tolist()
+    return {m.label(): p for m, p in zip(ALL_OUTCOMES, flips)}
 
 
 def _write_json(fh: TextIO, report: dict) -> None:
@@ -262,8 +265,8 @@ def simulate(config_path, state, theta_a, theta_b, out, fmt) -> None:
         dist = joint_distribution(prepared, cfg.theta_a, cfg.theta_b)
     agg = aggregate_b(dist)
     rows = [
-        {**m._asdict(), "b": b_value(m), "probability": dist.probs[m]}
-        for m in ALL_OUTCOMES
+        {**m._asdict(), "b": b_value(m), "probability": p}
+        for m, p in zip(ALL_OUTCOMES, dist.probs.tolist())
     ]
     report = {
         "state": cfg.state,
@@ -322,13 +325,12 @@ def analyze(countfile, theta_a, theta_b, out, fmt) -> None:
         dist, errors = probabilities_from_counts(table)
     agg = aggregate_b(dist)
     total = table.total()
-    n_plus = sum(table.counts[m] for m in ALL_OUTCOMES if b_value(m) == 2)
+    n_plus = int(table.counts[B_COLUMNS[2]].sum())
     rows = [
-        {
-            **m._asdict(), "b": b_value(m), "counts": table.counts[m],
-            "probability": dist.probs[m], "std_err": errors[m],
-        }
-        for m in ALL_OUTCOMES
+        {**m._asdict(), "b": b_value(m), "counts": n, "probability": p, "std_err": e}
+        for m, n, p, e in zip(
+            ALL_OUTCOMES, table.counts.tolist(), dist.probs.tolist(), errors.tolist()
+        )
     ]
     report = {
         "count_file": str(countfile),

@@ -116,6 +116,16 @@ def _unit_circle(theta_deg: float) -> tuple[float, float]:
     return (math.cos(t), math.sin(t))
 
 
+def unit_circle_grid(thetas_deg) -> np.ndarray:
+    """Visibilities of n angles as a (2, n) array, rows vx and vy, each pair exactly
+    ``_unit_circle(theta)``; a non-finite angle raises ValueError."""
+    thetas = np.asarray(thetas_deg, dtype=float).reshape(-1)
+    bad = thetas[~np.isfinite(thetas)]
+    if bad.size:
+        raise ValueError(f"trade-off angle must be finite, got {bad[0].item()!r}")
+    return np.array([_unit_circle(t) for t in thetas.tolist()]).reshape(-1, 2).T
+
+
 @dataclass(frozen=True)
 class VisibilityPair:
     """Measurement visibilities (V_X, V_Y) of one joint measurement.
@@ -253,10 +263,6 @@ def singlet_state() -> TwoQubitState:
     psi[1] = 1.0 / math.sqrt(2.0)
     psi[2] = -1.0 / math.sqrt(2.0)
     return TwoQubitState(rho=np.outer(psi, psi.conj()))
-
-
-def maximally_mixed_state() -> TwoQubitState:
-    return TwoQubitState(rho=np.eye(4, dtype=complex) / 4.0)
 
 
 def werner_state(v: float) -> TwoQubitState:

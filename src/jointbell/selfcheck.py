@@ -34,9 +34,9 @@ from .core import (
 )
 from .sim import (
     ALL_OUTCOMES,
+    B_COLUMNS,
     Outcome,
     aggregate_b,
-    b_value,
     format_count_table,
     joint_distribution,
     joint_visibilities,
@@ -155,11 +155,11 @@ def check_marginal_consistency() -> CheckResult:
     for _ in range(5):
         state = random_two_qubit_state(rng)
         rho_a = partial_trace(state.rho, keep="A")
-        dist = joint_distribution(state, 30.0, 70.0)
+        probs = joint_distribution(state, 30.0, 70.0).probs.tolist()
         povm_a = build_joint_povm(MeasurementSetting(30.0, "A"))
         for (x, y), element in zip(OUTCOME_SIGNS, povm_a):
             marginal = sum(
-                p for m, p in dist.probs.items() if (m.x_a, m.y_a) == (x, y)
+                p for m, p in zip(ALL_OUTCOMES, probs) if (m.x_a, m.y_a) == (x, y)
             )
             direct = float(np.real(np.trace(element @ rho_a)))
             worst = max(worst, abs(marginal - direct))
@@ -167,11 +167,8 @@ def check_marginal_consistency() -> CheckResult:
 
 
 def check_theta45_degeneracy() -> CheckResult:
-    dist = joint_distribution(singlet_state(), 45.0, 45.0)
-    spread = 0.0
-    for target in (2, -2):
-        values = [p for m, p in dist.probs.items() if b_value(m) == target]
-        spread = max(spread, max(values) - min(values))
+    probs = joint_distribution(singlet_state(), 45.0, 45.0).probs
+    spread = max(float(np.ptp(probs[columns])) for columns in B_COLUMNS.values())
     return CheckResult(
         "theta45-degeneracy", spread <= 1e-12, f"max in-group spread {spread:.2e}"
     )
@@ -196,7 +193,8 @@ def check_visibility_scaling() -> CheckResult:
             scale = {"x_a": c, "y_a": s, "x_b": c, "y_b": s}
             for (sa, sb), op in pairs.items():
                 measured = sum(
-                    p * getattr(m, sa) * getattr(m, sb) for m, p in dist.probs.items()
+                    p * getattr(m, sa) * getattr(m, sb)
+                    for m, p in zip(ALL_OUTCOMES, dist.probs.tolist())
                 )
                 sharp = float(np.real(np.trace(op @ state.rho)))
                 worst = max(worst, abs(measured - scale[sa] * scale[sb] * sharp))
@@ -213,10 +211,9 @@ def check_flip_convolution() -> CheckResult:
     for _ in range(10):
         state = random_two_qubit_state(rng)
         quasi = quasi_distribution(state)
-        for theta, direct in zip(_THETA_SET, sweep_grid(state, _THETA_SET).p_theory.tolist()):
+        for theta, direct in zip(_THETA_SET, sweep_grid(state, _THETA_SET).p_theory):
             vis = VisibilityPair.from_theta(theta)
-            convolved = flip_convolve(quasi, vis, vis).probs
-            worst = max([worst] + [abs(convolved[m] - p) for m, p in zip(ALL_OUTCOMES, direct)])
+            worst = max(worst, float(np.max(np.abs(flip_convolve(quasi, vis, vis).probs - direct))))
     return CheckResult("flip-convolution", worst <= 1e-10, f"max |error| {worst:.2e}")
 
 
@@ -269,10 +266,8 @@ def check_count_roundtrip() -> CheckResult:
     dist = joint_distribution(werner_state(0.9716), 20.0, 20.0)
     table = sample_counts(dist, 1e6, seed=77, duration_s=10.0)
     recovered, errors = probabilities_from_counts(table)
-    worst_sigma = 0.0
-    for m in ALL_OUTCOMES:
-        err = errors[m] if errors[m] > 0 else 1.0 / table.total()
-        worst_sigma = max(worst_sigma, abs(recovered.probs[m] - dist.probs[m]) / err)
+    errors = np.where(errors > 0, errors, 1.0 / table.total())
+    worst_sigma = float(np.max(np.abs(recovered.probs - dist.probs) / errors))
     text = format_count_table(table)
     ok = worst_sigma < 5.0 and format_count_table(parse_count_table(text)) == text
     return CheckResult(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,11 +18,13 @@ from .core import (
     MeasurementSetting,
     Side,
     TwoQubitState,
+    _frozen,
     build_joint_povm,
     partial_trace,
     povm_elements,
     projector,
     side_observables,
+    unit_circle_grid,
 )
 
 PROB_TOL = 1e-12
@@ -55,6 +57,8 @@ ALL_OUTCOMES: tuple[Outcome, ...] = tuple(
     for xb in (1, -1)
     for yb in (1, -1)
 )
+#: The signs (x_A, y_A, x_B, y_B) of the sixteen outcomes as four columns.
+SIGN_COLUMNS = tuple(np.array(ALL_OUTCOMES).T)
 
 
 def b_value(outcome: Outcome) -> int:
@@ -63,52 +67,73 @@ def b_value(outcome: Outcome) -> int:
     return xa * xb - xa * yb + ya * xb + ya * yb
 
 
-def _check_outcome_map(probs: dict) -> None:
-    if set(probs) != set(ALL_OUTCOMES):
+#: Columns of the b = +2 and of the b = -2 outcomes in ALL_OUTCOMES order.
+B_COLUMNS: dict[int, list[int]] = {
+    b: [i for i, m in enumerate(ALL_OUTCOMES) if b_value(m) == b] for b in (2, -2)
+}
+
+
+def _require(ok: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise a ValueError naming the first outcome where ``ok`` is False: ``message`` with
+    ``{m}`` replaced by the outcome's label and ``{v}`` by its entry of ``values``."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(message.format(m=ALL_OUTCOMES[i].label(), v=values.tolist()[i]))
+
+
+def _outcome_array(values) -> np.ndarray:
+    """``values`` as a (16,) array in ALL_OUTCOMES order, with every float entry finite.
+    Integers beyond the int64 range give an object array of Python ints, which are finite."""
+    a = np.asarray(values)
+    if a.shape != (16,):
         raise ValueError("distribution must assign a value to each of the 16 outcomes")
-    for m, v in probs.items():
-        # A Python int is finite; math.isfinite would overflow on one above ~1.8e308.
-        if not (isinstance(v, int) or math.isfinite(v)):
-            raise ValueError(f"value of outcome {m.label()} is {v!r}, not a finite number")
+    if a.dtype.kind == "f":
+        _require(np.isfinite(a), a, "value of outcome {m} is {v!r}, not a finite number")
+    return a
 
 
-def _check_probabilities(values: Iterable[float]) -> None:
-    """Sixteen probabilities, in a re-iterable collection, must be non-negative and sum to one."""
-    low = min(values)
+def _check_probabilities(p: np.ndarray) -> None:
+    """Every row of an (n, 16) array must be non-negative and sum to one."""
+    low = p.min(initial=0.0)
     if low < -PROB_TOL:
         raise ValueError(f"negative outcome probability {low:.3e}")
-    total = sum(values)
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1")
+    totals = p.sum(axis=1)
+    off = ~(np.abs(totals - 1.0) <= NORMALIZATION_TOL)
+    if off.any():
+        raise ValueError(f"probabilities sum to {totals[off][0].item()!r}, expected 1")
 
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Probabilities of the sixteen joint outcomes at given trade-off angles.
+    """Probabilities of the sixteen joint outcomes at given trade-off angles, held as a
+    read-only (16,) float array in ALL_OUTCOMES order.
 
     ``settings`` is (theta_A, theta_B) in degrees, or None for distributions
     estimated from counts where the setting is not part of the data.
     """
 
-    probs: dict[Outcome, float]
+    probs: np.ndarray
     settings: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        _check_outcome_map(self.probs)
-        _check_probabilities(self.probs.values())
+        probs = _frozen(_outcome_array(self.probs).astype(float))
+        _check_probabilities(probs[None])
+        object.__setattr__(self, "probs", probs)
 
 
 @dataclass(frozen=True)
 class QuasiDistribution:
-    """Signed quasi-probabilities of the sixteen outcomes; sums to one."""
+    """Signed quasi-probabilities of the sixteen outcomes, held as a read-only (16,)
+    float array in ALL_OUTCOMES order; sums to one."""
 
-    values: dict[Outcome, float]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_outcome_map(self.values)
-        total = sum(self.values.values())
+        values = _frozen(_outcome_array(self.values).astype(float))
+        total = values.sum().item()
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"quasi-probabilities sum to {total!r}, expected 1")
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -131,28 +156,24 @@ class VisibilityEstimate:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Non-negative coincidence counts per outcome, optionally with the
-    accumulation time in seconds."""
+    """Non-negative coincidence counts of the sixteen outcomes, held as a read-only (16,)
+    int64 array in ALL_OUTCOMES order, optionally with the accumulation time in seconds."""
 
-    counts: dict[Outcome, int]
+    counts: np.ndarray
     duration_s: float | None = None
 
     def __post_init__(self) -> None:
-        _check_outcome_map(self.counts)
+        counts = _outcome_array(self.counts)
         if self.duration_s is not None and not math.isfinite(self.duration_s):
             raise ValueError(f"duration_s must be finite, got {self.duration_s!r}")
-        clean = {}
-        for m in ALL_OUTCOMES:
-            n = self.counts[m]
-            if n != int(n) or n < 0:
-                raise ValueError(f"count for {m.label()} must be a non-negative integer, got {n!r}")
-            if n > MAX_COUNT:
-                raise ValueError(f"count for {m.label()} exceeds 2**53")
-            clean[m] = int(n)
-        object.__setattr__(self, "counts", clean)
+        # Checked before the int64 conversion, which a count above 2**63 would overflow.
+        whole = (counts >= 0) & (counts % 1 == 0)
+        _require(whole, counts, "count for {m} must be a non-negative integer, got {v!r}")
+        _require(counts <= MAX_COUNT, counts, "count for {m} exceeds 2**53")
+        object.__setattr__(self, "counts", _frozen(counts.astype(np.int64)))
 
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.counts.sum())
 
 
 def _outcome_probabilities(e_a: np.ndarray, e_b: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -175,7 +196,7 @@ def joint_distribution(
     povm_a = build_joint_povm(MeasurementSetting(theta_a_deg, "A"))
     povm_b = build_joint_povm(MeasurementSetting(theta_b_deg, "B"))
     p = _outcome_probabilities(povm_a[None], povm_b[None], state.rho)
-    return JointDistribution(dict(zip(ALL_OUTCOMES, p[0].tolist())), (theta_a_deg, theta_b_deg))
+    return JointDistribution(p[0], (theta_a_deg, theta_b_deg))
 
 
 def quasi_distribution(state: TwoQubitState) -> QuasiDistribution:
@@ -184,14 +205,15 @@ def quasi_distribution(state: TwoQubitState) -> QuasiDistribution:
     Not a physical measurement: entries can be negative for Bell-violating
     states.  Sums to one by construction.
     """
-    p = _outcome_probabilities(*_UNIT_ELEMENTS, state.rho)
-    return QuasiDistribution(dict(zip(ALL_OUTCOMES, p[0].tolist())))
+    return QuasiDistribution(_outcome_probabilities(*_UNIT_ELEMENTS, state.rho)[0])
 
 
 def aggregate_b(dist: JointDistribution) -> BAggregate:
     """Sum outcome probabilities by b-value and form mean b = 2p+ - 2p-."""
-    p_plus = sum(p for m, p in dist.probs.items() if b_value(m) == 2)
-    p_minus = sum(p for m, p in dist.probs.items() if b_value(m) == -2)
+    # Python's left-to-right sum: numpy's pairwise sum of the eight can differ in the last bit.
+    probs = dist.probs.tolist()
+    p_plus = sum(probs[i] for i in B_COLUMNS[2])
+    p_minus = sum(probs[i] for i in B_COLUMNS[-2])
     return BAggregate(p_plus=p_plus, p_minus=p_minus, mean_b=2.0 * p_plus - 2.0 * p_minus)
 
 
@@ -229,20 +251,15 @@ def sample_counts(
     numpy's frozen ``RandomState.poisson`` on a PCG64 stream seeded with ``seed``.
     """
     _check_sampling(mean_total, seed)
-    counts = _draw([dist.probs[m] for m in ALL_OUTCOMES], mean_total, seed)
-    return CountTable(counts=dict(zip(ALL_OUTCOMES, counts)), duration_s=duration_s)
+    return CountTable(_draw(dist.probs, mean_total, seed), duration_s=duration_s)
 
 
-def probabilities_from_counts(
-    table: CountTable,
-) -> tuple[JointDistribution, dict[Outcome, float]]:
+def probabilities_from_counts(table: CountTable) -> tuple[JointDistribution, np.ndarray]:
     """Relative frequencies N(m)/N with per-outcome Poisson standard errors
-    sqrt(N(m))/N."""
+    sqrt(N(m))/N, the errors as a (16,) array in ALL_OUTCOMES order."""
     total = table.total()
     _check_total(total)
-    probs = {m: table.counts[m] / total for m in ALL_OUTCOMES}
-    errors = {m: math.sqrt(table.counts[m]) / total for m in ALL_OUTCOMES}
-    return JointDistribution(probs=probs, settings=None), errors
+    return JointDistribution(table.counts / total), np.sqrt(table.counts) / total
 
 
 class SweepGrid(NamedTuple):
@@ -270,10 +287,9 @@ def sweep_grid(
     if sampled:
         _check_sampling(mean_total, seed)
     thetas = tuple(thetas)
-    vx, vy = np.array([MeasurementSetting(t, "A").visibilities for t in thetas]).reshape(-1, 2).T
+    vx, vy = unit_circle_grid(thetas)
     p = _outcome_probabilities(povm_elements("A", vx, vy), povm_elements("B", vx, vy), state.rho)
-    for row in p.tolist():
-        _check_probabilities(row)
+    _check_probabilities(p)
     if not sampled:
         return SweepGrid(thetas, p)
     counts = _draw(p.ravel(), mean_total, seed).astype(np.int64, copy=False).reshape(len(p), 16)
@@ -367,8 +383,8 @@ class CountFileError(ValueError):
 
 def format_count_table(table: CountTable) -> str:
     lines = [COUNT_FILE_HEADER]
-    for m in ALL_OUTCOMES:
-        lines.append(f"{m.x_a:+d},{m.y_a:+d},{m.x_b:+d},{m.y_b:+d},{table.counts[m]}")
+    for m, n in zip(ALL_OUTCOMES, table.counts.tolist()):
+        lines.append(f"{m.x_a:+d},{m.y_a:+d},{m.x_b:+d},{m.y_b:+d},{n}")
     if table.duration_s is not None:
         lines.append(f"{_DURATION_PREFIX}{table.duration_s!r}")
     return "\n".join(lines) + "\n"
@@ -420,7 +436,7 @@ def parse_count_table(text: str) -> CountTable:
     missing = [m for m in ALL_OUTCOMES if m not in counts]
     if missing:
         raise CountFileError(f"missing outcome {missing[0].label()}")
-    return CountTable(counts=counts, duration_s=duration)
+    return CountTable([counts[m] for m in ALL_OUTCOMES], duration_s=duration)
 
 
 def write_count_table(table: CountTable, path) -> None:

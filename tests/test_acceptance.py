@@ -123,7 +123,7 @@ def test_criterion_04_cirelson_saturation():
         (Outcome(-1, 1, 1, 1), 67.5),
         (Outcome(1, -1, -1, -1), 67.5),
     ):
-        curve = {t: dists[t].probs[m] for t in grid}
+        curve = {t: dists[t].probs[ALL_OUTCOMES.index(m)] for t in grid}
         argmin = min(curve, key=curve.get)
         near_zero = [t for t, p in curve.items() if abs(p) < 1e-10]
         ok = ok and argmin == theta_star and near_zero == [theta_star]
@@ -142,8 +142,8 @@ def test_criterion_05_oracle_equivalence():
             v = _vis(theta)
             convolved = flip_convolve(quasi, v, v)
             direct = joint_distribution(state, theta, theta)
-            for m in ALL_OUTCOMES:
-                worst = max(worst, abs(convolved.probs[m] - direct.probs[m]))
+            for i in range(16):
+                worst = max(worst, abs(convolved.probs[i] - direct.probs[i]))
     _report(
         5,
         worst < 1e-10,
@@ -159,7 +159,7 @@ def test_criterion_06_fit_reproduction():
         v = _vis(float(theta))
         dist = joint_distribution(state, float(theta), float(theta))
         for m in MINIMAL_OUTCOMES:
-            points.append((pbflip_outcome(m, v, v), dist.probs[m]))
+            points.append((pbflip_outcome(m, v, v), dist.probs[ALL_OUTCOMES.index(m)]))
     result = fit_bell_magnitude(points)
     ratio = result.bell_magnitude / CIRELSON_BOUND
     err_slope = abs(result.slope - 0.17173)
@@ -221,9 +221,9 @@ def test_criterion_09_monte_carlo_statistics():
     for seed in range(100):
         table = sample_counts(truth, mean_total, seed=seed)
         recovered, errors = probabilities_from_counts(table)
-        for m in ALL_OUTCOMES:
-            sigma = errors[m] if errors[m] > 0 else 1.0 / table.total()
-            if abs(recovered.probs[m] - truth.probs[m]) > 5.0 * sigma:
+        for i in range(16):
+            sigma = errors[i] if errors[i] > 0 else 1.0 / table.total()
+            if abs(recovered.probs[i] - truth.probs[i]) > 5.0 * sigma:
                 outlier_pairs += 1
     outlier_fraction = outlier_pairs / (100 * 16)
 

@@ -8,6 +8,7 @@ from jointbell.core import (
     CIRELSON_BOUND,
     UncertaintyViolationError,
     VisibilityPair,
+    bell_expectation,
     random_two_qubit_state,
     singlet_state,
     werner_state,
@@ -16,6 +17,7 @@ from jointbell.sim import (
     ALL_OUTCOMES,
     Outcome,
     QuasiDistribution,
+    aggregate_b,
     b_value,
     joint_distribution,
     probabilities_from_counts,
@@ -24,14 +26,12 @@ from jointbell.sim import (
 )
 from jointbell.analysis import (
     MINIMAL_OUTCOMES,
-    BitFlipModel,
     cirelson_floor,
     fit_bell_magnitude,
     flip_convolve,
     intrinsic_probs,
     pbflip_grid,
     pbflip_outcome,
-    pbflip_uniform,
     predicted_probability,
 )
 
@@ -83,13 +83,13 @@ def enumerated_pbflip(outcome: Outcome, vis_a: VisibilityPair, vis_b: Visibility
 
 
 def enumerated_convolution(
-    values: dict, vis_a: VisibilityPair, vis_b: VisibilityPair
+    values: np.ndarray, vis_a: VisibilityPair, vis_b: VisibilityPair
 ) -> dict:
     """Independent oracle: push every outcome's value through all sixteen
     flip patterns."""
     rates = _rates(vis_a, vis_b)
     probs = {m: 0.0 for m in ALL_OUTCOMES}
-    for m0, q in values.items():
+    for m0, q in zip(ALL_OUTCOMES, values.tolist()):
         for pattern in FLIP_PATTERNS:
             probs[_flipped(m0, pattern)] += _pattern_probability(rates, pattern) * q
     return probs
@@ -171,27 +171,30 @@ class TestPbflipGrid:
     def test_angles_outside_the_quarter_circle_rejected(self):
         with pytest.raises(ValueError, match="visibilities must lie in"):
             pbflip_grid([45.0, 91.0])
-        for bad in (math.nan, -1.0, 90.5):
+        for bad in (-1.0, 90.5):
             with pytest.raises(ValueError, match="visibilities must lie in"):
                 pbflip_grid([0.0, 30.0, bad, 60.0, 90.0])
+        with pytest.raises(ValueError, match="trade-off angle must be finite, got nan"):
+            pbflip_grid([0.0, 30.0, math.nan, 60.0, 90.0])
         assert pbflip_grid([]).shape == (0, 16)
+
+
+def uniform_flip(mean_b: float, bell: float) -> float:
+    """Oracle: the outcome-independent flip probability (1 - <b>/<B>)/2 of equal visibilities."""
+    return 0.5 * (1.0 - mean_b / bell)
 
 
 class TestPbflipUniform:
     def test_reported_ratio(self):
         # -1.3784 / -2*sqrt(2) = 0.48734..., flip probability 0.25633...;
         # published rounding gives 0.2565 at +-0.0005.
-        value = pbflip_uniform(-1.3784, -CIRELSON_BOUND)
-        assert value == pytest.approx(0.5 * (1.0 - 1.3784 / CIRELSON_BOUND), abs=1e-15)
-        assert value == pytest.approx(0.2565, abs=3e-4)
-
-    def test_limits(self):
-        assert pbflip_uniform(-2.0, -2.0) == pytest.approx(0.0, abs=1e-15)
-        assert pbflip_uniform(0.0, -CIRELSON_BOUND) == pytest.approx(0.5, abs=1e-15)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ValueError):
-            pbflip_uniform(0.5, 0.0)
+        assert uniform_flip(-1.3784, -CIRELSON_BOUND) == pytest.approx(0.2565, abs=3e-4)
+        # At theta = 45 deg every outcome flips at the uniform rate of the simulated <b>.
+        state = werner_state(0.975)
+        mean_b = aggregate_b(joint_distribution(state, 45.0, 45.0)).mean_b
+        expected = uniform_flip(mean_b, bell_expectation(state))
+        for m in ALL_OUTCOMES:
+            assert pbflip_outcome(m, vis(45.0), vis(45.0)) == pytest.approx(expected, abs=1e-12)
 
 
 class TestIntrinsicProbs:
@@ -259,16 +262,16 @@ class TestFlipConvolve:
     def test_identity_at_unit_visibility(self):
         quasi = quasi_distribution(werner_state(0.7))
         dist = flip_convolve(quasi, VisibilityPair(1.0, 1.0), VisibilityPair(1.0, 1.0))
-        for m in ALL_OUTCOMES:
-            assert dist.probs[m] == pytest.approx(quasi.values[m], abs=1e-15)
+        for i in range(16):
+            assert dist.probs[i] == pytest.approx(quasi.values[i], abs=1e-15)
 
     @pytest.mark.parametrize("theta", THETA_SET)
     def test_matches_joint_distribution_singlet(self, theta):
         quasi = quasi_distribution(singlet_state())
         convolved = flip_convolve(quasi, vis(theta), vis(theta))
         direct = joint_distribution(singlet_state(), theta, theta)
-        for m in ALL_OUTCOMES:
-            assert convolved.probs[m] == pytest.approx(direct.probs[m], abs=1e-10)
+        for i in range(16):
+            assert convolved.probs[i] == pytest.approx(direct.probs[i], abs=1e-10)
 
     def test_matches_joint_distribution_random_states(self):
         rng = np.random.default_rng(77)
@@ -279,8 +282,8 @@ class TestFlipConvolve:
             for theta_a, theta_b in pairs:
                 convolved = flip_convolve(quasi, vis(theta_a), vis(theta_b))
                 direct = joint_distribution(state, theta_a, theta_b)
-                for m in ALL_OUTCOMES:
-                    assert convolved.probs[m] == pytest.approx(direct.probs[m], abs=1e-12)
+                for i in range(16):
+                    assert convolved.probs[i] == pytest.approx(direct.probs[i], abs=1e-12)
 
     def test_matches_enumeration_on_table_with_xy_moment(self):
         # A state's quasi-distribution is linear in each side's x and y signs,
@@ -288,14 +291,14 @@ class TestFlipConvolve:
         rng = np.random.default_rng(340)
         raw = {m: rng.uniform(0.1, 1.0) + 0.5 * m.x_a * m.y_a for m in ALL_OUTCOMES}
         total = sum(raw.values())
-        quasi = QuasiDistribution(values={m: v / total for m, v in raw.items()})
-        assert abs(sum(v * m.x_a * m.y_a for m, v in quasi.values.items())) > 0.1
+        quasi = QuasiDistribution(values=[raw[m] / total for m in ALL_OUTCOMES])
+        assert abs(sum(v * m.x_a * m.y_a for m, v in zip(ALL_OUTCOMES, quasi.values))) > 0.1
         for _ in range(10):
             vis_a, vis_b = random_interior_pair(rng), random_interior_pair(rng)
             convolved = flip_convolve(quasi, vis_a, vis_b)
             expected = enumerated_convolution(quasi.values, vis_a, vis_b)
-            for m in ALL_OUTCOMES:
-                assert abs(convolved.probs[m] - expected[m]) < 1e-12
+            for i, m in enumerate(ALL_OUTCOMES):
+                assert abs(convolved.probs[i] - expected[m]) < 1e-12
 
     def test_settings_recorded(self):
         quasi = quasi_distribution(singlet_state())
@@ -313,22 +316,29 @@ class TestFlipConvolve:
     def test_singlet_theta45_low_entries(self):
         quasi = quasi_distribution(singlet_state())
         dist = flip_convolve(quasi, vis(45.0), vis(45.0))
-        assert dist.probs[Outcome(1, 1, 1, -1)] == pytest.approx(0.018306, abs=1e-6)
+        low = dist.probs[ALL_OUTCOMES.index(Outcome(1, 1, 1, -1))]
+        assert low == pytest.approx(0.018306, abs=1e-6)
+
+
+def two_level_prediction(
+    bell_magnitude: float, vis_a: VisibilityPair, vis_b: VisibilityPair, m: Outcome
+) -> float:
+    """Oracle: the observed probability of ``m`` under the two-level intrinsic distribution,
+    its intrinsic value mixed with the opposite level at the outcome's flip probability."""
+    high, low = intrinsic_probs(bell_magnitude)
+    pb = pbflip_outcome(m, vis_a, vis_b)
+    if b_value(m) == 2:
+        return (1.0 - pb) * low + pb * high
+    return (1.0 - pb) * high + pb * low
 
 
 class TestBitFlipModel:
     def test_predicted_matches_direct_distribution(self):
         state = werner_state(0.9716)
-        model = BitFlipModel.from_magnitude_and_visibilities(
-            0.9716 * CIRELSON_BOUND, vis(20.0), vis(20.0)
-        )
         direct = joint_distribution(state, 20.0, 20.0)
-        for m in ALL_OUTCOMES:
-            assert model.predicted(m) == pytest.approx(direct.probs[m], abs=1e-12)
-
-    def test_intrinsic_sum_enforced(self):
-        with pytest.raises(ValueError):
-            BitFlipModel(p_int_high=0.1, p_int_low=0.1, p_bflip={})
+        for i, m in enumerate(ALL_OUTCOMES):
+            predicted = two_level_prediction(0.9716 * CIRELSON_BOUND, vis(20.0), vis(20.0), m)
+            assert predicted == pytest.approx(direct.probs[i], abs=1e-12)
 
 
 def line_points(magnitude: float, pbflips) -> list[tuple[float, float]]:
@@ -415,6 +425,7 @@ class TestFit:
             observed, errors = probabilities_from_counts(table)
             v = vis(float(theta))
             for m in MINIMAL_OUTCOMES:
-                points.append((pbflip_outcome(m, v, v), observed.probs[m], errors[m]))
+                i = ALL_OUTCOMES.index(m)
+                points.append((pbflip_outcome(m, v, v), observed.probs[i], errors[i]))
         result = fit_bell_magnitude(points)
         assert abs(result.bell_magnitude - truth) < 3.0 * result.bell_magnitude_std_err

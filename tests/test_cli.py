@@ -82,7 +82,7 @@ MIXED_MATRIX = "0.25 0 0 0\n0 0.25 0 0\n0 0 0.25 0\n0 0 0 0.25\n"
 ])
 def test_non_finite_input_fails(runner, tmp_path, monkeypatch, args, fragment):
     monkeypatch.chdir(tmp_path)
-    table = format_count_table(CountTable(counts={m: 4 for m in ALL_OUTCOMES}))
+    table = format_count_table(CountTable(counts=[4] * 16))
     inputs = {
         "nan.cfg": "theta_a = nan\n", "c.csv": table, "nan.csv": table + "# duration_s=nan\n",
         "huge.csv": table.replace(",4\n", "," + "9" * 320 + "\n", 1),
@@ -122,7 +122,7 @@ def test_file_errors_fail(runner, tmp_path, monkeypatch, args, fragment):
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("x\n")
     (tmp_path / "latin1.csv").write_bytes(b"theta_deg,x_a\n\xe9\xff\n")
-    (tmp_path / "c.csv").write_text(format_count_table(CountTable({m: 4 for m in ALL_OUTCOMES})))
+    (tmp_path / "c.csv").write_text(format_count_table(CountTable([4] * 16)))
     rows = (tmp_path / "c.csv").read_text().splitlines()
     rows[2] = rows[2].replace(",4", ",\u0663")  # ARABIC-INDIC DIGIT THREE
     (tmp_path / "arabic.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
@@ -376,7 +376,7 @@ class TestCounts:
         # Imperfect source keeps the minimal outcomes at the few-hundred to
         # ~1500 count scale; the ideal singlet would sit near 135.
         for m in (Outcome(1, 1, 1, -1), Outcome(-1, -1, -1, 1)):
-            assert 600 < table.counts[m] < 1500
+            assert 600 < table.counts[ALL_OUTCOMES.index(m)] < 1500
 
     def test_ideal_singlet_near_zero(self, runner, tmp_path):
         out = tmp_path / "s.csv"
@@ -387,7 +387,7 @@ class TestCounts:
         assert result.exit_code == 0
         from jointbell.sim import read_count_table, Outcome
         table = read_count_table(out)
-        assert table.counts[Outcome(1, 1, 1, -1)] < 300
+        assert table.counts[ALL_OUTCOMES.index(Outcome(1, 1, 1, -1))] < 300
 
     @pytest.mark.parametrize("args", [
         pytest.param(["counts", "--state", "singlet", "--mean-total", "0", "--seed", "1",
@@ -445,7 +445,7 @@ class TestAnalyze:
         from jointbell.sim import b_value
 
         # 10^6 total with P(b=+2) = 0.1554 split evenly over its 8 outcomes.
-        counts = {m: 19425 if b_value(m) == 2 else 105575 for m in ALL_OUTCOMES}
+        counts = [19425 if b_value(m) == 2 else 105575 for m in ALL_OUTCOMES]
         path = tmp_path / "c.csv"
         path.write_text(format_count_table(CountTable(counts=counts)))
         report = run_json(
@@ -458,7 +458,7 @@ class TestAnalyze:
 
     def test_uniform_counts(self, runner, tmp_path):
         path = tmp_path / "u.csv"
-        path.write_text(format_count_table(CountTable(counts={m: 9 for m in ALL_OUTCOMES})))
+        path.write_text(format_count_table(CountTable(counts=[9] * 16)))
         report = run_json(runner, ["analyze", str(path), "--theta-a", "45", "--theta-b", "45"])
         assert report["mean_b"] == pytest.approx(0.0, abs=1e-12)
 
@@ -474,12 +474,13 @@ class TestAnalyze:
         for row in report["outcomes"]:
             from jointbell.sim import Outcome
             m = Outcome(row["x_a"], row["y_a"], row["x_b"], row["y_b"])
+            p = truth.probs[ALL_OUTCOMES.index(m)]
             if row["std_err"] > 0:
-                assert abs(row["probability"] - truth.probs[m]) < 5 * row["std_err"]
+                assert abs(row["probability"] - p) < 5 * row["std_err"]
 
     def test_malformed_file_names_row(self, runner, tmp_path):
         path = tmp_path / "bad.csv"
-        text = format_count_table(CountTable(counts={m: 4 for m in ALL_OUTCOMES}))
+        text = format_count_table(CountTable(counts=[4] * 16))
         lines = text.strip().splitlines()
         lines[5] = "+1,+1,oops,+1,4"
         path.write_text("\n".join(lines) + "\n")
@@ -489,7 +490,7 @@ class TestAnalyze:
 
     def test_csv_trailing_metadata(self, runner, tmp_path):
         path = tmp_path / "c.csv"
-        path.write_text(format_count_table(CountTable({m: 4 for m in ALL_OUTCOMES}, 2.5)))
+        path.write_text(format_count_table(CountTable([4] * 16, 2.5)))
         out = tmp_path / "report.csv"
         result = runner.invoke(main, [
             "analyze", str(path), "--theta-a", "120", "--theta-b", "45",
@@ -509,7 +510,7 @@ class TestAnalyze:
 
     def test_missing_outcome_named(self, runner, tmp_path):
         path = tmp_path / "short.csv"
-        text = format_count_table(CountTable(counts={m: 4 for m in ALL_OUTCOMES}))
+        text = format_count_table(CountTable(counts=[4] * 16))
         lines = text.strip().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         result = runner.invoke(main, ["analyze", str(path), "--theta-a", "45", "--theta-b", "45"])

@@ -18,7 +18,6 @@ from jointbell.core import (
     bell_expectation,
     bell_operator,
     build_joint_povm,
-    maximally_mixed_state,
     min_eigenvalue,
     observable_from_angle,
     partial_trace,
@@ -28,6 +27,7 @@ from jointbell.core import (
     random_two_qubit_state,
     side_observables,
     singlet_state,
+    unit_circle_grid,
     werner_state,
 )
 
@@ -186,6 +186,16 @@ class TestJointPovm:
     def test_setting_rejects_non_finite_angle(self, theta):
         with pytest.raises(ValueError, match="finite"):
             MeasurementSetting(theta, "A")
+        with pytest.raises(ValueError, match=f"trade-off angle must be finite, got {theta!r}"):
+            unit_circle_grid([10.0, theta, 20.0])
+
+    def test_grid_visibilities_equal_the_settings_bit_for_bit(self):
+        thetas = [0, 22.5, 45.0, *np.random.default_rng(3).uniform(-100.0, 200.0, 50)]
+        vx, vy = unit_circle_grid(thetas)
+        assert list(zip(vx.tolist(), vy.tolist())) == [
+            MeasurementSetting(float(t), "A").visibilities for t in thetas
+        ]
+        assert unit_circle_grid([]).shape == (2, 0)
 
     @pytest.mark.parametrize("side", ["A", "B"])
     def test_element_stack_matches_rotation_forms(self, side):
@@ -294,7 +304,8 @@ class TestBellOperator:
         assert np.allclose(b @ b, 4 * np.eye(4) + np.kron(comm_a, comm_b), atol=1e-12)
 
     def test_traceless_in_mixed_state(self):
-        assert bell_expectation(maximally_mixed_state()) == pytest.approx(0.0, abs=1e-12)
+        mixed = TwoQubitState(rho=np.eye(4, dtype=complex) / 4.0)
+        assert bell_expectation(mixed) == pytest.approx(0.0, abs=1e-12)
 
     def test_singlet_correlations_sum(self):
         # Each of the four correlations contributes -sqrt(2)/2.

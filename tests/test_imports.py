@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,35 @@ def test_checker_flags_an_orphaned_private_helper():
         "b.py": "from .a import _used\n\n__all__ = ['x']\nx = _LIMIT\n",
     }
     assert orphaned_private_names(sources) == ["a.py: _orphan", "a.py: _SPARE"]
+
+
+def unused_exports(init_source: str, sources: dict[str, str], readme: str) -> list[str]:
+    """Names that ``__init__.py`` re-exports but no module of ``sources`` reads and the README
+    never names."""
+    exported = [
+        alias.asname or alias.name
+        for node in ast.parse(init_source).body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [n for n in exported if n not in read and not re.search(rf"\b{n}\b", readme)]
+
+
+def test_every_export_has_a_caller_or_a_readme_entry():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    assert unused_exports(init, sources, readme) == []
+
+
+def test_checker_flags_an_unused_export():
+    init = "from .a import called, documented, spare\n"
+    sources = {"a.py": "def called(): ...\n\ndef documented(): ...\n\ndef spare(): ...\n",
+               "b.py": "from .a import called, spare\n\ncalled()\n"}
+    assert unused_exports(init, sources, "Call `documented` first.") == ["spare"]

@@ -12,4 +12,5 @@ def test_library_quickstart_runs():
     namespace: dict = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
     assert namespace["p_err"] == pytest.approx(0.1478, abs=5e-5)
+    assert namespace["dist"].probs.shape == (16,)
     assert namespace["fit"].bell_magnitude == pytest.approx(2.7476, abs=1e-9)
