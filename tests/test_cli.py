@@ -805,6 +805,60 @@ def test_report_bytes_pinned(runner, tmp_path, monkeypatch):
     assert digests == REPORT_SHA256
 
 
+# sha256 of every preset view at the default state and grids, exact and sampled with
+# --seed 3.  Figures run on the kernel path, so a change there that moves one byte fails.
+FIGURES_SHA256 = {
+    "exact/figure6_theta45.csv": "70132eb7987067587416ffb0c41a6d7f5c922798e218fb8971aaa9daa1bfd34d",
+    "exact/figure6_theta45.svg": "62bd949342267394520a43bd6ee2ce3fb98c6b75c94ef0cf84645c0ae4eb8a58",
+    "exact/figure7_theta0.csv": "5d99b8270ef09616f98d375c515eee5d842716e5b73b8668d333a994e0dd33a1",
+    "exact/figure7_theta0.svg": "60ef497761f282b5e4167dbbe5ba0567241c06cebfa378f8f84e412528a0075b",
+    "exact/figure7_theta20.csv": "6188d961f1a36c477825d85ca46f69ea0fe7a9fd9f0565ddd58fbe34b3d562e0",
+    "exact/figure7_theta20.svg": "b8d9b9aa427436cdf6b5be17853ac5ab0a21a29a70c78704db3e054f24ad6590",
+    "exact/figure7_theta40.csv": "6517ee4bb06fe23c393fd19d0f379aa427e8ca15bce00942ae217c8ecf80136f",
+    "exact/figure7_theta40.svg": "f1b952fa6ccae12b4fa98e74ff86a35653d8498551485139c62ea1daa67fdcd9",
+    "exact/figure8_theta50.csv": "bf27b4102bb4aa157544ce6f0cd53269016751de12693b7ca88f6ffb88a4f2cc",
+    "exact/figure8_theta50.svg": "d876c7160486d2a89a866b89e744bbeb673dc512d7b7aea820e8d994756d110a",
+    "exact/figure8_theta70.csv": "3a699897b3ea9ff87f6d239463cd5102810a0bf9970948808e867cde9fe008b0",
+    "exact/figure8_theta70.svg": "b540a3f0caab14d6211ce4cb840ec3ecb3e4b53426cc9a8216afecd526e179a3",
+    "exact/figure8_theta90.csv": "c48a05361bda39b6f5227acf9e476754db89498e96ad8a4c2e5075454ee21b2a",
+    "exact/figure8_theta90.svg": "37c6c618ad41628426ab9aa433dc904f8a0164cc802f4dba00c2e1e11586d9b9",
+    "exact/figure9.csv": "5ea600e8208dc71b6ef73b6c689005f33de45494293ec401216e6473f5f34a3a",
+    "exact/figure9.svg": "56c065435f9137343060a0d8ed24248c1a96b2d3339b344a44912c9e718bf279",
+    "exact/figure9_fit.json": "9cc0af9950f56d4baefeecbb8411155d7859a6b740593153b31e7a7e2c10497b",
+    "sampled/figure6_theta45.csv": "b3563cbb142bc7a49f488831f2d271756e87f9db1e378e0086bb656fdf02268f",
+    "sampled/figure6_theta45.svg": "06ead4018d09c5f467d559ee1044cff43290b0fc8f704dce9c78f941b1d43cb1",
+    "sampled/figure7_theta0.csv": "8e49824a7104d7a16e3f9970a4047aa0f0e45efbb6decf45516e6f526742f784",
+    "sampled/figure7_theta0.svg": "85500aea6a31c93dec6fc5a847e42e97d519521d324c4ff71c6b5f124bc385f9",
+    "sampled/figure7_theta20.csv": "2ad00f92db798ccb4c3ad9a1f86334ce9d9aa493da6de4b17a6d6ac47ceb070f",
+    "sampled/figure7_theta20.svg": "e7d60ef043bed5aaef27cc8e6346c2aae06980d1d93a9bbb45291569bccc09f7",
+    "sampled/figure7_theta40.csv": "e2d19d061ed962a5eb28caf2994675f849bc453735e2d8412e8eaef92b469da1",
+    "sampled/figure7_theta40.svg": "8da42a079002d384897d682a679473472f2072774a608c141bd0790eca8f7c03",
+    "sampled/figure8_theta50.csv": "f93ed275e45fcc10b12a319a2d7ae7d5506aa3b2e14091a8147fa2247dbdc925",
+    "sampled/figure8_theta50.svg": "0545cb24d97472a0762e61760d9ef1933e104398977d8e5d1c5e75b496732551",
+    "sampled/figure8_theta70.csv": "be29b21b58f36cf3ceccba05263a3711b1854c6f5e9929cbbaca74a851503a0e",
+    "sampled/figure8_theta70.svg": "5b8deaca1adb97cc84f8c1a1976cfb9a8562d38338cd95e0ea6b9c4b4cfdafcd",
+    "sampled/figure8_theta90.csv": "d5ed71480564bc2006d191962bf409e16c8b9b819f87e165150fab700ed385a9",
+    "sampled/figure8_theta90.svg": "150148cd147baa84dcf3c8d905f84a2ac56efd86a8acb5ac2dbf05786b725399",
+    "sampled/figure9.csv": "9fe714d4f9f6ac0adad49712fd6ae462f4eeaa67815585d6fcc93703ab656ccb",
+    "sampled/figure9.svg": "75ab46067983110ac411a702aebfa61c27ce5185a279f70623af7f2525467a01",
+    "sampled/figure9_fit.json": "5f5c28ee54c1ab643f2bae6b16cf1fc924fec8048222ee99cd65da48de290c29",
+}
+
+
+def test_figures_bytes_pinned(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for sub, extra in (("exact", []), ("sampled", ["--sample", "--seed", "3"])):
+        for which in ("6", "7", "8", "9"):
+            for fmt in ("csv", "svg"):
+                result = runner.invoke(main, ["figures", "--which", which, "--format", fmt,
+                                              "--out-dir", sub, *extra])
+                assert result.exit_code == 0, result.output
+    written = sorted(p.as_posix() for p in Path().rglob("*.*"))
+    assert written == sorted(FIGURES_SHA256)
+    digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in FIGURES_SHA256}
+    assert digests == FIGURES_SHA256
+
+
 class TestValidate:
     @pytest.mark.parametrize(
         "check",
