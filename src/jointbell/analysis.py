@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CIRELSON_BOUND, VisibilityPair, unit_circle_grid
+from .core import CIRELSON_BOUND, VisibilityPair, _left_sum, unit_circle_grid
 from .sim import ALL_OUTCOMES, SIGN_COLUMNS, JointDistribution, Outcome, QuasiDistribution, b_value
 
 #: Outcomes whose flip probability dips lowest over the trade-off range:
@@ -174,20 +174,20 @@ def fit_bell_magnitude(
         weights = [1.0] * n
 
     try:
-        sw = sum(weights)
-        x_bar = sum(w * x for w, x in zip(weights, xs)) / sw
-        y_bar = sum(w * y for w, y in zip(weights, ys)) / sw
-        stt = sum(w * (x - x_bar) ** 2 for w, x in zip(weights, xs))
+        sw = _left_sum(weights)
+        x_bar = _left_sum(w * x for w, x in zip(weights, xs)) / sw
+        y_bar = _left_sum(w * y for w, y in zip(weights, ys)) / sw
+        stt = _left_sum(w * (x - x_bar) ** 2 for w, x in zip(weights, xs))
         if stt <= 0:
             raise ValueError("fit requires at least two points with distinct abscissae")
-        slope = sum(w * (x - x_bar) * y for w, x, y in zip(weights, xs, ys)) / stt
+        slope = _left_sum(w * (x - x_bar) * y for w, x, y in zip(weights, xs, ys)) / stt
         intercept = y_bar - slope * x_bar
 
         var_slope = 1.0 / stt
         var_intercept = 1.0 / sw + x_bar * x_bar / stt
         if not sigmas:
             # Unweighted: scale by residual variance (unbiased, n - 2 dof).
-            ssr = sum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys))
+            ssr = _left_sum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys))
             scale = ssr / (n - 2) if n > 2 else 0.0
             var_slope *= scale
             var_intercept *= scale

@@ -30,11 +30,11 @@ from . import selfcheck
 from .analysis import MINIMAL_OUTCOMES, FitResult, fit_bell_magnitude, pbflip_grid, pbflip_outcome
 from .core import (
     CIRELSON_BOUND,
-    MeasurementSetting,
     TwoQubitState,
     VisibilityPair,
     bell_expectation,
     singlet_state,
+    unit_circle_grid,
     werner_state,
 )
 from .sim import (
@@ -264,6 +264,7 @@ def simulate(config_path, state, theta_a, theta_b, out, fmt) -> None:
     with _usage_errors():
         dist = joint_distribution(prepared, cfg.theta_a, cfg.theta_b)
     agg = aggregate_b(dist)
+    vx, vy = unit_circle_grid([cfg.theta_a, cfg.theta_b]).tolist()
     rows = [
         {**m._asdict(), "b": b_value(m), "probability": p}
         for m, p in zip(ALL_OUTCOMES, dist.probs.tolist())
@@ -272,10 +273,7 @@ def simulate(config_path, state, theta_a, theta_b, out, fmt) -> None:
         "state": cfg.state,
         "theta_a_deg": cfg.theta_a,
         "theta_b_deg": cfg.theta_b,
-        "visibilities": {
-            side.lower(): dict(zip(("vx", "vy"), MeasurementSetting(theta, side).visibilities))
-            for side, theta in (("A", cfg.theta_a), ("B", cfg.theta_b))
-        },
+        "visibilities": {side: {"vx": x, "vy": y} for side, x, y in zip("ab", vx, vy)},
         "bell_expectation": bell_expectation(prepared),
         "p_b_plus": agg.p_plus,
         "p_b_minus": agg.p_minus,

@@ -9,8 +9,10 @@ Angles are degrees in real space throughout.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Literal
+from functools import reduce
+from typing import Iterable, Literal
 
 import numpy as np
 
@@ -65,6 +67,12 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """Float sum added strictly left to right, the same on every Python version: numpy's
+    pairwise sum and the compensated ``sum()`` of Python 3.12+ can differ in the last bit."""
+    return reduce(operator.add, values, 0.0)
+
+
 @dataclass(frozen=True)
 class PolarizationObservable:
     """A +/-1 valued polarization observable.
@@ -103,10 +111,14 @@ _SIDE_BASES = {
 _ELEMENT_SIGNS = _frozen(np.array([(1, x, y) for x, y in OUTCOME_SIGNS], dtype=float))
 
 
+def _check_side(side: Side) -> None:
+    if side not in OBSERVABLE_ANGLES:
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+
+
 def side_observables(side: Side) -> tuple[PolarizationObservable, PolarizationObservable]:
     """The (X, Y) observable pair measured on one side."""
-    if side not in _SIDE_OBSERVABLES:
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    _check_side(side)
     return _SIDE_OBSERVABLES[side]
 
 
@@ -175,29 +187,6 @@ class VisibilityPair:
             )
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """Uncertainty trade-off angle theta of a joint measurement on one side.
-
-    theta = 0 is a sharp X measurement, theta = 90 a sharp Y measurement;
-    the derived visibilities (cos theta, sin theta) always lie on the
-    uncertainty-limit circle.
-    """
-
-    theta_deg: float
-    side: Side
-
-    def __post_init__(self) -> None:
-        if self.side not in OBSERVABLE_ANGLES:
-            raise ValueError(f"side must be 'A' or 'B', got {self.side!r}")
-        if not math.isfinite(self.theta_deg):
-            raise ValueError(f"trade-off angle must be finite, got {self.theta_deg!r}")
-
-    @property
-    def visibilities(self) -> tuple[float, float]:
-        return _unit_circle(self.theta_deg)
-
-
 def povm_elements(side: Side, vx, vy) -> np.ndarray:
     """Elements (I + x*vx*X + y*vy*Y)/4 of one side as a read-only (..., 4, 2, 2) stack in
     OUTCOME_SIGNS order: one contraction of the side's fixed (I, X, Y) basis.  ``vx`` and
@@ -207,16 +196,19 @@ def povm_elements(side: Side, vx, vy) -> np.ndarray:
     unphysical region is deliberately reachable so tests can confirm that
     vx**2 + vy**2 = 1 is exactly the positivity boundary.
     """
+    _check_side(side)
     weights = np.empty(np.shape(vx) + (3,))
     weights[..., 0], weights[..., 1], weights[..., 2] = 1.0, vx, vy
     coefficients = _ELEMENT_SIGNS * weights[..., None, :]
     return _frozen(0.25 * np.einsum("...ok,kab->...oab", coefficients, _SIDE_BASES[side]))
 
 
-def build_joint_povm(setting: MeasurementSetting) -> np.ndarray:
-    """Element stack of the POVM with visibilities (cos theta, sin theta) for the side's
-    observables."""
-    return povm_elements(setting.side, *setting.visibilities)
+def build_joint_povm(side: Side, thetas_deg) -> np.ndarray:
+    """Read-only (n, 4, 2, 2) element stacks of the side's joint measurements at n trade-off
+    angles: theta = 0 is a sharp X, theta = 90 a sharp Y measurement, and the visibilities
+    (cos theta, sin theta) lie on the uncertainty-limit circle.  A non-finite angle raises
+    ValueError."""
+    return povm_elements(side, *unit_circle_grid(thetas_deg))
 
 
 def povm_from_visibilities(side: Side, vis: VisibilityPair) -> np.ndarray:
@@ -316,9 +308,10 @@ def partial_trace(rho4: np.ndarray, keep: Side) -> np.ndarray:
 
 
 def polarizer_angles(
-    setting: MeasurementSetting, outcome: tuple[int, int]
+    side: Side, theta_deg: float, outcome: tuple[int, int]
 ) -> tuple[float, float]:
-    """Filter angles realizing one outcome of a joint measurement.
+    """Filter angles realizing one outcome of the joint measurement at trade-off angle
+    ``theta_deg`` on ``side``.
 
     The detected polarization starts at the X eigenstate matching the x sign
     of the outcome and is rotated by theta/2 along the shorter arc toward
@@ -328,14 +321,17 @@ def polarizer_angles(
     from its X-eigenstate orientation (a half-wave plate rotates
     polarization by twice its own angle).
     """
+    _check_side(side)
     x, y = outcome
     if x not in (1, -1) or y not in (1, -1):
         raise ValueError(f"outcome signs must be +1 or -1, got {outcome!r}")
-    angles = OBSERVABLE_ANGLES[setting.side]
+    if not math.isfinite(theta_deg):
+        raise ValueError(f"trade-off angle must be finite, got {theta_deg!r}")
+    angles = OBSERVABLE_ANGLES[side]
     x_angle = angles["x"] if x > 0 else angles["x"] + 90.0
     y_angle = angles["y"] if y > 0 else angles["y"] + 90.0
     # Signed shorter-arc distance between polarization axes (mod 180).
     d = (y_angle - x_angle + 90.0) % 180.0 - 90.0
     sign = 1.0 if d > 0 else -1.0
-    polarizer = (x_angle + sign * setting.theta_deg / 2.0) % 180.0
-    return polarizer, sign * setting.theta_deg / 4.0
+    polarizer = (x_angle + sign * theta_deg / 2.0) % 180.0
+    return polarizer, sign * theta_deg / 4.0

@@ -16,9 +16,10 @@ import numpy as np
 from .core import (
     CIRELSON_BOUND,
     OUTCOME_SIGNS,
-    MeasurementSetting,
     UncertaintyViolationError,
     VisibilityPair,
+    _frozen,
+    _left_sum,
     bell_expectation,
     bell_operator,
     build_joint_povm,
@@ -55,6 +56,8 @@ from .analysis import (
 )
 
 _THETA_SET = (0.0, 20.0, 40.0, 45.0, 50.0, 70.0, 90.0)
+#: Trade-off angles 0, 0.5, ..., 90 degrees of the POVM suites.
+_POVM_THETAS = _frozen(np.arange(0.0, 90.0 + 1e-9, 0.5))
 
 
 @dataclass(frozen=True)
@@ -67,9 +70,7 @@ class CheckResult:
 def check_povm_positivity() -> CheckResult:
     worst = 0.0
     for side in ("A", "B"):
-        for theta in np.arange(0.0, 90.0 + 1e-9, 0.5):
-            povm = build_joint_povm(MeasurementSetting(float(theta), side))
-            worst = min(worst, min_eigenvalue(povm))
+        worst = min(worst, min_eigenvalue(build_joint_povm(side, _POVM_THETAS)))
     return CheckResult(
         "povm-positivity", worst >= -1e-12, f"min element eigenvalue {worst:.2e}"
     )
@@ -78,9 +79,8 @@ def check_povm_positivity() -> CheckResult:
 def check_povm_completeness() -> CheckResult:
     worst = 0.0
     for side in ("A", "B"):
-        for theta in np.arange(0.0, 90.0 + 1e-9, 0.5):
-            povm = build_joint_povm(MeasurementSetting(float(theta), side))
-            worst = max(worst, float(np.max(np.abs(povm.sum(axis=0) - np.eye(2)))))
+        povm = build_joint_povm(side, _POVM_THETAS)
+        worst = max(worst, float(np.max(np.abs(povm.sum(axis=1) - np.eye(2)))))
     return CheckResult(
         "povm-completeness", worst <= 1e-12, f"max |sum - I| = {worst:.2e}"
     )
@@ -139,7 +139,7 @@ def check_distribution_normalization() -> CheckResult:
     worst_neg = 0.0
     for _ in range(10):
         for row in sweep_grid(random_two_qubit_state(rng), _THETA_SET).p_theory.tolist():
-            worst_sum = max(worst_sum, abs(sum(row) - 1.0))
+            worst_sum = max(worst_sum, abs(_left_sum(row) - 1.0))
             worst_neg = min(worst_neg, min(row))
     ok = worst_sum <= 1e-10 and worst_neg >= -1e-12
     return CheckResult(
@@ -156,9 +156,9 @@ def check_marginal_consistency() -> CheckResult:
         state = random_two_qubit_state(rng)
         rho_a = partial_trace(state.rho, keep="A")
         probs = joint_distribution(state, 30.0, 70.0).probs.tolist()
-        povm_a = build_joint_povm(MeasurementSetting(30.0, "A"))
+        povm_a = build_joint_povm("A", [30.0])[0]
         for (x, y), element in zip(OUTCOME_SIGNS, povm_a):
-            marginal = sum(
+            marginal = _left_sum(
                 p for m, p in zip(ALL_OUTCOMES, probs) if (m.x_a, m.y_a) == (x, y)
             )
             direct = float(np.real(np.trace(element @ rho_a)))
@@ -192,7 +192,7 @@ def check_visibility_scaling() -> CheckResult:
             c, s = math.cos(math.radians(theta)), math.sin(math.radians(theta))
             scale = {"x_a": c, "y_a": s, "x_b": c, "y_b": s}
             for (sa, sb), op in pairs.items():
-                measured = sum(
+                measured = _left_sum(
                     p * getattr(m, sa) * getattr(m, sb)
                     for m, p in zip(ALL_OUTCOMES, dist.probs.tolist())
                 )

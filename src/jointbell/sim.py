@@ -15,16 +15,15 @@ import numpy as np
 
 from .core import (
     OUTCOME_SIGNS,
-    MeasurementSetting,
     Side,
     TwoQubitState,
     _frozen,
+    _left_sum,
     build_joint_povm,
     partial_trace,
     povm_elements,
     projector,
     side_observables,
-    unit_circle_grid,
 )
 
 PROB_TOL = 1e-12
@@ -193,9 +192,8 @@ def joint_distribution(
 ) -> JointDistribution:
     """Outcome probabilities tr[(E_mA (x) E_mB) rho] of two local joint
     measurements at trade-off angles theta_A and theta_B."""
-    povm_a = build_joint_povm(MeasurementSetting(theta_a_deg, "A"))
-    povm_b = build_joint_povm(MeasurementSetting(theta_b_deg, "B"))
-    p = _outcome_probabilities(povm_a[None], povm_b[None], state.rho)
+    povm_a, povm_b = build_joint_povm("A", [theta_a_deg]), build_joint_povm("B", [theta_b_deg])
+    p = _outcome_probabilities(povm_a, povm_b, state.rho)
     return JointDistribution(p[0], (theta_a_deg, theta_b_deg))
 
 
@@ -210,10 +208,11 @@ def quasi_distribution(state: TwoQubitState) -> QuasiDistribution:
 
 def aggregate_b(dist: JointDistribution) -> BAggregate:
     """Sum outcome probabilities by b-value and form mean b = 2p+ - 2p-."""
-    # Python's left-to-right sum: numpy's pairwise sum of the eight can differ in the last bit.
+    # Left to right, not numpy's pairwise or Python 3.12's compensated sum: pinned outputs
+    # depend on the last bit of the eight-term sums.
     probs = dist.probs.tolist()
-    p_plus = sum(probs[i] for i in B_COLUMNS[2])
-    p_minus = sum(probs[i] for i in B_COLUMNS[-2])
+    p_plus = _left_sum(probs[i] for i in B_COLUMNS[2])
+    p_minus = _left_sum(probs[i] for i in B_COLUMNS[-2])
     return BAggregate(p_plus=p_plus, p_minus=p_minus, mean_b=2.0 * p_plus - 2.0 * p_minus)
 
 
@@ -287,8 +286,8 @@ def sweep_grid(
     if sampled:
         _check_sampling(mean_total, seed)
     thetas = tuple(thetas)
-    vx, vy = unit_circle_grid(thetas)
-    p = _outcome_probabilities(povm_elements("A", vx, vy), povm_elements("B", vx, vy), state.rho)
+    povm_a, povm_b = build_joint_povm("A", thetas), build_joint_povm("B", thetas)
+    p = _outcome_probabilities(povm_a, povm_b, state.rho)
     _check_probabilities(p)
     if not sampled:
         return SweepGrid(thetas, p)
@@ -335,7 +334,7 @@ def joint_visibilities(
     """
     obs_x, obs_y = side_observables(side)
     helper: Side = "B" if side == "A" else "A"
-    povm = build_joint_povm(MeasurementSetting(theta_deg, side))
+    povm = build_joint_povm(side, [theta_deg])[0]
     ratios = []
     for axis, obs in (("x", obs_x), ("y", obs_y)):
         prepared = conditional_state(state, helper, obs.plus_angle_deg + 90.0)

@@ -11,10 +11,10 @@ from jointbell.core import (
     OBSERVABLE_ANGLES,
     OUTCOME_SIGNS,
     InvalidStateError,
-    MeasurementSetting,
     TwoQubitState,
     UncertaintyViolationError,
     VisibilityPair,
+    _left_sum,
     bell_expectation,
     bell_operator,
     build_joint_povm,
@@ -109,13 +109,13 @@ class TestObservables:
 
 class TestJointPovm:
     def test_theta45_element(self):
-        povm = build_joint_povm(MeasurementSetting(45.0, "A"))
+        povm = build_joint_povm("A", [45.0])[0]
         xa, ya = side_observables("A")
         expected = 0.25 * (np.eye(2) + (ROOT2 / 2) * xa.matrix + (ROOT2 / 2) * ya.matrix)
         assert np.allclose(povm[OUTCOME_SIGNS.index((1, 1))], expected, atol=1e-15)
 
     def test_theta20_side_b_element(self):
-        povm = build_joint_povm(MeasurementSetting(20.0, "B"))
+        povm = build_joint_povm("B", [20.0])[0]
         xb, yb = side_observables("B")
         c, s = math.cos(math.radians(20.0)), math.sin(math.radians(20.0))
         expected = 0.25 * (np.eye(2) - c * xb.matrix + s * yb.matrix)
@@ -124,7 +124,7 @@ class TestJointPovm:
         assert s == pytest.approx(0.3420, abs=5e-5)
 
     def test_theta0_pairs_degenerate(self):
-        povm = build_joint_povm(MeasurementSetting(0.0, "A"))
+        povm = build_joint_povm("A", [0.0])[0]
         xa, _ = side_observables("A")
         for x in (1, -1):
             expected = 0.25 * (np.eye(2) + x * xa.matrix)
@@ -137,7 +137,7 @@ class TestJointPovm:
         side=st.sampled_from(["A", "B"]),
     )
     def test_any_angle_on_circle_is_positive(self, theta, side):
-        povm = build_joint_povm(MeasurementSetting(theta, side))
+        povm = build_joint_povm(side, [theta])[0]
         assert min_eigenvalue(povm) >= -1e-12
         assert np.max(np.abs(povm.sum(axis=0) - np.eye(2))) <= 1e-12
 
@@ -171,31 +171,47 @@ class TestJointPovm:
         for theta in np.linspace(0.0, 90.0, 181):
             vis = VisibilityPair.from_theta(float(theta))
             assert vis.theta_deg == pytest.approx(float(theta), abs=1e-12)
-            assert (vis.vx, vis.vy) == MeasurementSetting(float(theta), "B").visibilities
+            assert [[vis.vx], [vis.vy]] == unit_circle_grid([theta]).tolist()
 
     def test_from_theta_outside_quadrant_rejected(self):
         with pytest.raises(ValueError):
             VisibilityPair.from_theta(120.0)
 
     def test_setting_visibilities_on_unit_circle(self):
-        for theta in np.arange(0.0, 90.0 + 1e-9, 5.0):
-            vx, vy = MeasurementSetting(float(theta), "A").visibilities
-            assert abs(vx * vx + vy * vy - 1.0) < 1e-12
+        thetas = np.arange(0.0, 90.0 + 1e-9, 5.0)
+        vx, vy = unit_circle_grid(thetas)
+        assert np.max(np.abs(vx * vx + vy * vy - 1.0)) < 1e-12
+        # The stacks carry exactly these visibilities: +-vx on X, +-vy on Y.
+        for side in ("A", "B"):
+            stack = build_joint_povm(side, thetas)
+            assert stack.tobytes() == povm_elements(side, vx, vy).tobytes()
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_setting_rejects_non_finite_angle(self, theta):
-        with pytest.raises(ValueError, match="finite"):
-            MeasurementSetting(theta, "A")
-        with pytest.raises(ValueError, match=f"trade-off angle must be finite, got {theta!r}"):
+        message = f"trade-off angle must be finite, got {theta!r}"
+        with pytest.raises(ValueError, match=message):
+            build_joint_povm("A", [theta])
+        with pytest.raises(ValueError, match=message):
+            build_joint_povm("B", [10.0, theta, 20.0])
+        with pytest.raises(ValueError, match=message):
             unit_circle_grid([10.0, theta, 20.0])
 
     def test_grid_visibilities_equal_the_settings_bit_for_bit(self):
         thetas = [0, 22.5, 45.0, *np.random.default_rng(3).uniform(-100.0, 200.0, 50)]
         vx, vy = unit_circle_grid(thetas)
         assert list(zip(vx.tolist(), vy.tolist())) == [
-            MeasurementSetting(float(t), "A").visibilities for t in thetas
+            (math.cos(math.radians(t)), math.sin(math.radians(t))) for t in thetas
         ]
         assert unit_circle_grid([]).shape == (2, 0)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_stack_rows_equal_single_angle_builds_bit_for_bit(self, side):
+        thetas = [0.0, 22.5, 45.0, 90.0, *np.random.default_rng(12).uniform(-100.0, 200.0, 40)]
+        stack = build_joint_povm(side, thetas)
+        assert stack.shape == (len(thetas), 4, 2, 2) and not stack.flags.writeable
+        for i, theta in enumerate(thetas):
+            assert stack[i].tobytes() == build_joint_povm(side, [theta])[0].tobytes()
+        assert build_joint_povm(side, []).shape == (0, 4, 2, 2)
 
     @pytest.mark.parametrize("side", ["A", "B"])
     def test_element_stack_matches_rotation_forms(self, side):
@@ -209,8 +225,20 @@ class TestJointPovm:
                 assert np.max(np.abs(element - expected)) < 1e-15
 
     def test_setting_rejects_bad_side(self):
-        with pytest.raises(ValueError):
-            MeasurementSetting(45.0, "X")
+        with pytest.raises(ValueError, match="side must be 'A' or 'B', got 'X'"):
+            build_joint_povm("X", [45.0])
+
+    def test_povm_elements_rejects_bad_side(self):
+        with pytest.raises(ValueError, match="side must be 'A' or 'B', got 'C'"):
+            povm_elements("C", 1.0, 0.0)
+
+
+class TestLeftSum:
+    def test_adds_left_to_right_on_every_python(self):
+        # A compensated sum (math.fsum, or sum() on Python 3.12+) gives 2.0 and 1.0 here.
+        assert _left_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+        assert _left_sum(iter([0.1] * 10)) == 0.9999999999999999
+        assert _left_sum([]) == 0.0
 
 
 class TestStates:
@@ -367,23 +395,23 @@ class TestPartialTrace:
 
 class TestPolarizerAngles:
     def test_side_a_plus_plus(self):
-        pol, hwp = polarizer_angles(MeasurementSetting(20.0, "A"), (1, 1))
+        pol, hwp = polarizer_angles("A", 20.0, (1, 1))
         assert pol == pytest.approx(10.0, abs=1e-12)
         assert hwp == pytest.approx(5.0, abs=1e-12)
 
     def test_side_b_plus_plus(self):
-        pol, hwp = polarizer_angles(MeasurementSetting(20.0, "B"), (1, 1))
+        pol, hwp = polarizer_angles("B", 20.0, (1, 1))
         assert pol == pytest.approx(32.5, abs=1e-12)
         assert hwp == pytest.approx(5.0, abs=1e-12)
 
     def test_theta0_sits_on_x_eigenstates(self):
         for outcome, expected in (((1, 1), 0.0), ((1, -1), 0.0), ((-1, 1), 90.0), ((-1, -1), 90.0)):
-            pol, hwp = polarizer_angles(MeasurementSetting(0.0, "A"), outcome)
+            pol, hwp = polarizer_angles("A", 0.0, outcome)
             assert pol == pytest.approx(expected, abs=1e-12)
             assert hwp == pytest.approx(0.0, abs=1e-12)
 
     def test_shorter_arc_can_go_negative(self):
-        pol, hwp = polarizer_angles(MeasurementSetting(20.0, "A"), (1, -1))
+        pol, hwp = polarizer_angles("A", 20.0, (1, -1))
         assert pol == pytest.approx(170.0, abs=1e-12)
         assert hwp == pytest.approx(-5.0, abs=1e-12)
 
@@ -393,14 +421,20 @@ class TestPolarizerAngles:
         # The detected polarization must diagonalize x*vx*X + y*vy*Y.
         ox, oy = side_observables(side)
         x, y = outcome
-        for theta in np.arange(0.0, 90.0 + 1e-9, 7.5):
-            setting = MeasurementSetting(float(theta), side)
-            vx, vy = setting.visibilities
+        thetas = np.arange(0.0, 90.0 + 1e-9, 7.5)
+        for theta, vx, vy in zip(thetas.tolist(), *unit_circle_grid(thetas).tolist()):
             direction = x * vx * ox.matrix + y * vy * oy.matrix
-            pol, _ = polarizer_angles(setting, outcome)
+            pol, _ = polarizer_angles(side, theta, outcome)
             expected = observable_from_angle(pol).matrix
             assert np.max(np.abs(direction - expected)) < 1e-12
 
     def test_rejects_bad_signs(self):
         with pytest.raises(ValueError):
-            polarizer_angles(MeasurementSetting(10.0, "A"), (0, 1))
+            polarizer_angles("A", 10.0, (0, 1))
+
+    def test_rejects_bad_side_and_non_finite_angle(self):
+        with pytest.raises(ValueError, match="side must be 'A' or 'B', got 'X'"):
+            polarizer_angles("X", 10.0, (1, 1))
+        for theta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"trade-off angle must be finite, got {theta!r}"):
+                polarizer_angles("B", theta, (1, 1))
