@@ -103,7 +103,7 @@ def flip_convolve(
     flips = [np.array([[1.0 - r, r], [r, 1.0 - r]]) for r in rates]
     # Sign index 0 is +1 and 1 is -1 on every axis (canonical outcome order).
     p = np.einsum("ai,bj,ck,dl,ijkl->abcd", *flips, quasi.values.reshape(2, 2, 2, 2))
-    return JointDistribution(p.ravel(), settings=(vis_a.theta_deg, vis_b.theta_deg))
+    return JointDistribution(p.ravel())
 
 
 @dataclass(frozen=True)
@@ -123,55 +123,35 @@ class FitResult:
     def bell_magnitude_std_err(self) -> float:
         return 16.0 * self.slope_std_err
 
-    @property
-    def p_int_low(self) -> float:
-        return self.intercept
-
 
 def fit_bell_magnitude(
-    points: Sequence[tuple[float, ...]],
+    x: Sequence[float], y: Sequence[float], std_err: Sequence[float] | None = None
 ) -> FitResult:
-    """Least-squares line through (p_bflip, observed probability) points.
+    """Least-squares line through the points (x[i], y[i]): observed probability ``y``
+    against flip probability ``x``, three equal-length columns (lists or 1-D arrays).
 
-    Each point is ``(p_bflip, probability)`` or ``(p_bflip, probability,
-    std_err)``; standard errors must be supplied for all points or none.
-    With standard errors the fit is inverse-variance weighted and the
-    parameter errors treat the supplied uncertainties as absolute; without
-    them the parameter errors are scaled by the residual variance (zero for
-    points exactly on a line).
+    With ``std_err`` the fit is inverse-variance weighted and the parameter errors treat
+    the given uncertainties as absolute; without it the parameter errors are scaled by the
+    residual variance (zero for points exactly on a line).
     """
-    xs: list[float] = []
-    ys: list[float] = []
-    sigmas: list[float] = []
-    for point in points:
-        if len(point) == 2:
-            x, y = point
-            s = None
-        elif len(point) == 3:
-            x, y, s = point
-        else:
-            raise ValueError(f"fit points must have 2 or 3 entries, got {len(point)}")
-        xs.append(float(x))
-        ys.append(float(y))
-        if s is not None:
-            sigmas.append(float(s))
-    if sigmas and len(sigmas) != len(xs):
-        raise ValueError("standard errors must be given for all points or none")
+    xs, ys = list(map(float, x)), list(map(float, y))
+    sigmas = None if std_err is None else list(map(float, std_err))
+    n = len(xs)
+    if len(ys) != n or (sigmas is not None and len(sigmas) != n):
+        raise ValueError("x, y and std_err must have equal lengths")
     if not all(map(math.isfinite, xs + ys)):
         raise ValueError("fit points must be finite")
-    n = len(xs)
-    span = max(xs) - min(xs) if xs else 0.0
     # Relative guard: abscissae equal up to float dust are degenerate too.
-    if n < 2 or span <= 1e-12 * max(1.0, max(abs(x) for x in xs)):
+    if n < 2 or max(xs) - min(xs) <= 1e-12 * max(1.0, max(map(abs, xs))):
         raise ValueError("fit requires at least two points with distinct abscissae")
-    if sigmas:
+    if sigmas is None:
+        weights = [1.0] * n
+    else:
         if any(s <= 0 or not math.isfinite(s) for s in sigmas):
             raise ValueError("standard errors must be positive and finite")
         weights = [1.0 / (s * s) if s * s > 0 else math.inf for s in sigmas]
         if not all(0 < w < math.inf for w in weights):
             raise ValueError("weights 1/std_err**2 must be positive and finite")
-    else:
-        weights = [1.0] * n
 
     try:
         sw = _left_sum(weights)
@@ -185,7 +165,7 @@ def fit_bell_magnitude(
 
         var_slope = 1.0 / stt
         var_intercept = 1.0 / sw + x_bar * x_bar / stt
-        if not sigmas:
+        if sigmas is None:
             # Unweighted: scale by residual variance (unbiased, n - 2 dof).
             ssr = _left_sum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys))
             scale = ssr / (n - 2) if n > 2 else 0.0

@@ -413,7 +413,7 @@ def sweep(config_path, state, thetas, sample, mean_total, seed, out) -> None:
 def fit(sweepfile, out) -> None:
     """Fit the minimal-outcome line from a sweep table and report |<B>|."""
     minimal = set(MINIMAL_OUTCOMES)
-    points = []
+    xs, ys, errs = [], [], []
     with _usage_errors(f"{sweepfile}: "), open(sweepfile, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -427,17 +427,19 @@ def fit(sweepfile, out) -> None:
             row += [""] * (len(header) + 1 - len(row))
             *signs, theory, flip, obs, err = fields(row)
             if tuple(map(int, signs)) in minimal:
-                x = float(flip)
-                points.append((x, float(obs), float(err)) if obs else (x, float(theory)))
-        if len({len(p) for p in points}) > 1:
+                xs.append(float(flip))
+                ys.append(float(obs or theory))
+                if obs:
+                    errs.append(float(err))
+        if 0 < len(errs) < len(xs):
             raise click.ClickException(f"{sweepfile}: mixes sampled and exact rows")
-        result = fit_bell_magnitude(points)
+        result = fit_bell_magnitude(xs, ys, errs or None)
     report = {
         "sweep_file": str(sweepfile),
-        "n_points": len(points),
+        "n_points": len(xs),
         **_line_report(result),
         "bell_magnitude_std_err": result.bell_magnitude_std_err,
-        "p_int_low": result.p_int_low,
+        "p_int_low": result.intercept,
         "p_int_low_std_err": result.intercept_std_err,
         "cirelson_ratio": result.bell_magnitude / CIRELSON_BOUND,
         "cirelson_ratio_std_err": result.bell_magnitude_std_err / CIRELSON_BOUND,

@@ -154,11 +154,7 @@ class VisibilityPair:
 
     def __post_init__(self) -> None:
         vx, vy = self.vx, self.vy
-        if type(vx) is float:
-            inside = 0.0 <= vx <= 1.0 and 0.0 <= vy <= 1.0
-        else:
-            inside = np.all((0.0 <= vx) & (vx <= 1.0) & (0.0 <= vy) & (vy <= 1.0))
-        if not inside:
+        if not np.all((0.0 <= vx) & (vx <= 1.0) & (0.0 <= vy) & (vy <= 1.0)):
             raise ValueError(f"visibilities must lie in [0, 1], got ({vx}, {vy})")
 
     @classmethod
@@ -168,19 +164,12 @@ class VisibilityPair:
         return cls(*_unit_circle(theta_deg))
 
     @property
-    def theta_deg(self) -> float:
-        """Nominal trade-off angle atan2(vy, vx) in degrees."""
-        return math.degrees(math.atan2(self.vy, self.vx))
-
-    @property
     def radius(self) -> float:
         return math.hypot(self.vx, self.vy)
 
     def require_uncertainty_bound(self) -> None:
         """Raise unless vx**2 + vy**2 <= 1 (within POVM_TOL)."""
-        r2 = self.vx * self.vx + self.vy * self.vy
-        if type(r2) is not float:
-            r2 = np.max(r2, initial=0.0)
+        r2 = np.max(self.vx * self.vx + self.vy * self.vy, initial=0.0)
         if r2 > 1.0 + POVM_TOL:
             raise UncertaintyViolationError(
                 f"vx^2 + vy^2 = {r2:.6f} exceeds 1: no positive joint measurement"

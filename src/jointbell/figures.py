@@ -49,15 +49,16 @@ def line_points(
     grid = sweep_grid(state, thetas, mean_total, seed)
     columns = {"p_bflip": pbflip_grid(grid.thetas), "probability": grid.p_theory,
                "p_obs": grid.p_obs, "std_err": grid.std_err}
-    columns = {key: c[:, MINIMAL_COLUMNS].tolist() for key, c in columns.items() if c is not None}
+    columns = {key: c[:, MINIMAL_COLUMNS] for key, c in columns.items() if c is not None}
     points = [
         {"theta_deg": theta, **m._asdict(), **dict(zip(columns, values))}
-        for theta, *per_outcome in zip(grid.thetas, *columns.values())
+        for theta, *per_outcome in zip(grid.thetas, *(c.tolist() for c in columns.values()))
         for m, *values in zip(MINIMAL_OUTCOMES, *per_outcome)
     ]
-    fit_keys = ("p_bflip", "p_obs", "std_err") if "p_obs" in columns else ("p_bflip", "probability")
-    fit = fit_bell_magnitude([tuple(p[k] for k in fit_keys) for p in points])
-    return points, fit
+    flips = columns["p_bflip"].ravel()
+    if grid.p_obs is None:
+        return points, fit_bell_magnitude(flips, columns["probability"].ravel())
+    return points, fit_bell_magnitude(flips, columns["p_obs"].ravel(), columns["std_err"].ravel())
 
 
 # ---------------------------------------------------------------------------

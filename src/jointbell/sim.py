@@ -105,14 +105,9 @@ def _check_probabilities(p: np.ndarray) -> None:
 @dataclass(frozen=True)
 class JointDistribution:
     """Probabilities of the sixteen joint outcomes at given trade-off angles, held as a
-    read-only (16,) float array in ALL_OUTCOMES order.
-
-    ``settings`` is (theta_A, theta_B) in degrees, or None for distributions
-    estimated from counts where the setting is not part of the data.
-    """
+    read-only (16,) float array in ALL_OUTCOMES order."""
 
     probs: np.ndarray
-    settings: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         probs = _frozen(_outcome_array(self.probs).astype(float))
@@ -194,7 +189,7 @@ def joint_distribution(
     measurements at trade-off angles theta_A and theta_B."""
     povm_a, povm_b = build_joint_povm("A", [theta_a_deg]), build_joint_povm("B", [theta_b_deg])
     p = _outcome_probabilities(povm_a, povm_b, state.rho)
-    return JointDistribution(p[0], (theta_a_deg, theta_b_deg))
+    return JointDistribution(p[0])
 
 
 def quasi_distribution(state: TwoQubitState) -> QuasiDistribution:
@@ -221,7 +216,7 @@ def _check_sampling(mean_total: float, seed: int) -> None:
         raise ValueError(f"mean_total must be positive and finite, got {mean_total}")
     if mean_total > MAX_MEAN_TOTAL:
         raise ValueError(f"mean_total must be positive and at most 2**52, got {mean_total}")
-    if seed < 0 or seed != int(seed):
+    if seed is None or seed < 0 or seed != int(seed):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -279,10 +274,12 @@ def sweep_grid(
     seed: int | None = None,
 ) -> SweepGrid:
     """Exact distributions at angles theta = theta_A = theta_B from one contraction and,
-    when both ``mean_total`` and ``seed`` are given, each angle's counts with estimates
-    N(m)/N and sqrt(N(m))/N.  The counts are ``_draw`` on one stream, row after row: row 0
+    when ``mean_total`` and ``seed`` are given (one alone raises), each angle's counts
+    with estimates N(m)/N and sqrt(N(m))/N.  The counts are ``_draw`` on one stream, row after row: row 0
     is ``sample_counts`` at the first angle, and appending angles keeps the earlier rows."""
-    sampled = mean_total is not None and seed is not None
+    if (mean_total is None) != (seed is None):
+        raise ValueError("mean_total and seed must be given together")
+    sampled = mean_total is not None
     if sampled:
         _check_sampling(mean_total, seed)
     thetas = tuple(thetas)

@@ -153,13 +153,14 @@ def test_criterion_05_oracle_equivalence():
 
 def test_criterion_06_fit_reproduction():
     state = werner_state(0.9716)
-    points = []
+    xs, ys = [], []
     for theta in range(0, 91, 10):
         v = _vis(float(theta))
         dist = joint_distribution(state, float(theta), float(theta))
         for m in MINIMAL_OUTCOMES:
-            points.append((pbflip_outcome(m, v, v), dist.probs[ALL_OUTCOMES.index(m)]))
-    result = fit_bell_magnitude(points)
+            xs.append(pbflip_outcome(m, v, v))
+            ys.append(dist.probs[ALL_OUTCOMES.index(m)])
+    result = fit_bell_magnitude(xs, ys)
     ratio = result.bell_magnitude / CIRELSON_BOUND
     err_slope = abs(result.slope - 0.17173)
     err_intercept = abs(result.intercept - (-0.02336))

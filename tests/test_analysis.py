@@ -300,12 +300,6 @@ class TestFlipConvolve:
             for i, m in enumerate(ALL_OUTCOMES):
                 assert abs(convolved.probs[i] - expected[m]) < 1e-12
 
-    def test_settings_recorded(self):
-        quasi = quasi_distribution(singlet_state())
-        dist = flip_convolve(quasi, vis(20.0), vis(70.0))
-        assert dist.settings[0] == pytest.approx(20.0, abs=1e-9)
-        assert dist.settings[1] == pytest.approx(70.0, abs=1e-9)
-
     def test_unphysical_visibilities_break_positivity(self):
         # No explicit gate: the negative-probability invariant of the result
         # is what rules the region outside the uncertainty circle out.
@@ -341,34 +335,30 @@ class TestBitFlipModel:
             assert predicted == pytest.approx(direct.probs[i], abs=1e-12)
 
 
-def line_points(magnitude: float, pbflips) -> list[tuple[float, float]]:
-    return [(p, predicted_probability(magnitude, p)) for p in pbflips]
+def line_points(magnitude: float, pbflips) -> tuple[list[float], list[float]]:
+    return list(pbflips), [predicted_probability(magnitude, p) for p in pbflips]
 
 
 class TestFit:
     def test_exact_two_points(self):
-        result = fit_bell_magnitude([(0.1, 0.17 * 0.1 - 0.02), (0.3, 0.17 * 0.3 - 0.02)])
+        result = fit_bell_magnitude([0.1, 0.3], [0.17 * 0.1 - 0.02, 0.17 * 0.3 - 0.02])
         assert result.slope == pytest.approx(0.17, abs=1e-12)
         assert result.intercept == pytest.approx(-0.02, abs=1e-12)
         assert result.slope_std_err == 0.0
         assert result.intercept_std_err == 0.0
 
     def test_quoted_noiseless_points(self):
-        result = fit_bell_magnitude(line_points(2.7476, [0.14, 0.18, 0.22, 0.25]))
+        result = fit_bell_magnitude(*line_points(2.7476, [0.14, 0.18, 0.22, 0.25]))
         assert result.slope == pytest.approx(0.171725, abs=1e-6)
         assert result.intercept == pytest.approx(-0.023363, abs=1e-6)
 
     def test_noiseless_sweep_recovers_magnitude(self):
         magnitude = 0.9716 * CIRELSON_BOUND
-        points = []
-        for theta in range(0, 91, 10):
-            v = vis(float(theta))
-            for m in MINIMAL_OUTCOMES:
-                p = pbflip_outcome(m, v, v)
-                points.append((p, predicted_probability(magnitude, p)))
-        result = fit_bell_magnitude(points)
+        flips = [pbflip_outcome(m, vis(float(t)), vis(float(t)))
+                 for t in range(0, 91, 10) for m in MINIMAL_OUTCOMES]
+        result = fit_bell_magnitude(*line_points(magnitude, flips))
         assert result.bell_magnitude == pytest.approx(magnitude, abs=1e-9)
-        assert result.p_int_low == pytest.approx(intrinsic_probs(magnitude)[1], abs=1e-12)
+        assert result.intercept == pytest.approx(intrinsic_probs(magnitude)[1], abs=1e-12)
         # Scale consistency along the line: intercept = (2 - 16*slope)/32.
         assert result.intercept == pytest.approx((2.0 - 16.0 * result.slope) / 32.0, abs=1e-12)
 
@@ -376,7 +366,7 @@ class TestFit:
         xs = [0.1, 0.2, 0.4]
         ys = [0.05, 0.02, 0.11]
         sigmas = [0.01, 0.02, 0.005]
-        result = fit_bell_magnitude(list(zip(xs, ys, sigmas)))
+        result = fit_bell_magnitude(xs, ys, sigmas)
         # Independent solve of the weighted normal equations.
         w = np.array([1 / s**2 for s in sigmas])
         x = np.array(xs)
@@ -391,34 +381,44 @@ class TestFit:
         assert result.intercept_std_err == pytest.approx(math.sqrt(cov[0, 0]), abs=1e-12)
 
     def test_weighted_points_on_line_are_exact(self):
-        points = [(x, 0.17 * x - 0.02, 0.001 * (1 + i)) for i, x in enumerate([0.1, 0.2, 0.3, 0.5])]
-        result = fit_bell_magnitude(points)
+        xs = [0.1, 0.2, 0.3, 0.5]
+        sigmas = [0.001 * (1 + i) for i in range(4)]
+        result = fit_bell_magnitude(xs, [0.17 * x - 0.02 for x in xs], sigmas)
         assert result.slope == pytest.approx(0.17, abs=1e-12)
         assert result.intercept == pytest.approx(-0.02, abs=1e-12)
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            fit_bell_magnitude([(0.1, 0.2)])
+            fit_bell_magnitude([0.1], [0.2])
         with pytest.raises(ValueError):
-            fit_bell_magnitude([(0.1, 0.2), (0.1, 0.3)])
+            fit_bell_magnitude([0.1, 0.1], [0.2, 0.3])
         with pytest.raises(ValueError):
-            fit_bell_magnitude([(0.1, 0.2, 0.0), (0.2, 0.3, 0.01)])
-        with pytest.raises(ValueError):
-            fit_bell_magnitude([(0.1, 0.2, 0.01), (0.2, 0.3)])
-        with pytest.raises(ValueError):
-            fit_bell_magnitude([(0.1, 0.2, 0.01, 1.0), (0.2, 0.3, 0.01, 1.0)])
+            fit_bell_magnitude([0.1, 0.2], [0.2, 0.3], [0.0, 0.01])
+        with pytest.raises(ValueError, match="equal lengths"):
+            fit_bell_magnitude([0.1, 0.2, 0.3], [0.2, 0.3])
+        with pytest.raises(ValueError, match="equal lengths"):
+            fit_bell_magnitude([0.1, 0.2], [0.2, 0.3], [0.01])
         # Finite inputs whose weights 1/s**2 or fitted values leave the float range.
         for s in (1e-200, 1e-160, 1e200):
             with pytest.raises(ValueError, match="weights"):
-                fit_bell_magnitude([(0.1, 0.2, s), (0.2, 0.3, s), (0.3, 0.1, s)])
+                fit_bell_magnitude([0.1, 0.2, 0.3], [0.2, 0.3, 0.1], [s, s, s])
         for ys in ((1e308, -1e308, 1e308, -1e308), (1e308, -1e308, 1e308)):
             with pytest.raises(ValueError, match="not finite"):
-                fit_bell_magnitude(list(zip((0.1, 0.2, 0.3, 0.4), ys)))
+                fit_bell_magnitude((0.1, 0.2, 0.3, 0.4)[:len(ys)], ys)
+
+    def test_list_and_array_columns_agree(self):
+        xs, ys = line_points(2.7476, [0.14, 0.18, 0.22, 0.25])
+        ys = [y + 1e-4 * (-1) ** i for i, y in enumerate(ys)]
+        sigmas = [0.001, 0.002, 0.003, 0.004]
+        listed = (fit_bell_magnitude(xs, ys), fit_bell_magnitude(xs, ys, sigmas))
+        arrayed = (fit_bell_magnitude(np.array(xs), np.array(ys)),
+                   fit_bell_magnitude(np.array(xs), np.array(ys), np.array(sigmas)))
+        assert arrayed == listed
 
     def test_monte_carlo_sweep_within_reported_errors(self):
         truth = 0.9716 * CIRELSON_BOUND
         state = werner_state(0.9716)
-        points = []
+        xs, ys, sigmas = [], [], []
         for index, theta in enumerate(range(0, 91, 10)):
             dist = joint_distribution(state, float(theta), float(theta))
             table = sample_counts(dist, 5.5e5, seed=7 ^ index)
@@ -426,6 +426,8 @@ class TestFit:
             v = vis(float(theta))
             for m in MINIMAL_OUTCOMES:
                 i = ALL_OUTCOMES.index(m)
-                points.append((pbflip_outcome(m, v, v), observed.probs[i], errors[i]))
-        result = fit_bell_magnitude(points)
+                xs.append(pbflip_outcome(m, v, v))
+                ys.append(observed.probs[i])
+                sigmas.append(errors[i])
+        result = fit_bell_magnitude(xs, ys, sigmas)
         assert abs(result.bell_magnitude - truth) < 3.0 * result.bell_magnitude_std_err

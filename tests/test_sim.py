@@ -346,6 +346,8 @@ class TestSampleCounts:
             sample_counts(dist, -5.0, seed=1)
         with pytest.raises(ValueError):
             sample_counts(dist, 100.0, seed=-1)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got None"):
+            sample_counts(dist, 1e3, None)
         for mean_total in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 sample_counts(dist, mean_total, seed=1)
@@ -455,9 +457,14 @@ class TestSweepGrid:
 
     @pytest.mark.parametrize("mean_total, seed", [(None, None), (5e4, None), (None, 3)])
     def test_unsampled_sweep_carries_no_counts(self, mean_total, seed):
-        grid = sweep_grid(singlet_state(), self.THETAS, mean_total, seed)
-        assert grid.counts is None and grid.p_obs is None and grid.std_err is None
-        assert grid.p_theory.tolist() == sweep_grid(singlet_state(), self.THETAS).p_theory.tolist()
+        if mean_total is None and seed is None:
+            grid = sweep_grid(singlet_state(), self.THETAS, mean_total, seed)
+            assert grid.counts is None and grid.p_obs is None and grid.std_err is None
+            assert grid.p_theory.tolist() == sweep_grid(singlet_state(), self.THETAS).p_theory.tolist()
+        else:
+            # One of the two alone is rejected, not read as an exact sweep.
+            with pytest.raises(ValueError, match="mean_total and seed must be given together"):
+                sweep_grid(singlet_state(), self.THETAS, mean_total, seed)
 
     def test_seeded_stream_table(self):
         grid = sweep_grid(werner_state(0.9716), [10, 20], 568352, seed=7)
