@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import figures as figmod
 from . import selfcheck
-from .analysis import MINIMAL_OUTCOMES, FitResult, fit_bell_magnitude, pbflip_grid, pbflip_outcome
+from .analysis import MINIMAL_COLUMNS, FitResult, fit_bell_magnitude, pbflip_grid, pbflip_outcome
 from .core import (
     CIRELSON_BOUND,
     TwoQubitState,
@@ -40,6 +41,7 @@ from .core import (
 from .sim import (
     ALL_OUTCOMES,
     B_COLUMNS,
+    MAX_COUNT,
     SIGN_COLUMNS,
     aggregate_b,
     b_value,
@@ -142,6 +144,13 @@ def _resolve_out(out: str | None, default_name: str) -> Path:
     return Path(out) if out is not None else _output_dir() / default_name
 
 
+def _echo(message: str, nl: bool = True) -> None:
+    """``click.echo`` to the current ``sys.stdout``.  Without ``file=``, click caches a writer
+    for each ``sys.stdout`` it meets, keyed weakly but holding the stream itself, so a
+    redirected stdout (an in-process caller's buffer) would never be freed."""
+    click.echo(message, nl=nl, file=sys.stdout)
+
+
 @contextmanager
 def _usage_errors(prefix: str = ""):
     """Turn a ValueError or OSError raised in the block into a one-line error, exit 1."""
@@ -168,7 +177,7 @@ def _writing(out: Path):
                 os.replace(tmp, target)
             finally:
                 tmp.unlink(missing_ok=True)
-    click.echo(f"wrote {out}")
+    _echo(f"wrote {out}")
 
 
 def _load_config(config_path: str | None, **overrides) -> RunConfig:
@@ -210,7 +219,7 @@ def _write_output(out: Path | None, write: Callable[[TextIO], None]) -> None:
     if out is None:
         buffer = io.StringIO()
         write(buffer)
-        click.echo(buffer.getvalue(), nl=False)
+        _echo(buffer.getvalue(), nl=False)
         return
     with _writing(out) as path, open(path, "w", newline="") as fh:
         write(fh)
@@ -363,8 +372,6 @@ _OUTCOME_FIELDS = [",".join(map(str, (*m, b_value(m)))) for m in ALL_OUTCOMES]
 #: A sweep row, exact or sampled.  No field needs CSV quoting, and floats are written as
 #: their repr, as ``csv`` writes them.
 _SWEEP_ROW = {False: "%s,%s,%r,%r,,,\n", True: "%s,%s,%r,%r,%d,%r,%r\n"}
-#: The columns ``fit`` reads from every row.
-_FIT_COLUMNS = ("x_a", "y_a", "x_b", "y_b", "p_theory", "p_bflip", "p_obs", "std_err")
 
 
 @main.command()
@@ -407,33 +414,78 @@ def sweep(config_path, state, thetas, sample, mean_total, seed, out) -> None:
     _write_output(_resolve_out(cfg.out, "sweep.csv"), write)
 
 
+def _read_sweep(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The flip probabilities, the fitted probabilities and, for a sampled sweep, their
+    standard errors, each an (n, 16) array with columns in ALL_OUTCOMES order.
+
+    One ``np.loadtxt`` pass reads ``theta_deg``, the signs, ``p_bflip`` and ``counts`` (a
+    sampled sweep, whose first data row has a count) or ``p_theory`` (an exact sweep);
+    ``p_obs`` and ``std_err`` are derived from the counts as ``sweep_grid`` derives them.
+    """
+    with open(path, encoding="utf-8") as fh:
+        column = {name: i for i, name in enumerate(fh.readline().rstrip("\n").split(","))}
+        missing = [c for c in _SWEEP_COLUMNS[:8] if c not in column]
+        if missing:
+            raise ValueError(f"missing columns {missing}")
+        first = next((line for line in fh if line != "\n"), "")
+        if not first:
+            raise ValueError("holds no data rows")
+        at = column.get("counts")
+        fields = first.rstrip("\n").split(",")
+        sampled = at is not None and at < len(fields) and fields[at] != ""
+        names = (*_SWEEP_COLUMNS[:5], "p_bflip", "counts" if sampled else "p_theory")
+        try:
+            # Streamed from the file: the rows are never all held as text at once.
+            table = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None,
+                               ndmin=2, usecols=[column[name] for name in names])
+        except ValueError:
+            if sampled:
+                fh.seek(0)
+                rows = (line.rstrip("\n").split(",") for line in fh)
+                if any(at < len(row) and row[at] == "" for row in rows):
+                    raise ValueError("mixes sampled and exact rows") from None
+            raise
+    if len(table) % 16:
+        raise ValueError(f"has {len(table)} data rows, not sixteen per angle")
+    bad = ~np.isfinite(table)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        value = table[i, j].item()
+        raise ValueError(f"data row {i + 1}: {names[j]} must be finite, got {value!r}")
+    angles = table.reshape(-1, 16, 7)
+    thetas = angles[:, 0, 0]
+    bad = (angles[..., 0] != thetas[:, None]) | (angles[..., 1:5] != ALL_OUTCOMES).any(axis=2)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"data row {i + 1} must be outcome {ALL_OUTCOMES[i % 16].label()} at "
+                         f"theta_deg {thetas[i // 16].item()!r}: sixteen rows per angle in order")
+    flip, values = angles[..., 5], angles[..., 6]
+    if not sampled:
+        return flip, values, None
+    bad = ~((values >= 0) & (values % 1 == 0) & (values <= MAX_COUNT))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"data row {i + 1}: count must be an integer in [0, 2**53], "
+                         f"got {values.flat[i].item()!r}")
+    counts = values.astype(np.int64)
+    total = counts.sum(axis=1, keepdims=True)
+    if not total.all():
+        theta = thetas[np.argmin(total)].item()
+        raise ValueError(f"theta_deg {theta!r} has no counts; probabilities are undefined")
+    return flip, counts / total, np.sqrt(counts) / total
+
+
 @main.command()
 @click.argument("sweepfile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", default=None, help="Output file (default: stdout).")
 def fit(sweepfile, out) -> None:
     """Fit the minimal-outcome line from a sweep table and report |<B>|."""
-    minimal = set(MINIMAL_OUTCOMES)
-    xs, ys, errs = [], [], []
-    with _usage_errors(f"{sweepfile}: "), open(sweepfile, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in _SWEEP_COLUMNS[:8] if c not in header]
-        if missing:
-            raise click.ClickException(f"{sweepfile}: missing columns {missing}")
-        # A column missing from the header, like a field missing from a row, reads as blank.
-        column = {name: i for i, name in enumerate(header)}
-        fields = itemgetter(*(column.get(c, len(header)) for c in _FIT_COLUMNS))
-        for row in filter(None, reader):
-            row += [""] * (len(header) + 1 - len(row))
-            *signs, theory, flip, obs, err = fields(row)
-            if tuple(map(int, signs)) in minimal:
-                xs.append(float(flip))
-                ys.append(float(obs or theory))
-                if obs:
-                    errs.append(float(err))
-        if 0 < len(errs) < len(xs):
-            raise click.ClickException(f"{sweepfile}: mixes sampled and exact rows")
-        result = fit_bell_magnitude(xs, ys, errs or None)
+    # The minimal columns in file order: the order the fit's sums add the points in.
+    minimal = sorted(MINIMAL_COLUMNS)
+    with _usage_errors(f"{sweepfile}: "):
+        flip, probs, errors = _read_sweep(sweepfile)
+        xs, ys = flip[:, minimal].ravel(), probs[:, minimal].ravel()
+        result = fit_bell_magnitude(xs, ys, None if errors is None else errors[:, minimal].ravel())
     report = {
         "sweep_file": str(sweepfile),
         "n_points": len(xs),
@@ -492,11 +544,11 @@ def validate() -> None:
             r = check()
         except Exception as exc:
             name = check.__name__.removeprefix("check_").replace("_", "-")
-            click.echo(f"FAIL  {name}: raised {type(exc).__name__}: {exc}")
+            _echo(f"FAIL  {name}: raised {type(exc).__name__}: {exc}")
             continue
-        click.echo(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")
+        _echo(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")
         passed += r.passed
-    click.echo(f"{passed}/{len(selfcheck.ALL_CHECKS)} suites passed")
+    _echo(f"{passed}/{len(selfcheck.ALL_CHECKS)} suites passed")
     if passed < len(selfcheck.ALL_CHECKS):
         raise SystemExit(1)
 

@@ -163,10 +163,6 @@ class VisibilityPair:
         gives a negative component and raises ValueError."""
         return cls(*_unit_circle(theta_deg))
 
-    @property
-    def radius(self) -> float:
-        return math.hypot(self.vx, self.vy)
-
     def require_uncertainty_bound(self) -> None:
         """Raise unless vx**2 + vy**2 <= 1 (within POVM_TOL)."""
         r2 = np.max(self.vx * self.vx + self.vy * self.vy, initial=0.0)

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import gc
 import hashlib
 import html
 import io
@@ -7,6 +9,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointbell import selfcheck
+from jointbell.analysis import MINIMAL_COLUMNS, fit_bell_magnitude, pbflip_grid
 from jointbell.cli import (
     RunConfig,
     _write_json,
@@ -28,7 +32,13 @@ from jointbell.cli import (
     parse_state_spec,
 )
 from jointbell.core import CIRELSON_BOUND, werner_state
-from jointbell.sim import ALL_OUTCOMES, CountTable, format_count_table, joint_distribution
+from jointbell.sim import (
+    ALL_OUTCOMES,
+    CountTable,
+    format_count_table,
+    joint_distribution,
+    sweep_grid,
+)
 
 ROOT2 = math.sqrt(2.0)
 
@@ -181,6 +191,21 @@ def test_svg_escape_matches_html_escape():
 
     text = "a & b < c > d \"e\" 'f' &amp;"
     assert _escape(text) == html.escape(text, quote=False)
+
+
+def test_redirected_stdout_is_freed(tmp_path):
+    """Running commands in-process under a redirected stdout leaves nothing holding the
+    buffer: click's stream cache would keep every redirected stdout alive."""
+    sweep_path = tmp_path / "s.csv"
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        main(["sweep", "--thetas", "0,45", "--out", str(sweep_path)], standalone_mode=False)
+        main(["fit", str(sweep_path)], standalone_mode=False)
+    assert buffer.getvalue().startswith(f"wrote {sweep_path}\n{{\n")
+    ref = weakref.ref(buffer)
+    del buffer
+    gc.collect()
+    assert ref() is None
 
 
 def test_json_writer_rejects_nan():
@@ -587,6 +612,11 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _set_count(row, value):
+    """A sweep edit for ``TestFit._edit_data_rows``: data row ``row`` gets count ``value``."""
+    return lambda rows: [[*f[:8], value, *f[9:]] if i == row else f for i, f in enumerate(rows)]
+
+
 class TestFit:
     def _sweep(self, runner, path, state="werner:0.9716", sample=False, seed=1):
         args = [
@@ -640,33 +670,95 @@ class TestFit:
         assert result.output == f"wrote {out}\n"
         assert out.read_text() == json.dumps(report, indent=2) + "\n"
 
+    def _edit_data_rows(self, path, edit):
+        """Rewrite the sweep at ``path`` with its data rows, a list of lists of fields, replaced
+        by ``edit(rows)``; the header stays.  Row 1 is the minimal outcome (+,+;+,-) at the
+        first angle, theta 0, and field 8 is the count."""
+        header, *lines = path.read_text().splitlines()
+        rows = edit([line.split(",") for line in lines])
+        path.write_text("\n".join([header, *(",".join(row) for row in rows)]) + "\n")
+
     @pytest.mark.parametrize("edit, fragment", [
-        pytest.param(lambda f: f[:-1] + [""], "could not convert", id="blank-std-err"),
-        pytest.param(lambda f: f[:-1], "could not convert", id="short-row"),
-        pytest.param(lambda f: f[:-2] + ["nan", f[-1]], "finite", id="nan-p-obs"),
-        pytest.param(lambda f: f[:-1] + ["1e-200"], "weights", id="tiny-std-err"),
-        pytest.param(lambda f: f[:-1] + ["1e-160"], "weights", id="subnormal-variance"),
-        pytest.param(lambda f: f[:-1] + ["1e200"], "weights", id="huge-std-err"),
-        pytest.param(lambda f: f[:-2] + ["1e308", f[-1]], "not finite", id="huge-p-obs"),
+        # The first data row keeps its count, so the file stays sampled.
+        pytest.param(_set_count(17, ""), "mixes sampled and exact rows", id="blank-count"),
+        pytest.param(lambda r: [r[0], r[1][:8], *r[2:]], "column", id="short-row"),
+        pytest.param(lambda r: [*r[:16], ["# note"], *r[16:]], "could not convert",
+                     id="comment-line"),
+        pytest.param(_set_count(1, "nan"), "data row 2: counts must be finite, got nan",
+                     id="nan-count"),
+        pytest.param(_set_count(1, "1e400"), "counts must be finite, got inf", id="inf-count"),
+        pytest.param(_set_count(1, "-3"), "data row 2: count must be an integer",
+                     id="negative-count"),
+        pytest.param(_set_count(1, "1.5"), "got 1.5", id="fractional-count"),
+        pytest.param(_set_count(1, str(2**53 + 2)), "[0, 2**53]", id="huge-count"),
+        pytest.param(lambda r: [r[0], r[2], r[1], *r[3:]],
+                     "data row 2 must be outcome (+,+;+,-) at theta_deg 0.0",
+                     id="swapped-outcomes"),
+        pytest.param(lambda r: [*r[:5], ["1.5", *r[5][1:]], *r[6:]],
+                     "data row 6 must be outcome", id="theta-changes"),
+        pytest.param(lambda r: [*r[:4], r[3], *r[4:]], "has 161 data rows", id="extra-row"),
+        pytest.param(lambda r: [*r[:16], *(row[:8] + ["0"] + row[9:] for row in r[16:32]),
+                                *r[32:]], "theta_deg 10.0 has no counts", id="zero-total"),
+        pytest.param(lambda r: [], "holds no data rows", id="header-only"),
     ])
     def test_bad_sampled_row_names_file(self, runner, tmp_path, edit, fragment):
         sweep_path = tmp_path / "s.csv"
         self._sweep(runner, sweep_path, sample=True)
-        lines = sweep_path.read_text().splitlines()
-        # Rows of the minimal outcome (+,+;+,-) enter the fit.
-        i = next(i for i, line in enumerate(lines) if line.split(",")[1:5] == ["1", "1", "1", "-1"])
-        lines[i] = ",".join(edit(lines[i].split(",")))
-        sweep_path.write_text("\n".join(lines) + "\n")
+        self._edit_data_rows(sweep_path, edit)
         result = runner.invoke(main, ["fit", str(sweep_path)])
         assert_one_line_error(result, str(sweep_path), fragment)
 
-    def test_missing_std_err_column_names_file(self, runner, tmp_path):
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda f: f[:-1] + [""], id="blank-std-err"),
+        pytest.param(lambda f: f[:-1], id="short-row"),
+        pytest.param(lambda f: f[:-2] + ["nan", f[-1]], id="nan-p-obs"),
+        pytest.param(lambda f: f[:-1] + ["1e-200"], id="tiny-std-err"),
+        pytest.param(lambda f: f[:-1] + ["1e-160"], id="subnormal-variance"),
+        pytest.param(lambda f: f[:-1] + ["1e200"], id="huge-std-err"),
+        pytest.param(lambda f: f[:-2] + ["1e308", f[-1]], id="huge-p-obs"),
+    ])
+    def test_p_obs_and_std_err_edits_are_ignored(self, runner, tmp_path, edit):
+        """fit derives p_obs and std_err from the counts, so it never reads either column."""
         sweep_path = tmp_path / "s.csv"
         self._sweep(runner, sweep_path, sample=True)
-        lines = [line.rsplit(",", 1)[0] for line in sweep_path.read_text().splitlines()]
+        before = runner.invoke(main, ["fit", str(sweep_path)]).output
+        # Row 16 k + 1 is the minimal outcome (+,+;+,-) at angle k.
+        self._edit_data_rows(sweep_path, lambda r: [edit(f) if i % 16 == 1 else f
+                                                    for i, f in enumerate(r)])
+        assert runner.invoke(main, ["fit", str(sweep_path)]).output == before
+
+    def test_file_without_p_obs_and_std_err_fits(self, runner, tmp_path):
+        sweep_path = tmp_path / "s.csv"
+        self._sweep(runner, sweep_path, sample=True)
+        before = runner.invoke(main, ["fit", str(sweep_path)]).output
+        lines = [line.rsplit(",", 2)[0] for line in sweep_path.read_text().splitlines()]
+        assert lines[0].endswith(",counts")
         sweep_path.write_text("\n".join(lines) + "\n")
-        result = runner.invoke(main, ["fit", str(sweep_path)])
-        assert_one_line_error(result, str(sweep_path), "could not convert")
+        assert runner.invoke(main, ["fit", str(sweep_path)]).output == before
+
+    @pytest.mark.parametrize("sample", [False, True], ids=["exact", "sampled"])
+    def test_fit_equals_library_fit_of_sweep_grid(self, runner, tmp_path, sample):
+        """The fit of a sweep file is the library fit of ``sweep_grid``'s own arrays, bit for
+        bit: the counts give back p_obs and std_err exactly, summed in file order."""
+        thetas = [0.0, 3.25, 17.5, 22.5, 41.0, 45.0, 67.5, 80.125, 90.0]
+        mean_total, seed = (568352.0, 5) if sample else (None, None)
+        args = ["sweep", "--state", "werner:0.9716", "--thetas", ",".join(map(repr, thetas)),
+                "--out", str(tmp_path / "s.csv")]
+        if sample:
+            args += ["--sample", "--mean-total", repr(mean_total), "--seed", str(seed)]
+        assert runner.invoke(main, args).exit_code == 0
+        report = run_json(runner, ["fit", str(tmp_path / "s.csv")])
+        grid = sweep_grid(werner_state(0.9716), thetas, mean_total, seed)
+        minimal = sorted(MINIMAL_COLUMNS)
+        y = grid.p_obs if sample else grid.p_theory
+        result = fit_bell_magnitude(
+            pbflip_grid(grid.thetas)[:, minimal].ravel(), y[:, minimal].ravel(),
+            grid.std_err[:, minimal].ravel() if sample else None,
+        )
+        assert report["n_points"] == 4 * len(thetas)
+        for key in (*FIT_KEYS, "bell_magnitude_std_err"):
+            assert report[key] == getattr(result, key), key
+        assert report["p_int_low"] == result.intercept
 
     def test_missing_columns_fail(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
