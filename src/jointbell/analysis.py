@@ -11,8 +11,7 @@ flip probabilities, and the least-squares estimator of |<B>| built on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,8 +105,7 @@ def flip_convolve(
     return JointDistribution(p.ravel())
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Straight-line fit of observed probability against flip probability."""
 
     slope: float

@@ -11,6 +11,7 @@ Angles are degrees everywhere.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import itertools
 import json
@@ -19,9 +20,8 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable, NamedTuple, TextIO
 
 import click
 import numpy as np
@@ -68,8 +68,7 @@ _CONFIG_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Resolved run configuration: built-in defaults, overlaid by a config
     file, overlaid by explicit command-line flags."""
 
@@ -105,8 +104,8 @@ def parse_config_text(text: str) -> dict:
 def build_config(file_values: dict | None = None, **overrides) -> RunConfig:
     config = RunConfig()
     if file_values:
-        config = replace(config, **file_values)
-    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+        config = config._replace(**file_values)
+    config = config._replace(**{k: v for k, v in overrides.items() if v is not None})
     if config.format not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {config.format!r}")
     return config
@@ -414,6 +413,32 @@ def sweep(config_path, state, thetas, sample, mean_total, seed, out) -> None:
     _write_output(_resolve_out(cfg.out, "sweep.csv"), write)
 
 
+def _is_number(field: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``field`` as a float: ``float``'s grammar without the
+    underscores and non-ASCII digits that only ``float`` accepts."""
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return field.isascii() and "_" not in field
+
+
+def _unreadable_row(lines, columns: dict[str, int]) -> str | None:
+    """Name the first of the data ``lines`` that ``np.loadtxt`` cannot read: a field of
+    ``columns`` (name: index) that is missing or not a number.  Rows are counted from 1 with
+    blank lines skipped, as ``np.loadtxt`` and fit's other errors count them."""
+    rows = (line.rstrip("\n").split(",") for line in lines if line != "\n")
+    for r, fields in enumerate(rows, start=1):
+        for name, i in columns.items():
+            if i >= len(fields):
+                return f"data row {r}: has {len(fields)} fields, so no {name}"
+            if name == "counts" and fields[i] == "":
+                return f"data row {r}: blank counts: the file mixes sampled and exact rows"
+            if not _is_number(fields[i]):
+                return f"data row {r}: {name} must be a number, got {fields[i]!r}"
+    return None
+
+
 def _read_sweep(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The flip probabilities, the fitted probabilities and, for a sampled sweep, their
     standard errors, each an (n, 16) array with columns in ALL_OUTCOMES order.
@@ -434,16 +459,17 @@ def _read_sweep(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         fields = first.rstrip("\n").split(",")
         sampled = at is not None and at < len(fields) and fields[at] != ""
         names = (*_SWEEP_COLUMNS[:5], "p_bflip", "counts" if sampled else "p_theory")
+        usecols = [column[name] for name in names]
         try:
             # Streamed from the file: the rows are never all held as text at once.
             table = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None,
-                               ndmin=2, usecols=[column[name] for name in names])
+                               ndmin=2, usecols=usecols)
         except ValueError:
-            if sampled:
-                fh.seek(0)
-                rows = (line.rstrip("\n").split(",") for line in fh)
-                if any(at < len(row) and row[at] == "" for row in rows):
-                    raise ValueError("mixes sampled and exact rows") from None
+            fh.seek(0)
+            fh.readline()
+            bad = _unreadable_row(fh, dict(zip(names, usecols)))
+            if bad:
+                raise ValueError(bad) from None
             raise
     if len(table) % 16:
         raise ValueError(f"has {len(table)} data rows, not sixteen per angle")
@@ -553,5 +579,14 @@ def validate() -> None:
         raise SystemExit(1)
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry point of the ``jointbell`` console script and ``python -m jointbell.cli``:
+    move everything the imports built into the permanent generation, which the collections
+    at interpreter exit then skip, and run ``main``.  ``main`` itself never freezes, so an
+    in-process caller's garbage stays collectable."""
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    run()

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Literal
+from typing import Iterable, Literal, NamedTuple
 
 import numpy as np
 
@@ -73,8 +72,18 @@ def _left_sum(values: Iterable[float]) -> float:
     return reduce(operator.add, values, 0.0)
 
 
-@dataclass(frozen=True)
-class PolarizationObservable:
+class _Checked:
+    """Mixin of the validated value types.  Namedtuple's ``_make``, and with it ``_replace``,
+    builds through ``tuple.__new__`` and would skip the checks in the class's ``__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class PolarizationObservable(NamedTuple):
     """A +/-1 valued polarization observable.
 
     The +1 eigenstate is the linear polarization at ``plus_angle_deg``; the
@@ -138,8 +147,7 @@ def unit_circle_grid(thetas_deg) -> np.ndarray:
     return np.array([_unit_circle(t) for t in thetas.tolist()]).reshape(-1, 2).T
 
 
-@dataclass(frozen=True)
-class VisibilityPair:
+class VisibilityPair(_Checked, NamedTuple("VisibilityPair", [("vx", float), ("vy", float)])):
     """Measurement visibilities (V_X, V_Y) of one joint measurement.
 
     Physical joint measurements additionally satisfy vx**2 + vy**2 <= 1;
@@ -149,16 +157,15 @@ class VisibilityPair:
     also be arrays of pairs, as in ``pbflip_grid``: both checks cover each pair.
     """
 
-    vx: float
-    vy: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        vx, vy = self.vx, self.vy
+    def __new__(cls, vx: float, vy: float) -> VisibilityPair:
         if not np.all((0.0 <= vx) & (vx <= 1.0) & (0.0 <= vy) & (vy <= 1.0)):
             raise ValueError(f"visibilities must lie in [0, 1], got ({vx}, {vy})")
+        return super().__new__(cls, vx, vy)
 
     @classmethod
-    def from_theta(cls, theta_deg: float) -> "VisibilityPair":
+    def from_theta(cls, theta_deg: float) -> VisibilityPair:
         """The pair (cos theta, sin theta); theta outside [0, 90] degrees
         gives a negative component and raises ValueError."""
         return cls(*_unit_circle(theta_deg))
@@ -203,14 +210,13 @@ def povm_from_visibilities(side: Side, vis: VisibilityPair) -> np.ndarray:
     return povm_elements(side, vis.vx, vis.vy)
 
 
-@dataclass(frozen=True)
-class TwoQubitState:
-    """Two-photon polarization state as a validated 4x4 density matrix."""
+class TwoQubitState(_Checked, NamedTuple("TwoQubitState", [("rho", np.ndarray)])):
+    """Two-photon polarization state as a validated, read-only 4x4 density matrix."""
 
-    rho: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        rho = np.asarray(self.rho, dtype=complex)
+    def __new__(cls, rho: np.ndarray) -> TwoQubitState:
+        rho = np.asarray(rho, dtype=complex)
         if not np.isfinite(rho).all():
             raise InvalidStateError("density matrix entries must be finite")
         if rho.shape != (4, 4):
@@ -224,10 +230,15 @@ class TwoQubitState:
         lo = min_eigenvalue(rho)
         if lo < -STATE_TOL:
             raise InvalidStateError(f"density matrix not positive (min eigenvalue {lo:.3e})")
-        object.__setattr__(self, "rho", _frozen(rho))
+        return super().__new__(cls, _frozen(rho))
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.rho @ self.rho)))
+
+
+_SINGLET_PSI = np.array([0.0, 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), 0.0], dtype=complex)
+#: Density matrix of the singlet, built once (read-only).
+_SINGLET_RHO = _frozen(np.outer(_SINGLET_PSI, _SINGLET_PSI.conj()))
 
 
 def singlet_state() -> TwoQubitState:
@@ -236,17 +247,14 @@ def singlet_state() -> TwoQubitState:
     Anti-correlated in every parallel polarization basis; its Bell
     expectation is the extremal -2*sqrt(2).
     """
-    psi = np.zeros(4, dtype=complex)
-    psi[1] = 1.0 / math.sqrt(2.0)
-    psi[2] = -1.0 / math.sqrt(2.0)
-    return TwoQubitState(rho=np.outer(psi, psi.conj()))
+    return TwoQubitState(rho=_SINGLET_RHO)
 
 
 def werner_state(v: float) -> TwoQubitState:
     """Mixture v * singlet + (1 - v) * I/4 modelling source imperfection."""
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {v}")
-    rho = v * singlet_state().rho + (1.0 - v) * np.eye(4, dtype=complex) / 4.0
+    rho = v * _SINGLET_RHO + (1.0 - v) * np.eye(4, dtype=complex) / 4.0
     return TwoQubitState(rho=rho)
 
 

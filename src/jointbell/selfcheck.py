@@ -9,7 +9,7 @@ string.  Everything is deterministic: random states use fixed seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ _THETA_SET = (0.0, 20.0, 40.0, 45.0, 50.0, 70.0, 90.0)
 _POVM_THETAS = _frozen(np.arange(0.0, 90.0 + 1e-9, 0.5))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

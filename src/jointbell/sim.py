@@ -8,7 +8,6 @@ visibility extraction, and the plain-text count-table exchange format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -17,6 +16,7 @@ from .core import (
     OUTCOME_SIGNS,
     Side,
     TwoQubitState,
+    _Checked,
     _frozen,
     _left_sum,
     build_joint_povm,
@@ -102,36 +102,33 @@ def _check_probabilities(p: np.ndarray) -> None:
         raise ValueError(f"probabilities sum to {totals[off][0].item()!r}, expected 1")
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(_Checked, NamedTuple("JointDistribution", [("probs", np.ndarray)])):
     """Probabilities of the sixteen joint outcomes at given trade-off angles, held as a
     read-only (16,) float array in ALL_OUTCOMES order."""
 
-    probs: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        probs = _frozen(_outcome_array(self.probs).astype(float))
+    def __new__(cls, probs: np.ndarray) -> JointDistribution:
+        probs = _frozen(_outcome_array(probs).astype(float))
         _check_probabilities(probs[None])
-        object.__setattr__(self, "probs", probs)
+        return super().__new__(cls, probs)
 
 
-@dataclass(frozen=True)
-class QuasiDistribution:
+class QuasiDistribution(_Checked, NamedTuple("QuasiDistribution", [("values", np.ndarray)])):
     """Signed quasi-probabilities of the sixteen outcomes, held as a read-only (16,)
     float array in ALL_OUTCOMES order; sums to one."""
 
-    values: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        values = _frozen(_outcome_array(self.values).astype(float))
+    def __new__(cls, values: np.ndarray) -> QuasiDistribution:
+        values = _frozen(_outcome_array(values).astype(float))
         total = values.sum().item()
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"quasi-probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "values", values)
+        return super().__new__(cls, values)
 
 
-@dataclass(frozen=True)
-class BAggregate:
+class BAggregate(NamedTuple):
     """Probabilities of b = +2 / b = -2 and the resulting mean b-value."""
 
     p_plus: float
@@ -139,8 +136,7 @@ class BAggregate:
     mean_b: float
 
 
-@dataclass(frozen=True)
-class VisibilityEstimate:
+class VisibilityEstimate(NamedTuple):
     """Visibility pair extracted from simulated joint measurements."""
 
     vx: float
@@ -148,23 +144,23 @@ class VisibilityEstimate:
     radius: float
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(
+    _Checked, NamedTuple("CountTable", [("counts", np.ndarray), ("duration_s", float | None)])
+):
     """Non-negative coincidence counts of the sixteen outcomes, held as a read-only (16,)
     int64 array in ALL_OUTCOMES order, optionally with the accumulation time in seconds."""
 
-    counts: np.ndarray
-    duration_s: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        counts = _outcome_array(self.counts)
-        if self.duration_s is not None and not math.isfinite(self.duration_s):
-            raise ValueError(f"duration_s must be finite, got {self.duration_s!r}")
+    def __new__(cls, counts: np.ndarray, duration_s: float | None = None) -> CountTable:
+        counts = _outcome_array(counts)
+        if duration_s is not None and not math.isfinite(duration_s):
+            raise ValueError(f"duration_s must be finite, got {duration_s!r}")
         # Checked before the int64 conversion, which a count above 2**63 would overflow.
         whole = (counts >= 0) & (counts % 1 == 0)
         _require(whole, counts, "count for {m} must be a non-negative integer, got {v!r}")
         _require(counts <= MAX_COUNT, counts, "count for {m} exceeds 2**53")
-        object.__setattr__(self, "counts", _frozen(counts.astype(np.int64)))
+        return super().__new__(cls, _frozen(counts.astype(np.int64)), duration_s)
 
     def total(self) -> int:
         return int(self.counts.sum())

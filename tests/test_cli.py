@@ -20,7 +20,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jointbell import selfcheck
+from jointbell import cli, selfcheck
 from jointbell.analysis import MINIMAL_COLUMNS, fit_bell_magnitude, pbflip_grid
 from jointbell.cli import (
     RunConfig,
@@ -184,6 +184,14 @@ def test_import_pulls_in_no_network_modules():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_run_freezes_the_collector_then_calls_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main"))
+    cli.run()
+    assert calls == ["freeze", "main"]
 
 
 def test_svg_escape_matches_html_escape():
@@ -681,14 +689,18 @@ class TestFit:
     @pytest.mark.parametrize("edit, fragment", [
         # The first data row keeps its count, so the file stays sampled.
         pytest.param(_set_count(17, ""), "mixes sampled and exact rows", id="blank-count"),
-        pytest.param(lambda r: [r[0], r[1][:8], *r[2:]], "column", id="short-row"),
-        pytest.param(lambda r: [*r[:16], ["# note"], *r[16:]], "could not convert",
-                     id="comment-line"),
+        pytest.param(lambda r: [r[0], r[1][:8], *r[2:]], "data row 2: has 8 fields, so no counts",
+                     id="short-row"),
+        pytest.param(lambda r: [*r[:16], ["# note"], *r[16:]],
+                     "data row 17: theta_deg must be a number, got '# note'", id="comment-line"),
         pytest.param(_set_count(1, "nan"), "data row 2: counts must be finite, got nan",
                      id="nan-count"),
         pytest.param(_set_count(1, "1e400"), "counts must be finite, got inf", id="inf-count"),
         pytest.param(_set_count(1, "-3"), "data row 2: count must be an integer",
                      id="negative-count"),
+        pytest.param(_set_count(1, "1_000"), "data row 2: counts must be a number, got '1_000'",
+                     id="underscore-count"),
+        pytest.param(_set_count(1, "\u0663"), "counts must be a number", id="non-ascii-digit"),
         pytest.param(_set_count(1, "1.5"), "got 1.5", id="fractional-count"),
         pytest.param(_set_count(1, str(2**53 + 2)), "[0, 2**53]", id="huge-count"),
         pytest.param(lambda r: [r[0], r[2], r[1], *r[3:]],
@@ -965,6 +977,18 @@ class TestValidate:
         result = runner.invoke(main, ["validate"])
         assert result.exit_code == 0, result.output
         assert result.output.endswith("15/15 suites passed\n")
+
+    def test_process_entry_point_prints_what_main_prints(self, capsys):
+        """``python -m jointbell.cli`` runs through ``run``, which freezes the collector; an
+        in-process ``main`` leaves it alone and prints the same bytes."""
+        frozen = gc.get_freeze_count()
+        main(["validate"], standalone_mode=False)
+        assert gc.get_freeze_count() == frozen
+        in_process = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "jointbell.cli", "validate"],
+                              capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == in_process.encode()
 
     def test_raising_suite_fails_alone(self, monkeypatch, capsys):
         printed_before = []

@@ -1,5 +1,7 @@
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,3 +104,13 @@ def test_checker_flags_an_unused_export():
     sources = {"a.py": "def called(): ...\n\ndef documented(): ...\n\ndef spare(): ...\n",
                "b.py": "from .a import called, spare\n\ncalled()\n"}
     assert unused_exports(init, sources, "Call `documented` first.") == ["spare"]
+
+
+def test_cli_import_adds_no_dataclasses():
+    """The value types are NamedTuples: building them costs no dataclass decorators, and
+    importing the command line after numpy and click imports no ``dataclasses``."""
+    code = ("import sys, numpy, click; had = 'dataclasses' in sys.modules; import jointbell.cli; "
+            "print(not had and 'dataclasses' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "False\n"
