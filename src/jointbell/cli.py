@@ -368,9 +368,13 @@ _SWEEP_COLUMNS = (
 )
 #: The sign and b fields of a sweep's sixteen rows per angle, in ALL_OUTCOMES order.
 _OUTCOME_FIELDS = [",".join(map(str, (*m, b_value(m)))) for m in ALL_OUTCOMES]
-#: A sweep row, exact or sampled.  No field needs CSV quoting, and floats are written as
-#: their repr, as ``csv`` writes them.
-_SWEEP_ROW = {False: "%s,%s,%r,%r,,,\n", True: "%s,%s,%r,%r,%d,%r,%r\n"}
+_SWEEP_BLOCK = 16  # angles whose rows ``sweep`` formats at once, column by column
+
+
+def _reprs(values: list[float]) -> list[str]:
+    """Each value's repr, formatted once per distinct nonzero value (as keys, 0.0 == -0.0)."""
+    memo = {v: repr(v) for v in set(values) if v}
+    return [memo[v] if v else repr(v) for v in values]
 
 
 @main.command()
@@ -400,15 +404,19 @@ def sweep(config_path, state, thetas, sample, mean_total, seed, out) -> None:
         grid = sweep_grid(
             prepared, theta_list, cfg.mean_total if sample else None, cfg.seed if sample else None
         )
-    columns = (grid.p_theory, pbflip_grid(grid.thetas), grid.counts, grid.p_obs, grid.std_err)
-    columns = [c for c in columns if c is not None]
-    row_format = _SWEEP_ROW[grid.counts is not None]
+    # No field needs CSV quoting, and floats are written as their repr, as ``csv`` writes them.
+    repeating = [grid.p_theory, pbflip_grid(grid.thetas, grid.visibilities)]
+    sampled = [(grid.counts, str), (grid.p_obs, repr), (grid.std_err, repr)] if sample else []
+    tail = "\n" if sample else ",,,\n"
 
     def write(fh: TextIO) -> None:
         fh.write(",".join(_SWEEP_COLUMNS) + "\n")
-        for theta, *values in zip(map(repr, grid.thetas), *(c.tolist() for c in columns)):
-            rows = zip(_OUTCOME_FIELDS, *values)
-            fh.write("".join([row_format % ((theta,) + row) for row in rows]))
+        for i in range(0, len(grid.thetas), _SWEEP_BLOCK):
+            block = slice(i, i + _SWEEP_BLOCK)
+            cells = [[f"{t},{o}" for t in map(repr, grid.thetas[block]) for o in _OUTCOME_FIELDS],
+                     *(_reprs(c[block].ravel().tolist()) for c in repeating),
+                     *(map(f, c[block].ravel().tolist()) for c, f in sampled)]
+            fh.write("".join([",".join(row) + tail for row in zip(*cells)]))
 
     _write_output(_resolve_out(cfg.out, "sweep.csv"), write)
 
@@ -439,9 +447,9 @@ def _unreadable_row(lines, columns: dict[str, int]) -> str | None:
     return None
 
 
-def _read_sweep(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The flip probabilities, the fitted probabilities and, for a sampled sweep, their
-    standard errors, each an (n, 16) array with columns in ALL_OUTCOMES order.
+def _read_sweep(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """The n angles, and the flip probabilities, the fitted probabilities and, for a sampled
+    sweep, their standard errors, each an (n, 16) array with columns in ALL_OUTCOMES order.
 
     One ``np.loadtxt`` pass reads ``theta_deg``, the signs, ``p_bflip`` and ``counts`` (a
     sampled sweep, whose first data row has a count) or ``p_theory`` (an exact sweep);
@@ -487,7 +495,7 @@ def _read_sweep(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
                          f"theta_deg {thetas[i // 16].item()!r}: sixteen rows per angle in order")
     flip, values = angles[..., 5], angles[..., 6]
     if not sampled:
-        return flip, values, None
+        return thetas, flip, values, None
     bad = ~((values >= 0) & (values % 1 == 0) & (values <= MAX_COUNT))
     if bad.any():
         i = int(np.argmax(bad))
@@ -498,7 +506,7 @@ def _read_sweep(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     if not total.all():
         theta = thetas[np.argmin(total)].item()
         raise ValueError(f"theta_deg {theta!r} has no counts; probabilities are undefined")
-    return flip, counts / total, np.sqrt(counts) / total
+    return thetas, flip, counts / total, np.sqrt(counts) / total
 
 
 @main.command()
@@ -509,7 +517,12 @@ def fit(sweepfile, out) -> None:
     # The minimal columns in file order: the order the fit's sums add the points in.
     minimal = sorted(MINIMAL_COLUMNS)
     with _usage_errors(f"{sweepfile}: "):
-        flip, probs, errors = _read_sweep(sweepfile)
+        thetas, flip, probs, errors = _read_sweep(sweepfile)
+        if errors is not None and not errors[:, minimal].all():
+            i, j = np.argwhere(errors[:, minimal] == 0)[0]
+            raise ValueError(f"data row {16 * i + minimal[j] + 1}: outcome "
+                             f"{ALL_OUTCOMES[minimal[j]].label()} at theta_deg "
+                             f"{thetas[i].item()!r} has 0 counts, so its std_err is 0")
         xs, ys = flip[:, minimal].ravel(), probs[:, minimal].ravel()
         result = fit_bell_magnitude(xs, ys, None if errors is None else errors[:, minimal].ravel())
     report = {

@@ -31,10 +31,11 @@ from jointbell.cli import (
     parse_config_text,
     parse_state_spec,
 )
-from jointbell.core import CIRELSON_BOUND, werner_state
+from jointbell.core import CIRELSON_BOUND, random_two_qubit_state, werner_state
 from jointbell.sim import (
     ALL_OUTCOMES,
     CountTable,
+    b_value,
     format_count_table,
     joint_distribution,
     sweep_grid,
@@ -619,6 +620,55 @@ class TestSweep:
         assert runner.invoke(main, args + ["--out", str(b)]).exit_code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("sample", [False, True], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 181])
+    @pytest.mark.parametrize("state", ["werner:0.9716", "singlet", "matrix-file"])
+    def test_file_equals_rows_formatted_one_at_a_time(self, runner, tmp_path, state, n, sample):
+        """Independent writer oracle: the file ``sweep`` writes, byte for byte, is the
+        header and then one ``%`` row per (angle, outcome) of ``sweep_grid``'s arrays and
+        ``pbflip_grid``'s flips, whatever the number of angles per block of the writer."""
+        if state == "matrix-file":
+            # A random state: no two probabilities repeat, at one angle or across angles.
+            state = str(tmp_path / "rho.txt")
+            np.savetxt(state, random_two_qubit_state(np.random.default_rng(n)).rho)
+        thetas = sorted(np.random.default_rng(100 + n).uniform(0.0, 90.0, n).tolist())
+        mean_total, seed = (568352.0, n) if sample else (None, None)
+        args = ["sweep", "--state", state, "--thetas", ",".join(map(repr, thetas)),
+                "--out", str(tmp_path / "s.csv")]
+        if sample:
+            args += ["--sample", "--mean-total", repr(mean_total), "--seed", str(seed)]
+        assert runner.invoke(main, args).exit_code == 0
+
+        grid = sweep_grid(parse_state_spec(state), thetas, mean_total, seed)
+        flips = pbflip_grid(thetas).tolist()
+        expected = ["theta_deg,x_a,y_a,x_b,y_b,b,p_theory,p_bflip,counts,p_obs,std_err\n"]
+        for k, theta in enumerate(thetas):
+            for j, m in enumerate(ALL_OUTCOMES):
+                signs = "%d,%d,%d,%d,%d" % (*m, b_value(m))
+                exact = (theta, signs, grid.p_theory[k, j].item(), flips[k][j])
+                if sample:
+                    counts = (grid.counts[k, j].item(), grid.p_obs[k, j].item(),
+                              grid.std_err[k, j].item())
+                    expected.append("%s,%s,%r,%r,%d,%r,%r\n" % (*exact, *counts))
+                else:
+                    expected.append("%s,%s,%r,%r,,,\n" % exact)
+        assert (tmp_path / "s.csv").read_text() == "".join(expected)
+
+
+def test_reprs_formats_each_distinct_nonzero_value_once():
+    formatted = []
+
+    class Logged(float):
+        def __repr__(self):
+            formatted.append(float(self))
+            return float.__repr__(self)
+
+    values = [Logged(v) for v in (0.0, -0.0, 0.1, 0.1, -0.0, 1e-300)]
+    assert cli._reprs(values) == ["0.0", "-0.0", "0.1", "0.1", "-0.0", "1e-300"]
+    # Zeros are formatted each time: as dict keys 0.0 and -0.0 are one, and would share a repr.
+    assert sorted(formatted) == [0.0, -0.0, -0.0, 1e-300, 0.1]
+    assert [math.copysign(1.0, v) for v in formatted if v == 0] == [1.0, -1.0, -1.0]
+
 
 def _set_count(row, value):
     """A sweep edit for ``TestFit._edit_data_rows``: data row ``row`` gets count ``value``."""
@@ -712,6 +762,8 @@ class TestFit:
         pytest.param(lambda r: [*r[:16], *(row[:8] + ["0"] + row[9:] for row in r[16:32]),
                                 *r[32:]], "theta_deg 10.0 has no counts", id="zero-total"),
         pytest.param(lambda r: [], "holds no data rows", id="header-only"),
+        pytest.param(_set_count(1, "0"), "data row 2: outcome (+,+;+,-) at theta_deg 0.0 has 0 "
+                     "counts, so its std_err is 0", id="zero-count"),
     ])
     def test_bad_sampled_row_names_file(self, runner, tmp_path, edit, fragment):
         sweep_path = tmp_path / "s.csv"
@@ -860,12 +912,15 @@ class TestFigures:
 
 
 # sha256 of outputs for a fixed 19-angle grid: exact.csv taken before the sweep became an
-# array pipeline, sampled.csv and fit.json when a sweep's counts became one stream.  A
-# change to the kernel, the sampler or the writers that moves one byte fails.
+# array pipeline, sampled.csv and fit.json when a sweep's counts became one stream.
+# sampled181.csv, 181 angles 0, 0.5, ..., 90 that span twelve blocks of the writer, was taken
+# while the writer still formatted one row at a time.  A change to the kernel, the sampler
+# or the writers that moves one byte fails.
 PINNED_SHA256 = {
     "exact.csv": "f14d5f0ca72cd39fb8aae95f2661e330df547d7b8a79b7151b4baf72ab6ee148",
     "sampled.csv": "cea9797b81683de1e9ea813c768a6374206f9faa27aabbeaf18c67719e973b32",
     "fit.json": "01661dafeb380676844b16e8a059520d163230718f5a18e06d6033ae48a07122",
+    "sampled181.csv": "603d0e034d974ecb836026ab2fde1c5adefe733e378c012d7db15c821afba4ed",
 }
 
 
@@ -877,6 +932,9 @@ def test_sweep_and_fit_bytes_pinned(runner, tmp_path, monkeypatch):
     assert runner.invoke(main, [*sweep, "--sample", "--mean-total", "568352", "--seed", "11",
                                 "--out", "sampled.csv"]).exit_code == 0
     assert runner.invoke(main, ["fit", "sampled.csv", "--out", "fit.json"]).exit_code == 0
+    dense = ",".join(repr(t / 2) for t in range(181))
+    assert runner.invoke(main, [*sweep[:3], "--thetas", dense, "--sample", "--mean-total", "568352",
+                                "--seed", "11", "--out", "sampled181.csv"]).exit_code == 0
     digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in PINNED_SHA256}
     assert digests == PINNED_SHA256
 
