@@ -49,10 +49,10 @@ def pbflip_outcome(
     return 0.5 - b_value(outcome) * mean_flipped / 8.0
 
 
-def pbflip_grid(thetas: Sequence[float], vis: np.ndarray | None = None) -> np.ndarray:
-    """``pbflip_outcome`` of all sixteen outcomes at theta_A = theta_B = theta for n angles:
-    an (n, 16) array in ALL_OUTCOMES order.  ``vis`` is their ``unit_circle_grid``, if known."""
-    v = VisibilityPair(*(unit_circle_grid(thetas) if vis is None else vis)[..., None])
+def pbflip_grid(thetas: Sequence[float]) -> np.ndarray:
+    """``pbflip_outcome`` of all sixteen outcomes at theta_A = theta_B = theta, one call for
+    n angles: an (n, 16) array with columns in ALL_OUTCOMES order."""
+    v = VisibilityPair(*unit_circle_grid(thetas)[..., None])
     return pbflip_outcome(SIGN_COLUMNS, v, v)
 
 

@@ -372,7 +372,8 @@ _SWEEP_BLOCK = 16  # angles whose rows ``sweep`` formats at once, column by colu
 
 
 def _reprs(values: list[float]) -> list[str]:
-    """Each value's repr, formatted once per distinct nonzero value (as keys, 0.0 == -0.0)."""
+    """Each value's repr, formatted once per distinct nonzero value (as keys, 0.0 == -0.0).
+    For ``p_bflip``, which depends on theta and b alone: a block's flips take few values."""
     memo = {v: repr(v) for v in set(values) if v}
     return [memo[v] if v else repr(v) for v in values]
 
@@ -404,19 +405,19 @@ def sweep(config_path, state, thetas, sample, mean_total, seed, out) -> None:
         grid = sweep_grid(
             prepared, theta_list, cfg.mean_total if sample else None, cfg.seed if sample else None
         )
-    # No field needs CSV quoting, and floats are written as their repr, as ``csv`` writes them.
-    repeating = [grid.p_theory, pbflip_grid(grid.thetas, grid.visibilities)]
-    sampled = [(grid.counts, str), (grid.p_obs, repr), (grid.std_err, repr)] if sample else []
+    # No field needs CSV quoting, and numbers are written as their repr, as ``csv`` writes them.
+    columns = [grid.p_theory, pbflip_grid(grid.thetas)]
+    columns += [grid.counts, grid.p_obs, grid.std_err] if sample else []
     tail = "\n" if sample else ",,,\n"
 
     def write(fh: TextIO) -> None:
         fh.write(",".join(_SWEEP_COLUMNS) + "\n")
         for i in range(0, len(grid.thetas), _SWEEP_BLOCK):
             block = slice(i, i + _SWEEP_BLOCK)
+            p_theory, flips, *rest = (c[block].ravel().tolist() for c in columns)
             cells = [[f"{t},{o}" for t in map(repr, grid.thetas[block]) for o in _OUTCOME_FIELDS],
-                     *(_reprs(c[block].ravel().tolist()) for c in repeating),
-                     *(map(f, c[block].ravel().tolist()) for c, f in sampled)]
-            fh.write("".join([",".join(row) + tail for row in zip(*cells)]))
+                     map(repr, p_theory), _reprs(flips), *(map(repr, c) for c in rest)]
+            fh.write(tail.join(map(",".join, zip(*cells))) + tail)
 
     _write_output(_resolve_out(cfg.out, "sweep.csv"), write)
 

@@ -47,7 +47,7 @@ def line_points(
     """(p_bflip, probability) points for the minimal outcomes plus their
     straight-line fit (view 9)."""
     grid = sweep_grid(state, thetas, mean_total, seed)
-    columns = {"p_bflip": pbflip_grid(grid.thetas, grid.visibilities), "probability": grid.p_theory,
+    columns = {"p_bflip": pbflip_grid(grid.thetas), "probability": grid.p_theory,
                "p_obs": grid.p_obs, "std_err": grid.std_err}
     columns = {key: c[:, MINIMAL_COLUMNS] for key, c in columns.items() if c is not None}
     points = [

@@ -24,7 +24,6 @@ from .core import (
     povm_elements,
     projector,
     side_observables,
-    unit_circle_grid,
 )
 
 PROB_TOL = 1e-12
@@ -258,7 +257,6 @@ class SweepGrid(NamedTuple):
     columns in ALL_OUTCOMES order; the sampled arrays are None unless the sweep is sampled."""
 
     thetas: tuple[float, ...]
-    visibilities: np.ndarray  # (2, n): unit_circle_grid(thetas), the same on both sides
     p_theory: np.ndarray
     counts: np.ndarray | None = None
     p_obs: np.ndarray | None = None
@@ -281,15 +279,15 @@ def sweep_grid(
     if sampled:
         _check_sampling(mean_total, seed)
     thetas = tuple(thetas)
-    vis = unit_circle_grid(thetas)
-    p = _outcome_probabilities(povm_elements("A", *vis), povm_elements("B", *vis), state.rho)
+    povm_a, povm_b = build_joint_povm("A", thetas), build_joint_povm("B", thetas)
+    p = _outcome_probabilities(povm_a, povm_b, state.rho)
     _check_probabilities(p)
     if not sampled:
-        return SweepGrid(thetas, vis, p)
+        return SweepGrid(thetas, p)
     counts = _draw(p.ravel(), mean_total, seed).astype(np.int64, copy=False).reshape(len(p), 16)
     total = counts.sum(axis=1, keepdims=True)
     _check_total(total.min(initial=1))
-    return SweepGrid(thetas, vis, p, counts, counts / total, np.sqrt(counts) / total)
+    return SweepGrid(thetas, p, counts, counts / total, np.sqrt(counts) / total)
 
 
 def conditional_state(

@@ -433,9 +433,6 @@ class TestSweepGrid:
         grid = sweep_grid(state, thetas)
         for theta, row in zip(thetas, grid.p_theory.tolist()):
             assert row == joint_distribution(state, theta, theta).probs.tolist()
-        radians = list(map(math.radians, thetas))
-        assert grid.visibilities.tolist() == [[math.cos(t) for t in radians],
-                                              [math.sin(t) for t in radians]]
 
     def test_sampled_arrays_continue_one_stream(self):
         # One PCG64 stream seeded with 6 draws the means row by row, written out here
