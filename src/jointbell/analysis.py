@@ -155,6 +155,7 @@ def fit_bell_magnitude(
         sw = _left_sum(weights)
         x_bar = _left_sum(w * x for w, x in zip(weights, xs)) / sw
         y_bar = _left_sum(w * y for w, y in zip(weights, ys)) / sw
+        # Both squares stay float ``**`` (libm pow): the pinned fit.json bytes depend on it.
         stt = _left_sum(w * (x - x_bar) ** 2 for w, x in zip(weights, xs))
         if stt <= 0:
             raise ValueError("fit requires at least two points with distinct abscissae")

@@ -363,8 +363,7 @@ def _line_report(result: FitResult) -> dict[str, float]:
 
 
 _SWEEP_COLUMNS = (
-    "theta_deg", "x_a", "y_a", "x_b", "y_b", "b",
-    "p_theory", "p_bflip", "counts", "p_obs", "std_err",
+    "theta_deg", "x_a", "y_a", "x_b", "y_b", "b", "p_theory", "p_bflip", "counts",
 )
 #: The sign and b fields of a sweep's sixteen rows per angle, in ALL_OUTCOMES order.
 _OUTCOME_FIELDS = [",".join(map(str, (*m, b_value(m)))) for m in ALL_OUTCOMES]
@@ -407,8 +406,8 @@ def sweep(config_path, state, thetas, sample, mean_total, seed, out) -> None:
         )
     # No field needs CSV quoting, and numbers are written as their repr, as ``csv`` writes them.
     columns = [grid.p_theory, pbflip_grid(grid.thetas)]
-    columns += [grid.counts, grid.p_obs, grid.std_err] if sample else []
-    tail = "\n" if sample else ",,,\n"
+    columns += [grid.counts] if sample else []
+    tail = "\n" if sample else ",\n"
 
     def write(fh: TextIO) -> None:
         fh.write(",".join(_SWEEP_COLUMNS) + "\n")
@@ -453,8 +452,10 @@ def _read_sweep(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | 
     sweep, their standard errors, each an (n, 16) array with columns in ALL_OUTCOMES order.
 
     One ``np.loadtxt`` pass reads ``theta_deg``, the signs, ``p_bflip`` and ``counts`` (a
-    sampled sweep, whose first data row has a count) or ``p_theory`` (an exact sweep);
-    ``p_obs`` and ``std_err`` are derived from the counts as ``sweep_grid`` derives them.
+    sampled sweep, whose first data row has a count) or ``p_theory`` (an exact sweep), found
+    by name in the header; other columns are not read, so eleven-column files of earlier
+    versions, with ``p_obs`` and ``std_err`` after ``counts``, read the same.  The fitted
+    probabilities and errors are derived from the counts as ``sweep_grid`` derives them.
     """
     with open(path, encoding="utf-8") as fh:
         column = {name: i for i, name in enumerate(fh.readline().rstrip("\n").split(","))}

@@ -552,6 +552,30 @@ class TestAnalyze:
         assert "missing outcome (-,-;-,-)" in result.output
 
 
+def rows_one_at_a_time(grid, legacy=False):
+    """A sweep file formatted one ``%`` row at a time: the header, then one row per (angle,
+    outcome) of ``sweep_grid``'s arrays and ``pbflip_grid``'s flips.  ``legacy`` gives the
+    eleven columns that sweep files of earlier versions had: ``p_obs`` and ``std_err`` after
+    ``counts``, blank in an exact sweep."""
+    thetas = grid.thetas
+    flips = pbflip_grid(thetas).tolist()
+    header = "theta_deg,x_a,y_a,x_b,y_b,b,p_theory,p_bflip,counts"
+    lines = [header + (",p_obs,std_err\n" if legacy else "\n")]
+    for k, theta in enumerate(thetas):
+        for j, m in enumerate(ALL_OUTCOMES):
+            signs = "%d,%d,%d,%d,%d" % (*m, b_value(m))
+            exact = (theta, signs, grid.p_theory[k, j].item(), flips[k][j])
+            if grid.counts is None:
+                lines.append(("%s,%s,%r,%r,,,\n" if legacy else "%s,%s,%r,%r,\n") % exact)
+            elif legacy:
+                counts = (grid.counts[k, j].item(), grid.p_obs[k, j].item(),
+                          grid.std_err[k, j].item())
+                lines.append("%s,%s,%r,%r,%d,%r,%r\n" % (*exact, *counts))
+            else:
+                lines.append("%s,%s,%r,%r,%d\n" % (*exact, grid.counts[k, j].item()))
+    return "".join(lines)
+
+
 class TestSweep:
     def test_noiseless_shape(self, runner, tmp_path):
         out = tmp_path / "s.csv"
@@ -595,7 +619,7 @@ class TestSweep:
             assert p == pytest.approx(probs[(xa, ya, flipped[xb], yb)], abs=1e-12)
 
     def test_csv_columns_and_wrote_line(self, runner, tmp_path):
-        header = "theta_deg,x_a,y_a,x_b,y_b,b,p_theory,p_bflip,counts,p_obs,std_err"
+        header = "theta_deg,x_a,y_a,x_b,y_b,b,p_theory,p_bflip,counts"
         for sample in ([], ["--sample", "--mean-total", "1000", "--seed", "2"]):
             out = tmp_path / "nested" / "s.csv"
             result = runner.invoke(main, [
@@ -604,7 +628,7 @@ class TestSweep:
             assert result.output == f"wrote {out}\n"
             lines = out.read_text().splitlines()
             assert lines[0] == header and len(lines) == 33
-            assert lines[1].endswith(",,,") != bool(sample)
+            assert lines[1].endswith(",") != bool(sample)
 
     def test_empty_theta_list_fails(self, runner):
         result = runner.invoke(main, ["sweep", "--state", "singlet", "--thetas", " , "])
@@ -624,9 +648,8 @@ class TestSweep:
     @pytest.mark.parametrize("n", [1, 15, 16, 17, 181])
     @pytest.mark.parametrize("state", ["werner:0.9716", "singlet", "matrix-file"])
     def test_file_equals_rows_formatted_one_at_a_time(self, runner, tmp_path, state, n, sample):
-        """Independent writer oracle: the file ``sweep`` writes, byte for byte, is the
-        header and then one ``%`` row per (angle, outcome) of ``sweep_grid``'s arrays and
-        ``pbflip_grid``'s flips, whatever the number of angles per block of the writer."""
+        """Independent writer oracle: the file ``sweep`` writes, byte for byte, is the one
+        ``rows_one_at_a_time`` formats, whatever the number of angles per block of the writer."""
         if state == "matrix-file":
             # A random state: no two probabilities repeat, at one angle or across angles.
             state = str(tmp_path / "rho.txt")
@@ -640,19 +663,7 @@ class TestSweep:
         assert runner.invoke(main, args).exit_code == 0
 
         grid = sweep_grid(parse_state_spec(state), thetas, mean_total, seed)
-        flips = pbflip_grid(thetas).tolist()
-        expected = ["theta_deg,x_a,y_a,x_b,y_b,b,p_theory,p_bflip,counts,p_obs,std_err\n"]
-        for k, theta in enumerate(thetas):
-            for j, m in enumerate(ALL_OUTCOMES):
-                signs = "%d,%d,%d,%d,%d" % (*m, b_value(m))
-                exact = (theta, signs, grid.p_theory[k, j].item(), flips[k][j])
-                if sample:
-                    counts = (grid.counts[k, j].item(), grid.p_obs[k, j].item(),
-                              grid.std_err[k, j].item())
-                    expected.append("%s,%s,%r,%r,%d,%r,%r\n" % (*exact, *counts))
-                else:
-                    expected.append("%s,%s,%r,%r,,,\n" % exact)
-        assert (tmp_path / "s.csv").read_text() == "".join(expected)
+        assert (tmp_path / "s.csv").read_text() == rows_one_at_a_time(grid)
 
 
 def test_reprs_formats_each_distinct_nonzero_value_once():
@@ -685,6 +696,14 @@ class TestFit:
         if sample:
             args += ["--sample", "--mean-total", "550000", "--seed", str(seed)]
         assert runner.invoke(main, args).exit_code == 0
+
+    def _legacy_sweep(self, path, sample=False):
+        """The sweep of ``_sweep(runner, path, sample=sample)`` in the eleven-column format of
+        earlier versions."""
+        mean_total, seed = (550000.0, 1) if sample else (None, None)
+        thetas = [float(t) for t in range(0, 91, 10)]
+        grid = sweep_grid(werner_state(0.9716), thetas, mean_total, seed)
+        path.write_text(rows_one_at_a_time(grid, legacy=True))
 
     def test_noiseless_werner_sweep(self, runner, tmp_path):
         sweep_path = tmp_path / "s.csv"
@@ -782,23 +801,35 @@ class TestFit:
         pytest.param(lambda f: f[:-2] + ["1e308", f[-1]], id="huge-p-obs"),
     ])
     def test_p_obs_and_std_err_edits_are_ignored(self, runner, tmp_path, edit):
-        """fit derives p_obs and std_err from the counts, so it never reads either column."""
+        """fit derives p_obs and std_err from the counts, so it never reads either column of
+        an eleven-column file of earlier versions."""
         sweep_path = tmp_path / "s.csv"
-        self._sweep(runner, sweep_path, sample=True)
+        self._legacy_sweep(sweep_path, sample=True)
         before = runner.invoke(main, ["fit", str(sweep_path)]).output
         # Row 16 k + 1 is the minimal outcome (+,+;+,-) at angle k.
         self._edit_data_rows(sweep_path, lambda r: [edit(f) if i % 16 == 1 else f
                                                     for i, f in enumerate(r)])
         assert runner.invoke(main, ["fit", str(sweep_path)]).output == before
 
-    def test_file_without_p_obs_and_std_err_fits(self, runner, tmp_path):
-        sweep_path = tmp_path / "s.csv"
-        self._sweep(runner, sweep_path, sample=True)
-        before = runner.invoke(main, ["fit", str(sweep_path)]).output
-        lines = [line.rsplit(",", 2)[0] for line in sweep_path.read_text().splitlines()]
-        assert lines[0].endswith(",counts")
-        sweep_path.write_text("\n".join(lines) + "\n")
-        assert runner.invoke(main, ["fit", str(sweep_path)]).output == before
+    @pytest.mark.parametrize("sample", [False, True], ids=["exact", "sampled"])
+    def test_legacy_file_fits_as_the_new_file(self, runner, tmp_path, monkeypatch, sample):
+        """A sweep file ends at ``counts``; an eleven-column file of earlier versions, with
+        ``p_obs`` and ``std_err`` after it, still fits to the same report, byte for byte."""
+        (tmp_path / "new").mkdir()
+        (tmp_path / "legacy").mkdir()
+        self._sweep(runner, tmp_path / "new" / "s.csv", sample=sample)
+        self._legacy_sweep(tmp_path / "legacy" / "s.csv", sample=sample)
+        new_lines = (tmp_path / "new" / "s.csv").read_text().splitlines()
+        assert new_lines[0].endswith(",p_bflip,counts")
+        assert [line.rsplit(",", 2)[0] for line in
+                (tmp_path / "legacy" / "s.csv").read_text().splitlines()] == new_lines
+        outputs = []
+        for name in ("new", "legacy"):
+            monkeypatch.chdir(tmp_path / name)
+            result = runner.invoke(main, ["fit", "s.csv"])
+            assert result.exit_code == 0, result.output
+            outputs.append(result.output)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("sample", [False, True], ids=["exact", "sampled"])
     def test_fit_equals_library_fit_of_sweep_grid(self, runner, tmp_path, sample):
@@ -911,16 +942,16 @@ class TestFigures:
         assert result.exit_code != 0
 
 
-# sha256 of outputs for a fixed 19-angle grid: exact.csv taken before the sweep became an
-# array pipeline, sampled.csv and fit.json when a sweep's counts became one stream.
-# sampled181.csv, 181 angles 0, 0.5, ..., 90 that span twelve blocks of the writer, was taken
-# while the writer still formatted one row at a time.  A change to the kernel, the sampler
-# or the writers that moves one byte fails.
+# sha256 of outputs for a fixed 19-angle grid: fit.json taken when a sweep's counts became
+# one stream; exact.csv and sampled.csv, and sampled181.csv, 181 angles 0, 0.5, ..., 90 that
+# span twelve blocks of the writer, taken when sweep files dropped p_obs and std_err, each
+# the file of the version before cut to its first nine fields.  A change to the kernel, the
+# sampler or the writers that moves one byte fails.
 PINNED_SHA256 = {
-    "exact.csv": "f14d5f0ca72cd39fb8aae95f2661e330df547d7b8a79b7151b4baf72ab6ee148",
-    "sampled.csv": "cea9797b81683de1e9ea813c768a6374206f9faa27aabbeaf18c67719e973b32",
+    "exact.csv": "96b5dcf63af5ec5f5d1b406967c258f93bef8064a6c4b8e285cb2054b0c4e150",
+    "sampled.csv": "f0174277931dccc11806d058a409d26ceb347068ecc7a43c97a0e26fcb006334",
     "fit.json": "01661dafeb380676844b16e8a059520d163230718f5a18e06d6033ae48a07122",
-    "sampled181.csv": "603d0e034d974ecb836026ab2fde1c5adefe733e378c012d7db15c821afba4ed",
+    "sampled181.csv": "835ddb3070cf4f16898fc04898f3a0df5c98e9739462c360610726a07d31c9f7",
 }
 
 
