@@ -557,11 +557,10 @@ def rows_one_at_a_time(grid, legacy=False):
     outcome) of ``sweep_grid``'s arrays and ``pbflip_grid``'s flips.  ``legacy`` gives the
     eleven columns that sweep files of earlier versions had: ``p_obs`` and ``std_err`` after
     ``counts``, blank in an exact sweep."""
-    thetas = grid.thetas
-    flips = pbflip_grid(thetas).tolist()
+    flips = pbflip_grid(grid.thetas).tolist()
     header = "theta_deg,x_a,y_a,x_b,y_b,b,p_theory,p_bflip,counts"
     lines = [header + (",p_obs,std_err\n" if legacy else "\n")]
-    for k, theta in enumerate(thetas):
+    for k, theta in enumerate(grid.thetas):
         for j, m in enumerate(ALL_OUTCOMES):
             signs = "%d,%d,%d,%d,%d" % (*m, b_value(m))
             exact = (theta, signs, grid.p_theory[k, j].item(), flips[k][j])
