@@ -42,9 +42,11 @@ from .sim import (
     probabilities_from_counts,
     quasi_distribution,
     read_count_table,
+    read_sweep,
     sample_counts,
     sweep_grid,
     write_count_table,
+    write_sweep,
 )
 from .analysis import (
     MINIMAL_OUTCOMES,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import gc
 import io
-import itertools
 import json
 import math
 import os
@@ -41,16 +40,17 @@ from .core import (
 from .sim import (
     ALL_OUTCOMES,
     B_COLUMNS,
-    MAX_COUNT,
     SIGN_COLUMNS,
     aggregate_b,
     b_value,
     joint_distribution,
     probabilities_from_counts,
     read_count_table,
+    read_sweep,
     sample_counts,
     sweep_grid,
     write_count_table,
+    write_sweep,
 )
 
 #: Environment variable naming the directory for outputs written without
@@ -224,11 +224,11 @@ def _write_output(out: Path | None, write: Callable[[TextIO], None]) -> None:
         write(fh)
 
 
-def _emit_report(report: dict, rows_key: str, out: Path | None, fmt: str) -> None:
+def _emit_report(report: dict, out: Path | None, fmt: str) -> None:
     def write_csv(fh: TextIO) -> None:
-        _write_csv(fh, report[rows_key])
+        _write_csv(fh, report["outcomes"])
         for key, value in report.items():
-            if key != rows_key and not isinstance(value, (dict, list)):
+            if key != "outcomes" and not isinstance(value, (dict, list)):
                 fh.write(f"# {key}={value}\n")
 
     _write_output(out, (lambda fh: _write_json(fh, report)) if fmt == "json" else write_csv)
@@ -289,7 +289,7 @@ def simulate(config_path, state, theta_a, theta_b, out, fmt) -> None:
         "p_bflip": _pbflip_table(cfg.theta_a, cfg.theta_b),
         "outcomes": rows,
     }
-    _emit_report(report, "outcomes", Path(cfg.out) if cfg.out else None, cfg.format)
+    _emit_report(report, Path(cfg.out) if cfg.out else None, cfg.format)
 
 
 @main.command()
@@ -353,28 +353,13 @@ def analyze(countfile, theta_a, theta_b, out, fmt) -> None:
         "p_bflip": _pbflip_table(theta_a, theta_b),
         "outcomes": rows,
     }
-    _emit_report(report, "outcomes", Path(out) if out else None, fmt or "json")
+    _emit_report(report, Path(out) if out else None, fmt or "json")
 
 
 def _line_report(result: FitResult) -> dict[str, float]:
     """The fitted line and |<B>|: all of ``figure9_fit.json``, the head of ``fit``'s report."""
     keys = ("slope", "slope_std_err", "intercept", "intercept_std_err", "bell_magnitude")
     return {key: getattr(result, key) for key in keys}
-
-
-_SWEEP_COLUMNS = (
-    "theta_deg", "x_a", "y_a", "x_b", "y_b", "b", "p_theory", "p_bflip", "counts",
-)
-#: The sign and b fields of a sweep's sixteen rows per angle, in ALL_OUTCOMES order.
-_OUTCOME_FIELDS = [",".join(map(str, (*m, b_value(m)))) for m in ALL_OUTCOMES]
-_SWEEP_BLOCK = 16  # angles whose rows ``sweep`` formats at once, column by column
-
-
-def _reprs(values: list[float]) -> list[str]:
-    """Each value's repr, formatted once per distinct nonzero value (as keys, 0.0 == -0.0).
-    For ``p_bflip``, which depends on theta and b alone: a block's flips take few values."""
-    memo = {v: repr(v) for v in set(values) if v}
-    return [memo[v] if v else repr(v) for v in values]
 
 
 @main.command()
@@ -404,111 +389,8 @@ def sweep(config_path, state, thetas, sample, mean_total, seed, out) -> None:
         grid = sweep_grid(
             prepared, theta_list, cfg.mean_total if sample else None, cfg.seed if sample else None
         )
-    # No field needs CSV quoting, and numbers are written as their repr, as ``csv`` writes them.
-    columns = [grid.p_theory, pbflip_grid(grid.thetas)]
-    columns += [grid.counts] if sample else []
-    tail = "\n" if sample else ",\n"
-
-    def write(fh: TextIO) -> None:
-        fh.write(",".join(_SWEEP_COLUMNS) + "\n")
-        for i in range(0, len(grid.thetas), _SWEEP_BLOCK):
-            block = slice(i, i + _SWEEP_BLOCK)
-            p_theory, flips, *rest = (c[block].ravel().tolist() for c in columns)
-            cells = [[f"{t},{o}" for t in map(repr, grid.thetas[block]) for o in _OUTCOME_FIELDS],
-                     map(repr, p_theory), _reprs(flips), *(map(repr, c) for c in rest)]
-            fh.write(tail.join(map(",".join, zip(*cells))) + tail)
-
-    _write_output(_resolve_out(cfg.out, "sweep.csv"), write)
-
-
-def _is_number(field: str) -> bool:
-    """Whether ``np.loadtxt`` reads ``field`` as a float: ``float``'s grammar without the
-    underscores and non-ASCII digits that only ``float`` accepts."""
-    try:
-        float(field)
-    except ValueError:
-        return False
-    return field.isascii() and "_" not in field
-
-
-def _unreadable_row(lines, columns: dict[str, int]) -> str | None:
-    """Name the first of the data ``lines`` that ``np.loadtxt`` cannot read: a field of
-    ``columns`` (name: index) that is missing or not a number.  Rows are counted from 1 with
-    blank lines skipped, as ``np.loadtxt`` and fit's other errors count them."""
-    rows = (line.rstrip("\n").split(",") for line in lines if line != "\n")
-    for r, fields in enumerate(rows, start=1):
-        for name, i in columns.items():
-            if i >= len(fields):
-                return f"data row {r}: has {len(fields)} fields, so no {name}"
-            if name == "counts" and fields[i] == "":
-                return f"data row {r}: blank counts: the file mixes sampled and exact rows"
-            if not _is_number(fields[i]):
-                return f"data row {r}: {name} must be a number, got {fields[i]!r}"
-    return None
-
-
-def _read_sweep(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """The n angles, and the flip probabilities, the fitted probabilities and, for a sampled
-    sweep, their standard errors, each an (n, 16) array with columns in ALL_OUTCOMES order.
-
-    One ``np.loadtxt`` pass reads ``theta_deg``, the signs, ``p_bflip`` and ``counts`` (a
-    sampled sweep, whose first data row has a count) or ``p_theory`` (an exact sweep), found
-    by name in the header; other columns are not read, so eleven-column files of earlier
-    versions, with ``p_obs`` and ``std_err`` after ``counts``, read the same.  The fitted
-    probabilities and errors are derived from the counts as ``sweep_grid`` derives them.
-    """
-    with open(path, encoding="utf-8") as fh:
-        column = {name: i for i, name in enumerate(fh.readline().rstrip("\n").split(","))}
-        missing = [c for c in _SWEEP_COLUMNS[:8] if c not in column]
-        if missing:
-            raise ValueError(f"missing columns {missing}")
-        first = next((line for line in fh if line != "\n"), "")
-        if not first:
-            raise ValueError("holds no data rows")
-        at = column.get("counts")
-        fields = first.rstrip("\n").split(",")
-        sampled = at is not None and at < len(fields) and fields[at] != ""
-        names = (*_SWEEP_COLUMNS[:5], "p_bflip", "counts" if sampled else "p_theory")
-        usecols = [column[name] for name in names]
-        try:
-            # Streamed from the file: the rows are never all held as text at once.
-            table = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None,
-                               ndmin=2, usecols=usecols)
-        except ValueError:
-            fh.seek(0)
-            fh.readline()
-            bad = _unreadable_row(fh, dict(zip(names, usecols)))
-            if bad:
-                raise ValueError(bad) from None
-            raise
-    if len(table) % 16:
-        raise ValueError(f"has {len(table)} data rows, not sixteen per angle")
-    bad = ~np.isfinite(table)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        value = table[i, j].item()
-        raise ValueError(f"data row {i + 1}: {names[j]} must be finite, got {value!r}")
-    angles = table.reshape(-1, 16, 7)
-    thetas = angles[:, 0, 0]
-    bad = (angles[..., 0] != thetas[:, None]) | (angles[..., 1:5] != ALL_OUTCOMES).any(axis=2)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"data row {i + 1} must be outcome {ALL_OUTCOMES[i % 16].label()} at "
-                         f"theta_deg {thetas[i // 16].item()!r}: sixteen rows per angle in order")
-    flip, values = angles[..., 5], angles[..., 6]
-    if not sampled:
-        return thetas, flip, values, None
-    bad = ~((values >= 0) & (values % 1 == 0) & (values <= MAX_COUNT))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"data row {i + 1}: count must be an integer in [0, 2**53], "
-                         f"got {values.flat[i].item()!r}")
-    counts = values.astype(np.int64)
-    total = counts.sum(axis=1, keepdims=True)
-    if not total.all():
-        theta = thetas[np.argmin(total)].item()
-        raise ValueError(f"theta_deg {theta!r} has no counts; probabilities are undefined")
-    return thetas, flip, counts / total, np.sqrt(counts) / total
+    flips = pbflip_grid(grid.thetas)
+    _write_output(_resolve_out(cfg.out, "sweep.csv"), lambda fh: write_sweep(fh, grid, flips))
 
 
 @main.command()
@@ -519,12 +401,14 @@ def fit(sweepfile, out) -> None:
     # The minimal columns in file order: the order the fit's sums add the points in.
     minimal = sorted(MINIMAL_COLUMNS)
     with _usage_errors(f"{sweepfile}: "):
-        thetas, flip, probs, errors = _read_sweep(sweepfile)
+        grid, flip = read_sweep(sweepfile)
+        errors = grid.std_err
         if errors is not None and not errors[:, minimal].all():
             i, j = np.argwhere(errors[:, minimal] == 0)[0]
             raise ValueError(f"data row {16 * i + minimal[j] + 1}: outcome "
                              f"{ALL_OUTCOMES[minimal[j]].label()} at theta_deg "
-                             f"{thetas[i].item()!r} has 0 counts, so its std_err is 0")
+                             f"{grid.thetas[i]!r} has 0 counts, so its std_err is 0")
+        probs = grid.p_theory if errors is None else grid.p_obs
         xs, ys = flip[:, minimal].ravel(), probs[:, minimal].ravel()
         result = fit_bell_magnitude(xs, ys, None if errors is None else errors[:, minimal].ravel())
     report = {
@@ -566,7 +450,7 @@ def figures(which, fmt, state, sample, mean_total, seed, out_dir) -> None:
                 _write_output(stem.with_suffix(".svg"), lambda fh: fh.write(svg))
         return
     with _usage_errors():
-        points, result = figmod.line_points(prepared, figmod.FIT_GRID, mean_total, seed)
+        points, result = figmod.line_points(prepared, mean_total, seed)
     if fmt == "svg":
         svg = figmod.scatter_svg(points, result, "observed probability vs flip probability")
         _write_output(directory / "figure9.svg", lambda fh: fh.write(svg))
@@ -581,13 +465,13 @@ def validate() -> None:
     that raises fails without stopping the rest.  Exit nonzero on any failure."""
     passed = 0
     for check in selfcheck.ALL_CHECKS:
+        name = check.__name__.removeprefix("check_").replace("_", "-")
         try:
             r = check()
         except Exception as exc:
-            name = check.__name__.removeprefix("check_").replace("_", "-")
             _echo(f"FAIL  {name}: raised {type(exc).__name__}: {exc}")
             continue
-        _echo(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")
+        _echo(f"{'PASS' if r.passed else 'FAIL'}  {name}: {r.detail}")
         passed += r.passed
     _echo(f"{passed}/{len(selfcheck.ALL_CHECKS)} suites passed")
     if passed < len(selfcheck.ALL_CHECKS):

@@ -40,13 +40,12 @@ def distribution_rows(grid: SweepGrid) -> list[list[dict]]:
 
 def line_points(
     state: TwoQubitState,
-    thetas: tuple[float, ...] = FIT_GRID,
     mean_total: float | None = None,
     seed: int | None = None,
 ) -> tuple[list[dict], FitResult]:
-    """(p_bflip, probability) points for the minimal outcomes plus their
+    """(p_bflip, probability) points for the minimal outcomes over FIT_GRID plus their
     straight-line fit (view 9)."""
-    grid = sweep_grid(state, thetas, mean_total, seed)
+    grid = sweep_grid(state, FIT_GRID, mean_total, seed)
     columns = {"p_bflip": pbflip_grid(grid.thetas), "probability": grid.p_theory,
                "p_obs": grid.p_obs, "std_err": grid.std_err}
     columns = {key: c[:, MINIMAL_COLUMNS] for key, c in columns.items() if c is not None}
@@ -56,7 +55,7 @@ def line_points(
         for m, *values in zip(MINIMAL_OUTCOMES, *per_outcome)
     ]
     flips = columns["p_bflip"].ravel()
-    if grid.p_obs is None:
+    if grid.counts is None:
         return points, fit_bell_magnitude(flips, columns["probability"].ravel())
     return points, fit_bell_magnitude(flips, columns["p_obs"].ravel(), columns["std_err"].ravel())
 

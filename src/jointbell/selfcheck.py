@@ -61,7 +61,6 @@ _POVM_THETAS = _frozen(np.arange(0.0, 90.0 + 1e-9, 0.5))
 
 
 class CheckResult(NamedTuple):
-    name: str
     passed: bool
     detail: str
 
@@ -70,9 +69,7 @@ def check_povm_positivity() -> CheckResult:
     worst = 0.0
     for side in ("A", "B"):
         worst = min(worst, min_eigenvalue(build_joint_povm(side, _POVM_THETAS)))
-    return CheckResult(
-        "povm-positivity", worst >= -1e-12, f"min element eigenvalue {worst:.2e}"
-    )
+    return CheckResult(worst >= -1e-12, f"min element eigenvalue {worst:.2e}")
 
 
 def check_povm_completeness() -> CheckResult:
@@ -80,9 +77,7 @@ def check_povm_completeness() -> CheckResult:
     for side in ("A", "B"):
         povm = build_joint_povm(side, _POVM_THETAS)
         worst = max(worst, float(np.max(np.abs(povm.sum(axis=1) - np.eye(2)))))
-    return CheckResult(
-        "povm-completeness", worst <= 1e-12, f"max |sum - I| = {worst:.2e}"
-    )
+    return CheckResult(worst <= 1e-12, f"max |sum - I| = {worst:.2e}")
 
 
 def check_uncertainty_boundary() -> CheckResult:
@@ -100,9 +95,7 @@ def check_uncertainty_boundary() -> CheckResult:
             ok = False
         except UncertaintyViolationError:
             pass
-    return CheckResult(
-        "uncertainty-boundary", ok, "vx^2+vy^2 > 1 always breaks positivity"
-    )
+    return CheckResult(ok, "vx^2+vy^2 > 1 always breaks positivity")
 
 
 def check_observable_algebra() -> CheckResult:
@@ -121,7 +114,7 @@ def check_observable_algebra() -> CheckResult:
     defects.append(abs(eigs[0] + CIRELSON_BOUND))
     defects.append(abs(eigs[-1] - CIRELSON_BOUND))
     worst = max(defects)
-    return CheckResult("observable-algebra", worst <= 1e-10, f"max defect {worst:.2e}")
+    return CheckResult(worst <= 1e-10, f"max defect {worst:.2e}")
 
 
 def check_werner_linearity() -> CheckResult:
@@ -129,7 +122,7 @@ def check_werner_linearity() -> CheckResult:
     for v in np.linspace(0.0, 1.0, 21):
         got = bell_expectation(werner_state(float(v)))
         worst = max(worst, abs(got - float(v) * (-CIRELSON_BOUND)))
-    return CheckResult("werner-linearity", worst <= 1e-12, f"max |error| {worst:.2e}")
+    return CheckResult(worst <= 1e-12, f"max |error| {worst:.2e}")
 
 
 def check_distribution_normalization() -> CheckResult:
@@ -142,7 +135,6 @@ def check_distribution_normalization() -> CheckResult:
             worst_neg = min(worst_neg, min(row))
     ok = worst_sum <= 1e-10 and worst_neg >= -1e-12
     return CheckResult(
-        "distribution-normalization",
         ok,
         f"|sum-1| <= {worst_sum:.2e}, min prob {worst_neg:.2e}",
     )
@@ -162,15 +154,13 @@ def check_marginal_consistency() -> CheckResult:
             )
             direct = float(np.real(np.trace(element @ rho_a)))
             worst = max(worst, abs(marginal - direct))
-    return CheckResult("marginal-consistency", worst <= 1e-12, f"max |error| {worst:.2e}")
+    return CheckResult(worst <= 1e-12, f"max |error| {worst:.2e}")
 
 
 def check_theta45_degeneracy() -> CheckResult:
     probs = joint_distribution(singlet_state(), 45.0, 45.0).probs
     spread = max(float(np.ptp(probs[columns])) for columns in B_COLUMNS.values())
-    return CheckResult(
-        "theta45-degeneracy", spread <= 1e-12, f"max in-group spread {spread:.2e}"
-    )
+    return CheckResult(spread <= 1e-12, f"max in-group spread {spread:.2e}")
 
 
 def check_visibility_scaling() -> CheckResult:
@@ -201,7 +191,7 @@ def check_visibility_scaling() -> CheckResult:
     state = werner_state(0.9)
     half = aggregate_b(joint_distribution(state, 45.0, 45.0)).mean_b
     worst = max(worst, abs(half - 0.5 * bell_expectation(state)))
-    return CheckResult("visibility-scaling", worst <= 1e-12, f"max |error| {worst:.2e}")
+    return CheckResult(worst <= 1e-12, f"max |error| {worst:.2e}")
 
 
 def check_flip_convolution() -> CheckResult:
@@ -213,7 +203,7 @@ def check_flip_convolution() -> CheckResult:
         for theta, direct in zip(_THETA_SET, sweep_grid(state, _THETA_SET).p_theory):
             vis = VisibilityPair.from_theta(theta)
             worst = max(worst, float(np.max(np.abs(flip_convolve(quasi, vis, vis).probs - direct))))
-    return CheckResult("flip-convolution", worst <= 1e-10, f"max |error| {worst:.2e}")
+    return CheckResult(worst <= 1e-10, f"max |error| {worst:.2e}")
 
 
 def check_line_consistency() -> CheckResult:
@@ -221,7 +211,7 @@ def check_line_consistency() -> CheckResult:
     observed = sweep_grid(singlet_state(), grid).p_theory[:, MINIMAL_COLUMNS]
     predicted = predicted_probability(CIRELSON_BOUND, pbflip_grid(grid)[:, MINIMAL_COLUMNS])
     worst = float(np.max(np.abs(observed - predicted)))
-    return CheckResult("line-consistency", worst <= 1e-10, f"max |error| {worst:.2e}")
+    return CheckResult(worst <= 1e-10, f"max |error| {worst:.2e}")
 
 
 def check_flip_floor() -> CheckResult:
@@ -231,9 +221,7 @@ def check_flip_floor() -> CheckResult:
     low = min(map(min, flips))
     saturated = min(flips[grid.index(22.5)][0], flips[grid.index(67.5)][2])
     ok = low >= floor - 1e-12 and abs(saturated - floor) <= 1e-12
-    return CheckResult(
-        "flip-floor", ok, f"min p_bflip {low:.6f} vs floor {floor:.6f}"
-    )
+    return CheckResult(ok, f"min p_bflip {low:.6f} vs floor {floor:.6f}")
 
 
 def check_minimal_outcome_monotonicity() -> CheckResult:
@@ -245,7 +233,6 @@ def check_minimal_outcome_monotonicity() -> CheckResult:
         ok = ok and all(np.diff(curve[: i + 1]) < 0) and all(np.diff(curve[i:]) > 0)
         ok = ok and abs(curve[i]) <= 1e-10
     return CheckResult(
-        "minimal-outcome-monotonicity",
         ok,
         "minima at 22.5 and 67.5 degrees with monotone flanks",
     )
@@ -258,7 +245,7 @@ def check_visibility_circle() -> CheckResult:
         for theta in np.arange(0.0, 90.0 + 1e-9, 10.0):
             est = joint_visibilities(state, float(theta), side)
             worst = max(worst, abs(est.radius - 1.0))
-    return CheckResult("visibility-circle", worst <= 1e-10, f"max |radius - 1| {worst:.2e}")
+    return CheckResult(worst <= 1e-10, f"max |radius - 1| {worst:.2e}")
 
 
 def check_count_roundtrip() -> CheckResult:
@@ -269,9 +256,7 @@ def check_count_roundtrip() -> CheckResult:
     worst_sigma = float(np.max(np.abs(recovered.probs - dist.probs) / errors))
     text = format_count_table(table)
     ok = worst_sigma < 5.0 and format_count_table(parse_count_table(text)) == text
-    return CheckResult(
-        "count-roundtrip", ok, f"max deviation {worst_sigma:.2f} sigma; text round-trips"
-    )
+    return CheckResult(ok, f"max deviation {worst_sigma:.2f} sigma; text round-trips")
 
 
 ALL_CHECKS = (

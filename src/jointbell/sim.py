@@ -2,13 +2,14 @@
 
 Joint and intrinsic (quasi-)distributions, b-value aggregation, Poisson
 coincidence-count simulation, remotely prepared conditional states,
-visibility extraction, and the plain-text count-table exchange format.
+visibility extraction, and the plain-text count-table and sweep file formats.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -253,14 +254,23 @@ def probabilities_from_counts(table: CountTable) -> tuple[JointDistribution, np.
 
 
 class SweepGrid(NamedTuple):
-    """A sweep over angles theta = theta_A = theta_B as (n, 16) arrays: one row per angle,
-    columns in ALL_OUTCOMES order; the sampled arrays are None unless the sweep is sampled."""
+    """A sweep over angles theta = theta_A = theta_B as (n, 16) arrays in ALL_OUTCOMES order,
+    one row per angle.  ``counts`` and the derived ``p_obs`` N(m)/N and ``std_err`` sqrt(N(m))/N
+    are None unless sampled; ``p_theory`` is None when ``read_sweep`` reads a sampled file."""
 
     thetas: tuple[float, ...]
-    p_theory: np.ndarray
+    p_theory: np.ndarray | None
     counts: np.ndarray | None = None
-    p_obs: np.ndarray | None = None
-    std_err: np.ndarray | None = None
+
+    @property
+    def p_obs(self) -> np.ndarray | None:
+        counts = self.counts
+        return None if counts is None else counts / counts.sum(axis=1, keepdims=True)
+
+    @property
+    def std_err(self) -> np.ndarray | None:
+        counts = self.counts
+        return None if counts is None else np.sqrt(counts) / counts.sum(axis=1, keepdims=True)
 
 
 def sweep_grid(
@@ -270,24 +280,23 @@ def sweep_grid(
     seed: int | None = None,
 ) -> SweepGrid:
     """Exact distributions at angles theta = theta_A = theta_B from one contraction and,
-    when ``mean_total`` and ``seed`` are given (one alone raises), each angle's counts
-    with estimates N(m)/N and sqrt(N(m))/N.  The counts are ``_draw`` on one stream, row after row: row 0
-    is ``sample_counts`` at the first angle, and appending angles keeps the earlier rows."""
+    when ``mean_total`` and ``seed`` are given (one alone raises), each angle's counts: ``_draw``
+    on one stream, row after row.  Row 0 is ``sample_counts`` at the first angle, appending
+    angles keeps the earlier rows, and the angles are stored as Python floats."""
     if (mean_total is None) != (seed is None):
         raise ValueError("mean_total and seed must be given together")
     sampled = mean_total is not None
     if sampled:
         _check_sampling(mean_total, seed)
-    thetas = tuple(thetas)
+    thetas = tuple(map(float, thetas))
     povm_a, povm_b = build_joint_povm("A", thetas), build_joint_povm("B", thetas)
     p = _outcome_probabilities(povm_a, povm_b, state.rho)
     _check_probabilities(p)
     if not sampled:
         return SweepGrid(thetas, p)
     counts = _draw(p.ravel(), mean_total, seed).astype(np.int64, copy=False).reshape(len(p), 16)
-    total = counts.sum(axis=1, keepdims=True)
-    _check_total(total.min(initial=1))
-    return SweepGrid(thetas, p, counts, counts / total, np.sqrt(counts) / total)
+    _check_total(counts.sum(axis=1).min(initial=1))
+    return SweepGrid(thetas, p, counts)
 
 
 def conditional_state(
@@ -439,3 +448,124 @@ def write_count_table(table: CountTable, path) -> None:
 def read_count_table(path) -> CountTable:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_count_table(fh.read())
+
+
+#: Header of the sweep-file format (written by ``sweep``, read by ``fit``); sixteen rows per
+#: angle follow in ALL_OUTCOMES order, with blank counts in an exact sweep.
+_SWEEP_COLUMNS = (
+    "theta_deg", "x_a", "y_a", "x_b", "y_b", "b", "p_theory", "p_bflip", "counts",
+)
+#: The sign and b fields of a sweep's sixteen rows per angle, in ALL_OUTCOMES order.
+_OUTCOME_FIELDS = [",".join(map(str, (*m, b_value(m)))) for m in ALL_OUTCOMES]
+_SWEEP_BLOCK = 16  # angles whose rows ``write_sweep`` formats at once, column by column
+
+
+def _reprs(values: list[float]) -> list[str]:
+    """Each value's repr, formatted once per distinct nonzero value (as keys, 0.0 == -0.0).
+    For ``p_bflip``, which depends on theta and b alone: a block's flips take few values."""
+    memo = {v: repr(v) for v in set(values) if v}
+    return [memo[v] if v else repr(v) for v in values]
+
+
+def write_sweep(fh: TextIO, grid: SweepGrid, p_bflip: np.ndarray) -> None:
+    """Write ``grid``, which must have ``p_theory``, to the text stream ``fh`` as a sweep file
+    whose flip probabilities are the (n, 16) array ``p_bflip``."""
+    # No field needs CSV quoting, and numbers are written as their repr, as ``csv`` writes them.
+    columns = [grid.p_theory, p_bflip] + ([] if grid.counts is None else [grid.counts])
+    tail = ",\n" if grid.counts is None else "\n"
+    fh.write(",".join(_SWEEP_COLUMNS) + "\n")
+    for i in range(0, len(grid.thetas), _SWEEP_BLOCK):
+        block = slice(i, i + _SWEEP_BLOCK)
+        p_theory, flips, *rest = (c[block].ravel().tolist() for c in columns)
+        cells = [[f"{t},{o}" for t in map(repr, grid.thetas[block]) for o in _OUTCOME_FIELDS],
+                 map(repr, p_theory), _reprs(flips), *(map(repr, c) for c in rest)]
+        fh.write(tail.join(map(",".join, zip(*cells))) + tail)
+
+
+def _is_number(field: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``field`` as a float: ``float``'s grammar without the
+    underscores and non-ASCII digits that only ``float`` accepts."""
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return field.isascii() and "_" not in field
+
+
+def _unreadable_row(lines, columns: dict[str, int]) -> str | None:
+    """Name the first of the data ``lines`` that ``np.loadtxt`` cannot read: a field of
+    ``columns`` (name: index) that is missing or not a number.  Rows are counted from 1 with
+    blank lines skipped, as ``np.loadtxt`` and ``read_sweep``'s other errors count them."""
+    rows = (line.rstrip("\n").split(",") for line in lines if line != "\n")
+    for r, fields in enumerate(rows, start=1):
+        for name, i in columns.items():
+            if i >= len(fields):
+                return f"data row {r}: has {len(fields)} fields, so no {name}"
+            if name == "counts" and fields[i] == "":
+                return f"data row {r}: blank counts: the file mixes sampled and exact rows"
+            if not _is_number(fields[i]):
+                return f"data row {r}: {name} must be a number, got {fields[i]!r}"
+    return None
+
+
+def read_sweep(path) -> tuple[SweepGrid, np.ndarray]:
+    """The sweep file at ``path`` as a ``SweepGrid`` and its (n, 16) flip probabilities,
+    which are read as written, not recomputed from theta.
+
+    One ``np.loadtxt`` pass reads ``theta_deg``, the signs, ``p_bflip`` and ``counts`` (a
+    sampled sweep, whose first data row has a count) or ``p_theory`` (an exact sweep), found
+    by name in the header.  No other column is read: eleven-column files of earlier versions,
+    with ``p_obs`` and ``std_err`` after ``counts``, read the same, and a sampled sweep has
+    ``p_theory`` None, since parsing that column too would double the read's cost."""
+    with open(path, encoding="utf-8") as fh:
+        column = {name: i for i, name in enumerate(fh.readline().rstrip("\n").split(","))}
+        missing = [c for c in _SWEEP_COLUMNS[:8] if c not in column]
+        if missing:
+            raise ValueError(f"missing columns {missing}")
+        first = next((line for line in fh if line != "\n"), "")
+        if not first:
+            raise ValueError("holds no data rows")
+        at = column.get("counts")
+        fields = first.rstrip("\n").split(",")
+        sampled = at is not None and at < len(fields) and fields[at] != ""
+        names = (*_SWEEP_COLUMNS[:5], "p_bflip", "counts" if sampled else "p_theory")
+        usecols = [column[name] for name in names]
+        try:
+            # Streamed from the file: the rows are never all held as text at once.
+            table = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None,
+                               ndmin=2, usecols=usecols)
+        except ValueError:
+            fh.seek(0)
+            fh.readline()
+            bad = _unreadable_row(fh, dict(zip(names, usecols)))
+            if bad:
+                raise ValueError(bad) from None
+            raise
+    if len(table) % 16:
+        raise ValueError(f"has {len(table)} data rows, not sixteen per angle")
+    bad = ~np.isfinite(table)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        value = table[i, j].item()
+        raise ValueError(f"data row {i + 1}: {names[j]} must be finite, got {value!r}")
+    angles = table.reshape(-1, 16, 7)
+    thetas = angles[:, 0, 0]
+    bad = (angles[..., 0] != thetas[:, None]) | (angles[..., 1:5] != ALL_OUTCOMES).any(axis=2)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"data row {i + 1} must be outcome {ALL_OUTCOMES[i % 16].label()} at "
+                         f"theta_deg {thetas[i // 16].item()!r}: sixteen rows per angle in order")
+    flip, values = angles[..., 5], angles[..., 6]
+    if not sampled:
+        return SweepGrid(tuple(thetas.tolist()), values), flip
+    bad = ~((values >= 0) & (values % 1 == 0) & (values <= MAX_COUNT))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"data row {i + 1}: count must be an integer in [0, 2**53], "
+                         f"got {values.flat[i].item()!r}")
+    counts = values.astype(np.int64)
+    total = counts.sum(axis=1)
+    if not total.all():
+        theta = thetas[np.argmin(total)].item()
+        raise ValueError(f"theta_deg {theta!r} has no counts; probabilities are undefined")
+    return SweepGrid(tuple(thetas.tolist()), None, counts), flip

@@ -20,7 +20,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jointbell import cli, selfcheck
+from jointbell import cli, selfcheck, sim
 from jointbell.analysis import MINIMAL_COLUMNS, fit_bell_magnitude, pbflip_grid
 from jointbell.cli import (
     RunConfig,
@@ -38,6 +38,7 @@ from jointbell.sim import (
     b_value,
     format_count_table,
     joint_distribution,
+    read_sweep,
     sweep_grid,
 )
 
@@ -552,6 +553,11 @@ class TestAnalyze:
         assert "missing outcome (-,-;-,-)" in result.output
 
 
+def bits(values):
+    """The IEEE bit patterns of a float array, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
 def rows_one_at_a_time(grid, legacy=False):
     """A sweep file formatted one ``%`` row at a time: the header, then one row per (angle,
     outcome) of ``sweep_grid``'s arrays and ``pbflip_grid``'s flips.  ``legacy`` gives the
@@ -648,7 +654,9 @@ class TestSweep:
     @pytest.mark.parametrize("state", ["werner:0.9716", "singlet", "matrix-file"])
     def test_file_equals_rows_formatted_one_at_a_time(self, runner, tmp_path, state, n, sample):
         """Independent writer oracle: the file ``sweep`` writes, byte for byte, is the one
-        ``rows_one_at_a_time`` formats, whatever the number of angles per block of the writer."""
+        ``rows_one_at_a_time`` formats, whatever the number of angles per block of the writer.
+        ``read_sweep`` gives back the angles, the flips and the counts or exact probabilities
+        bit for bit."""
         if state == "matrix-file":
             # A random state: no two probabilities repeat, at one angle or across angles.
             state = str(tmp_path / "rho.txt")
@@ -663,6 +671,13 @@ class TestSweep:
 
         grid = sweep_grid(parse_state_spec(state), thetas, mean_total, seed)
         assert (tmp_path / "s.csv").read_text() == rows_one_at_a_time(grid)
+        read, flips = read_sweep(tmp_path / "s.csv")
+        assert read.thetas == grid.thetas
+        assert bits(flips) == bits(pbflip_grid(grid.thetas))
+        if sample:
+            assert read.p_theory is None and read.counts.tolist() == grid.counts.tolist()
+        else:
+            assert read.counts is None and bits(read.p_theory) == bits(grid.p_theory)
 
 
 def test_reprs_formats_each_distinct_nonzero_value_once():
@@ -674,7 +689,7 @@ def test_reprs_formats_each_distinct_nonzero_value_once():
             return float.__repr__(self)
 
     values = [Logged(v) for v in (0.0, -0.0, 0.1, 0.1, -0.0, 1e-300)]
-    assert cli._reprs(values) == ["0.0", "-0.0", "0.1", "0.1", "-0.0", "1e-300"]
+    assert sim._reprs(values) == ["0.0", "-0.0", "0.1", "0.1", "-0.0", "1e-300"]
     # Zeros are formatted each time: as dict keys 0.0 and -0.0 are one, and would share a repr.
     assert sorted(formatted) == [0.0, -0.0, -0.0, 1e-300, 0.1]
     assert [math.copysign(1.0, v) for v in formatted if v == 0] == [1.0, -1.0, -1.0]
@@ -813,7 +828,8 @@ class TestFit:
     @pytest.mark.parametrize("sample", [False, True], ids=["exact", "sampled"])
     def test_legacy_file_fits_as_the_new_file(self, runner, tmp_path, monkeypatch, sample):
         """A sweep file ends at ``counts``; an eleven-column file of earlier versions, with
-        ``p_obs`` and ``std_err`` after it, still fits to the same report, byte for byte."""
+        ``p_obs`` and ``std_err`` after it, still reads to the same grid and fits to the same
+        report, byte for byte."""
         (tmp_path / "new").mkdir()
         (tmp_path / "legacy").mkdir()
         self._sweep(runner, tmp_path / "new" / "s.csv", sample=sample)
@@ -822,6 +838,13 @@ class TestFit:
         assert new_lines[0].endswith(",p_bflip,counts")
         assert [line.rsplit(",", 2)[0] for line in
                 (tmp_path / "legacy" / "s.csv").read_text().splitlines()] == new_lines
+        (new, new_flips), (legacy, legacy_flips) = (
+            read_sweep(tmp_path / name / "s.csv") for name in ("new", "legacy"))
+        assert legacy.thetas == new.thetas and bits(legacy_flips) == bits(new_flips)
+        if sample:
+            assert legacy.p_theory is None and legacy.counts.tolist() == new.counts.tolist()
+        else:
+            assert legacy.counts is None and bits(legacy.p_theory) == bits(new.p_theory)
         outputs = []
         for name in ("new", "legacy"):
             monkeypatch.chdir(tmp_path / name)

@@ -1,8 +1,10 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
+from jointbell.analysis import pbflip_grid
 from jointbell.core import (
     TwoQubitState,
     observable_from_angle,
@@ -31,9 +33,11 @@ from jointbell.sim import (
     probabilities_from_counts,
     quasi_distribution,
     read_count_table,
+    read_sweep,
     sample_counts,
     sweep_grid,
     write_count_table,
+    write_sweep,
 )
 
 ROOT2 = math.sqrt(2.0)
@@ -454,6 +458,28 @@ class TestSweepGrid:
         assert grid.counts[0].tolist() == first.counts.tolist()
         head = sweep_grid(state, self.THETAS[:2], mean_total=5e4, seed=6)
         assert head.counts.tolist() == grid.counts[:2].tolist()
+
+    @pytest.mark.parametrize("mean_total, seed", [(None, None), (5e4, 6)], ids=["exact", "sampled"])
+    def test_angles_are_stored_as_floats(self, tmp_path, mean_total, seed):
+        """A list, a range and an array of the same angles make one grid, which writes the same
+        bytes and reads back: an int or ``np.float64`` theta would be written as its repr."""
+        texts = []
+        for thetas in ([0.0, 45.0, 90.0], range(0, 91, 45), np.array([0.0, 45.0, 90.0])):
+            grid = sweep_grid(werner_state(0.9716), thetas, mean_total, seed)
+            assert [type(t) for t in grid.thetas] == [float] * 3
+            fh = io.StringIO()
+            write_sweep(fh, grid, pbflip_grid(grid.thetas))
+            texts.append(fh.getvalue())
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+        assert texts[0].splitlines()[17].startswith("45.0,1,1,1,1,")
+        (tmp_path / "s.csv").write_text(texts[0])
+        read, flips = read_sweep(tmp_path / "s.csv")
+        assert read.thetas == (0.0, 45.0, 90.0)
+        assert flips.tolist() == pbflip_grid(read.thetas).tolist()
+        if seed is None:
+            assert read.p_theory.tolist() == grid.p_theory.tolist() and read.counts is None
+        else:
+            assert read.counts.tolist() == grid.counts.tolist() and read.p_theory is None
 
     @pytest.mark.parametrize("mean_total, seed", [(None, None), (5e4, None), (None, 3)])
     def test_unsampled_sweep_carries_no_counts(self, mean_total, seed):

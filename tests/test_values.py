@@ -29,7 +29,7 @@ VALUES = {
     "VisibilityEstimate": lambda: joint_visibilities(singlet_state(), 30.0, "A"),
     "CountTable": lambda: CountTable(np.arange(16), duration_s=10.0),
     "FitResult": lambda: fit_bell_magnitude([0.0, 1.0], [0.0, 1.0]),
-    "CheckResult": lambda: CheckResult("suite", True, "detail"),
+    "CheckResult": lambda: CheckResult(True, "detail"),
     "RunConfig": RunConfig,
 }
 
