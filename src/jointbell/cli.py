@@ -20,7 +20,7 @@ import sys
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, NamedTuple, TextIO
+from typing import Callable, TextIO
 
 import click
 import numpy as np
@@ -57,33 +57,25 @@ from .sim import (
 #: an explicit --out / --out-dir.
 OUTPUT_DIR_ENV = "JOINTBELL_OUTPUT_DIR"
 
+_SEED = click.IntRange(min=0)
+_FORMAT = click.Choice(["json", "csv"])
+
+#: The keys of a ``--config`` file and their converters.  The key ``format`` sets ``--format``.
 _CONFIG_FIELDS = {
     "state": str,
     "theta_a": float,
     "theta_b": float,
     "mean_total": float,
-    "seed": int,
+    "seed": _SEED,
     "out": str,
-    "format": str,
+    "format": _FORMAT,
 }
-
-
-class RunConfig(NamedTuple):
-    """Resolved run configuration: built-in defaults, overlaid by a config
-    file, overlaid by explicit command-line flags."""
-
-    state: str = "singlet"
-    theta_a: float = 45.0
-    theta_b: float = 45.0
-    mean_total: float = 100000.0
-    seed: int = 1
-    out: str | None = None
-    format: str = "json"
 
 
 def parse_config_text(text: str) -> dict:
     """Parse ``key = value`` lines into typed config values."""
     values: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -94,21 +86,15 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ValueError(f"config line {lineno}: duplicate key {key!r} "
+                             f"(first on line {first_line[key]})")
+        first_line[key] = lineno
         try:
             values[key] = _CONFIG_FIELDS[key](value)
-        except ValueError:
+        except (ValueError, click.BadParameter):
             raise ValueError(f"config line {lineno}: bad value {value!r} for {key!r}") from None
     return values
-
-
-def build_config(file_values: dict | None = None, **overrides) -> RunConfig:
-    config = RunConfig()
-    if file_values:
-        config = config._replace(**file_values)
-    config = config._replace(**{k: v for k, v in overrides.items() if v is not None})
-    if config.format not in ("json", "csv"):
-        raise ValueError(f"format must be 'json' or 'csv', got {config.format!r}")
-    return config
 
 
 def parse_state_spec(spec: str) -> TwoQubitState:
@@ -179,15 +165,6 @@ def _writing(out: Path):
     _echo(f"wrote {out}")
 
 
-def _load_config(config_path: str | None, **overrides) -> RunConfig:
-    file_values = None
-    if config_path is not None:
-        with _usage_errors(f"{config_path}: "):
-            file_values = parse_config_text(Path(config_path).read_text(encoding="utf-8"))
-    with _usage_errors():
-        return build_config(file_values, **overrides)
-
-
 def _state_or_fail(spec: str) -> TwoQubitState:
     with _usage_errors():
         return parse_state_spec(spec)
@@ -234,84 +211,93 @@ def _emit_report(report: dict, out: Path | None, fmt: str) -> None:
     _write_output(out, (lambda fh: _write_json(fh, report)) if fmt == "json" else write_csv)
 
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 def main() -> None:
     """Joint-measurement simulator and Bell-correlation analysis for
     polarization-entangled photon pairs."""
 
 
+def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Make the entries of the config file at ``path`` the command's defaults, so that click
+    takes a flag over a file value over a built-in default."""
+    if path is not None:
+        with _usage_errors(f"{path}: "):
+            values = parse_config_text(Path(path).read_text(encoding="utf-8"))
+        ctx.default_map = {("fmt" if k == "format" else k): v for k, v in values.items()}
+
+
 _config_option = click.option(
-    "--config",
-    "config_path",
-    type=click.Path(exists=True, dir_okay=False),
-    default=None,
+    "--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
+    expose_value=False, callback=_read_config,
     help="Key-value config file; explicit flags override its entries.",
 )
 _state_option = click.option(
-    "--state", default=None, help="singlet | werner:<v> | path to a 4x4 matrix file."
+    "--state", default="singlet", help="singlet | werner:<v> | path to a 4x4 matrix file."
 )
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(["json", "csv"]), default=None,
-    help="Report format (default json).",
+
+
+def _theta_option(side: str):
+    return click.option(f"--theta-{side.lower()}", type=float, default=45.0,
+                        help=f"Trade-off angle for side {side} (degrees).")
+
+
+_mean_total_option = click.option(
+    "--mean-total", type=float, default=100000.0, help="Expected total coincidences."
 )
+_seed_option = click.option("--seed", type=_SEED, default=1)
+_format_option = click.option("--format", "fmt", type=_FORMAT, default="json",
+                              help="Report format.")
 
 
 @main.command()
 @_config_option
 @_state_option
-@click.option("--theta-a", type=float, default=None, help="Trade-off angle for side A (degrees).")
-@click.option("--theta-b", type=float, default=None, help="Trade-off angle for side B (degrees).")
+@_theta_option("A")
+@_theta_option("B")
 @click.option("--out", default=None, help="Output file (default: stdout).")
 @_format_option
-def simulate(config_path, state, theta_a, theta_b, out, fmt) -> None:
+def simulate(state, theta_a, theta_b, out, fmt) -> None:
     """Compute the sixteen-outcome distribution and b-value aggregates."""
-    cfg = _load_config(
-        config_path, state=state, theta_a=theta_a, theta_b=theta_b, out=out, format=fmt
-    )
-    prepared = _state_or_fail(cfg.state)
+    prepared = _state_or_fail(state)
     with _usage_errors():
-        dist = joint_distribution(prepared, cfg.theta_a, cfg.theta_b)
+        dist = joint_distribution(prepared, theta_a, theta_b)
     agg = aggregate_b(dist)
-    vx, vy = unit_circle_grid([cfg.theta_a, cfg.theta_b]).tolist()
+    vx, vy = unit_circle_grid([theta_a, theta_b]).tolist()
     rows = [
         {**m._asdict(), "b": b_value(m), "probability": p}
         for m, p in zip(ALL_OUTCOMES, dist.probs.tolist())
     ]
     report = {
-        "state": cfg.state,
-        "theta_a_deg": cfg.theta_a,
-        "theta_b_deg": cfg.theta_b,
+        "state": state,
+        "theta_a_deg": theta_a,
+        "theta_b_deg": theta_b,
         "visibilities": {side: {"vx": x, "vy": y} for side, x, y in zip("ab", vx, vy)},
         "bell_expectation": bell_expectation(prepared),
         "p_b_plus": agg.p_plus,
         "p_b_minus": agg.p_minus,
         "mean_b": agg.mean_b,
-        "p_bflip": _pbflip_table(cfg.theta_a, cfg.theta_b),
+        "p_bflip": _pbflip_table(theta_a, theta_b),
         "outcomes": rows,
     }
-    _emit_report(report, Path(cfg.out) if cfg.out else None, cfg.format)
+    _emit_report(report, Path(out) if out else None, fmt)
 
 
 @main.command()
 @_config_option
 @_state_option
-@click.option("--theta-a", type=float, default=None)
-@click.option("--theta-b", type=float, default=None)
-@click.option("--mean-total", type=float, default=None, help="Expected total coincidences.")
-@click.option("--seed", type=click.IntRange(min=0), default=None)
+@_theta_option("A")
+@_theta_option("B")
+@_mean_total_option
+@_seed_option
 @click.option("--duration-s", type=float, default=10.0, help="Accumulation time metadata.")
 @click.option("--out", default=None, help="Output file (default: counts.csv in the output dir).")
-def counts(config_path, state, theta_a, theta_b, mean_total, seed, duration_s, out) -> None:
+def counts(state, theta_a, theta_b, mean_total, seed, duration_s, out) -> None:
     """Sample a Poisson coincidence-count table and write it."""
-    cfg = _load_config(
-        config_path, state=state, theta_a=theta_a, theta_b=theta_b,
-        mean_total=mean_total, seed=seed, out=out,
-    )
-    prepared = _state_or_fail(cfg.state)
+    prepared = _state_or_fail(state)
     with _usage_errors():
-        dist = joint_distribution(prepared, cfg.theta_a, cfg.theta_b)
-        table = sample_counts(dist, cfg.mean_total, seed=cfg.seed, duration_s=duration_s)
-    path = _resolve_out(cfg.out, "counts.csv")
+        dist = joint_distribution(prepared, theta_a, theta_b)
+        table = sample_counts(dist, mean_total, seed=seed, duration_s=duration_s)
+    path = _resolve_out(out, "counts.csv")
     with _writing(path) as tmp:
         write_count_table(table, tmp)
 
@@ -353,7 +339,7 @@ def analyze(countfile, theta_a, theta_b, out, fmt) -> None:
         "p_bflip": _pbflip_table(theta_a, theta_b),
         "outcomes": rows,
     }
-    _emit_report(report, Path(out) if out else None, fmt or "json")
+    _emit_report(report, Path(out) if out else None, fmt)
 
 
 def _line_report(result: FitResult) -> dict[str, float]:
@@ -368,12 +354,11 @@ def _line_report(result: FitResult) -> dict[str, float]:
 @click.option("--thetas", default=None, help="Comma-separated trade-off angles in degrees.")
 @click.option("--sample/--no-sample", default=False,
               help="Add Poisson-sampled counts per angle, all drawn on one stream from --seed.")
-@click.option("--mean-total", type=float, default=None)
-@click.option("--seed", type=click.IntRange(min=0), default=None)
+@_mean_total_option
+@_seed_option
 @click.option("--out", default=None, help="Output file (default: sweep.csv in the output dir).")
-def sweep(config_path, state, thetas, sample, mean_total, seed, out) -> None:
+def sweep(state, thetas, sample, mean_total, seed, out) -> None:
     """Tabulate per-(angle, outcome) probabilities and flip probabilities."""
-    cfg = _load_config(config_path, state=state, mean_total=mean_total, seed=seed, out=out)
     if thetas is None:
         raise click.ClickException("--thetas is required (comma-separated degrees)")
     try:
@@ -384,13 +369,12 @@ def sweep(config_path, state, thetas, sample, mean_total, seed, out) -> None:
         raise click.ClickException("theta list is empty")
     if any(not 0.0 <= t <= 90.0 for t in theta_list):
         raise click.ClickException("sweep angles must lie in [0, 90] degrees")
-    prepared = _state_or_fail(cfg.state)
+    prepared = _state_or_fail(state)
     with _usage_errors():
-        grid = sweep_grid(
-            prepared, theta_list, cfg.mean_total if sample else None, cfg.seed if sample else None
-        )
+        grid = sweep_grid(prepared, theta_list, mean_total if sample else None,
+                          seed if sample else None)
     flips = pbflip_grid(grid.thetas)
-    _write_output(_resolve_out(cfg.out, "sweep.csv"), lambda fh: write_sweep(fh, grid, flips))
+    _write_output(_resolve_out(out, "sweep.csv"), lambda fh: write_sweep(fh, grid, flips))
 
 
 @main.command()
@@ -428,10 +412,10 @@ def fit(sweepfile, out) -> None:
 @click.option("--which", type=click.Choice(["6", "7", "8", "9"]), required=True,
               help="Preset view id.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "svg"]), default="csv")
-@click.option("--state", default="werner:0.9716", show_default=True)
+@click.option("--state", default="werner:0.9716")
 @click.option("--sample/--no-sample", default=False)
-@click.option("--mean-total", type=float, default=568352.0, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True)
+@click.option("--mean-total", type=float, default=568352.0)
+@click.option("--seed", type=_SEED, default=1)
 @click.option("--out-dir", default=None, help="Target directory (default: output dir).")
 def figures(which, fmt, state, sample, mean_total, seed, out_dir) -> None:
     """Emit plot-ready data (csv) or vector graphics (svg) for a preset view."""

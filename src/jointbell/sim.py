@@ -470,6 +470,9 @@ def _reprs(values: list[float]) -> list[str]:
 def write_sweep(fh: TextIO, grid: SweepGrid, p_bflip: np.ndarray) -> None:
     """Write ``grid``, which must have ``p_theory``, to the text stream ``fh`` as a sweep file
     whose flip probabilities are the (n, 16) array ``p_bflip``."""
+    if grid.p_theory is None:
+        raise ValueError("cannot write a sweep without p_theory: the grid is a sampled sweep "
+                         "read back by read_sweep, which does not read that column")
     # No field needs CSV quoting, and numbers are written as their repr, as ``csv`` writes them.
     columns = [grid.p_theory, p_bflip] + ([] if grid.counts is None else [grid.counts])
     tail = ",\n" if grid.counts is None else "\n"

@@ -23,10 +23,8 @@ from hypothesis import strategies as st
 from jointbell import cli, selfcheck, sim
 from jointbell.analysis import MINIMAL_COLUMNS, fit_bell_magnitude, pbflip_grid
 from jointbell.cli import (
-    RunConfig,
     _write_json,
     _write_output,
-    build_config,
     main,
     parse_config_text,
     parse_state_spec,
@@ -300,15 +298,64 @@ class TestConfig:
         with pytest.raises(ValueError, match="bad value"):
             parse_config_text("theta_a = fast\n")
 
-    def test_flags_override_file(self):
-        config = build_config({"theta_a": 10.0, "theta_b": 20.0}, theta_a=55.0)
-        assert config.theta_a == 55.0
-        assert config.theta_b == 20.0
-        assert config.state == RunConfig().state
+    @pytest.mark.parametrize("before", [False, True], ids=["flag-after", "flag-before"])
+    def test_flag_beats_file_beats_default(self, runner, tmp_path, before):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theta_a = 10\ntheta_b = 20\n")
+        flag, config = ["--theta-a", "55"], ["--config", str(cfg)]
+        report = run_json(runner, ["simulate", *(flag + config if before else config + flag)])
+        assert (report["state"], report["theta_a_deg"], report["theta_b_deg"]) == (
+            "singlet", 55.0, 20.0)
+        report = run_json(runner, ["simulate", "--theta-b", "30"])
+        assert (report["theta_a_deg"], report["theta_b_deg"]) == (45.0, 30.0)
 
-    def test_format_validated(self):
-        with pytest.raises(ValueError):
-            build_config(None, format="yaml")
+    def test_one_file_serves_every_command(self, runner, tmp_path, monkeypatch):
+        """A seven-key file runs ``simulate``, ``counts`` and ``sweep`` as the same flags do;
+        the keys a command lacks are read and left unused."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(
+            "state = werner:0.9\ntheta_a = 20\ntheta_b = 70\nmean_total = 5000\nseed = 7\n"
+            "out = file.txt\nformat = csv\n")
+        state, angles = ["--state", "werner:0.9"], ["--theta-a", "20", "--theta-b", "70"]
+        sampling = ["--mean-total", "5000", "--seed", "7"]
+        commands = {
+            ("simulate",): [*state, *angles, "--format", "csv"],
+            ("counts",): [*state, *angles, *sampling],
+            ("sweep", "--thetas", "0,45,90", "--sample"): [*state, *sampling],
+        }
+        for command, flags in commands.items():
+            for args in (["--config", "run.cfg"], [*flags, "--out", "flags.txt"]):
+                result = runner.invoke(main, [*command, *args])
+                assert result.exit_code == 0, result.output
+            assert (tmp_path / "file.txt").read_bytes() == (tmp_path / "flags.txt").read_bytes()
+
+    @pytest.mark.parametrize("command", ["simulate", "counts", "sweep"])
+    @pytest.mark.parametrize("entry", ["format = yaml", "seed = -1"], ids=["yaml", "seed"])
+    def test_value_a_flag_would_reject_fails_in_one_line(self, runner, tmp_path, monkeypatch,
+                                                          command, entry):
+        """The file is checked whole, so a command fails on a key it does not use, with the
+        parser's message, not click's usage error."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"state = singlet\n{entry}\n")
+        key, _, value = entry.partition(" = ")
+        result = runner.invoke(main, [command, "--config", "run.cfg"])
+        assert_one_line_error(result, f"run.cfg: config line 2: bad value '{value}' for '{key}'")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    def test_duplicate_key_fails(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("state = singlet\n\nstate = werner:0.5\n")
+        result = runner.invoke(main, ["simulate", "--config", "run.cfg"])
+        assert_one_line_error(result, "run.cfg: config line 3: duplicate key 'state' "
+                                      "(first on line 1)")
+
+    def test_help_shows_defaults(self, runner):
+        result = runner.invoke(main, ["simulate", "--help"])
+        assert result.exit_code == 0, result.output
+        text = " ".join(result.output.split())
+        for default in ("singlet", "json"):
+            assert f"[default: {default}]" in text
+        assert text.count("[default: 45.0]") == 2
 
     def test_state_spec_parsing(self, tmp_path):
         assert parse_state_spec("singlet").purity() == pytest.approx(1.0, abs=1e-12)

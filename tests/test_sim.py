@@ -481,6 +481,17 @@ class TestSweepGrid:
         else:
             assert read.counts.tolist() == grid.counts.tolist() and read.p_theory is None
 
+    def test_sampled_file_read_back_is_not_written_again(self, tmp_path):
+        """``read_sweep`` skips the ``p_theory`` column of a sampled file, so ``write_sweep``
+        refuses the grid it returns rather than writing a third row shape."""
+        grid = sweep_grid(werner_state(0.9716), self.THETAS, mean_total=5e4, seed=6)
+        with open(tmp_path / "s.csv", "w") as fh:
+            write_sweep(fh, grid, pbflip_grid(grid.thetas))
+        read, flips = read_sweep(tmp_path / "s.csv")
+        with pytest.raises(ValueError, match="sampled sweep read back by read_sweep") as info:
+            write_sweep(io.StringIO(), read, flips)
+        assert "\n" not in str(info.value)
+
     @pytest.mark.parametrize("mean_total, seed", [(None, None), (5e4, None), (None, 3)])
     def test_unsampled_sweep_carries_no_counts(self, mean_total, seed):
         if mean_total is None and seed is None:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from jointbell.analysis import fit_bell_magnitude
-from jointbell.cli import RunConfig
 from jointbell.core import InvalidStateError, VisibilityPair, observable_from_angle, singlet_state
 from jointbell.selfcheck import CheckResult
 from jointbell.sim import (
@@ -30,7 +29,6 @@ VALUES = {
     "CountTable": lambda: CountTable(np.arange(16), duration_s=10.0),
     "FitResult": lambda: fit_bell_magnitude([0.0, 1.0], [0.0, 1.0]),
     "CheckResult": lambda: CheckResult(True, "detail"),
-    "RunConfig": RunConfig,
 }
 
 
