@@ -15,8 +15,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CIRELSON_BOUND, VisibilityPair, _left_sum, unit_circle_grid
+from .core import CIRELSON_BOUND, VisibilityPair, _frozen, _left_sum, unit_circle_grid
 from .sim import ALL_OUTCOMES, SIGN_COLUMNS, JointDistribution, Outcome, QuasiDistribution, b_value
+from .sim import _check_probabilities
 
 #: Outcomes whose flip probability dips lowest over the trade-off range:
 #: the first two bottom out at theta = 22.5 deg, the last two at 67.5 deg.
@@ -96,13 +97,22 @@ def flip_convolve(
     visibilities give the identity (no flips).  Visibility pairs are not
     gated here: a pair outside the circle simply fails the non-negativity
     invariant of the returned distribution when the state violates a Bell
-    inequality strongly enough.
+    inequality strongly enough.  As in ``pbflip_outcome``, the pairs may also
+    hold (n,) arrays: the result is then an (n, 16) array of checked probability
+    rows, row i exactly the call with the i-th pairs.
     """
-    rates = [(1.0 - v) / 2.0 for v in (vis_a.vx, vis_a.vy, vis_b.vx, vis_b.vy)]
-    flips = [np.array([[1.0 - r, r], [r, 1.0 - r]]) for r in rates]
+    visibilities = np.broadcast_arrays(vis_a.vx, vis_a.vy, vis_b.vx, vis_b.vy)
+    rates = (1.0 - np.array(visibilities, dtype=float)) / 2.0
+    # The four flip matrices [[1 - r, r], [r, 1 - r]] on the last two axes.
+    flips = np.stack([1.0 - rates, rates, rates, 1.0 - rates], axis=-1)
+    flips = flips.reshape(rates.shape + (2, 2))
     # Sign index 0 is +1 and 1 is -1 on every axis (canonical outcome order).
-    p = np.einsum("ai,bj,ck,dl,ijkl->abcd", *flips, quasi.values.reshape(2, 2, 2, 2))
-    return JointDistribution(p.ravel())
+    p = np.einsum("...ai,...bj,...ck,...dl,ijkl->...abcd", *flips, quasi.values.reshape(2, 2, 2, 2))
+    p = p.reshape(p.shape[:-4] + (16,))
+    if p.ndim == 1:
+        return JointDistribution(p)
+    _check_probabilities(p)
+    return _frozen(p)
 
 
 class FitResult(NamedTuple):

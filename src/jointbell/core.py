@@ -110,9 +110,10 @@ _SIDE_OBSERVABLES = {
     for side, angles in OBSERVABLE_ANGLES.items()
 }
 
-#: The operator basis (I, X, Y) of each side as a read-only (3, 2, 2) stack.
+#: The operator basis (I, X, Y) of each side as a read-only (3, 2, 2) float stack: the
+#: observables of linear polarizations have all-zero imaginary parts.
 _SIDE_BASES = {
-    side: _frozen(np.stack([np.eye(2, dtype=complex), obs_x.matrix, obs_y.matrix]))
+    side: _frozen(np.stack([np.eye(2), obs_x.matrix.real, obs_y.matrix.real]))
     for side, (obs_x, obs_y) in _SIDE_OBSERVABLES.items()
 }
 
@@ -144,7 +145,8 @@ def unit_circle_grid(thetas_deg) -> np.ndarray:
     bad = thetas[~np.isfinite(thetas)]
     if bad.size:
         raise ValueError(f"trade-off angle must be finite, got {bad[0].item()!r}")
-    return np.array([_unit_circle(t) for t in thetas.tolist()]).reshape(-1, 2).T
+    radians = list(map(math.radians, thetas.tolist()))
+    return np.array([list(map(math.cos, radians)), list(map(math.sin, radians))])
 
 
 class VisibilityPair(_Checked, NamedTuple("VisibilityPair", [("vx", float), ("vy", float)])):
@@ -181,7 +183,7 @@ class VisibilityPair(_Checked, NamedTuple("VisibilityPair", [("vx", float), ("vy
 
 def povm_elements(side: Side, vx, vy) -> np.ndarray:
     """Elements (I + x*vx*X + y*vy*Y)/4 of one side as a read-only (..., 4, 2, 2) stack in
-    OUTCOME_SIGNS order: one contraction of the side's fixed (I, X, Y) basis.  ``vx`` and
+    OUTCOME_SIGNS order: one real contraction of the side's fixed (I, X, Y) basis.  ``vx`` and
     ``vy`` are two floats, or two arrays of one shape that becomes the leading axes.
 
     No positivity guard: callers own the uncertainty-bound check, and the
@@ -192,7 +194,8 @@ def povm_elements(side: Side, vx, vy) -> np.ndarray:
     weights = np.empty(np.shape(vx) + (3,))
     weights[..., 0], weights[..., 1], weights[..., 2] = 1.0, vx, vy
     coefficients = _ELEMENT_SIGNS * weights[..., None, :]
-    return _frozen(0.25 * np.einsum("...ok,kab->...oab", coefficients, _SIDE_BASES[side]))
+    elements = 0.25 * np.einsum("...ok,kab->...oab", coefficients, _SIDE_BASES[side])
+    return _frozen(elements.astype(complex))
 
 
 def build_joint_povm(side: Side, thetas_deg) -> np.ndarray:

@@ -15,15 +15,12 @@ import numpy as np
 
 from .core import (
     CIRELSON_BOUND,
-    OUTCOME_SIGNS,
     UncertaintyViolationError,
     VisibilityPair,
     _frozen,
-    _left_sum,
     bell_expectation,
     bell_operator,
     build_joint_povm,
-    hermiticity_defect,
     min_eigenvalue,
     partial_trace,
     povm_elements,
@@ -31,11 +28,13 @@ from .core import (
     random_two_qubit_state,
     side_observables,
     singlet_state,
+    unit_circle_grid,
     werner_state,
 )
 from .sim import (
     ALL_OUTCOMES,
     B_COLUMNS,
+    SIGN_COLUMNS,
     Outcome,
     aggregate_b,
     format_count_table,
@@ -66,32 +65,31 @@ class CheckResult(NamedTuple):
 
 
 def check_povm_positivity() -> CheckResult:
-    worst = 0.0
-    for side in ("A", "B"):
-        worst = min(worst, min_eigenvalue(build_joint_povm(side, _POVM_THETAS)))
+    povms = np.stack([build_joint_povm(side, _POVM_THETAS) for side in ("A", "B")])
+    worst = min(0.0, min_eigenvalue(povms))
     return CheckResult(worst >= -1e-12, f"min element eigenvalue {worst:.2e}")
 
 
 def check_povm_completeness() -> CheckResult:
-    worst = 0.0
-    for side in ("A", "B"):
-        povm = build_joint_povm(side, _POVM_THETAS)
-        worst = max(worst, float(np.max(np.abs(povm.sum(axis=1) - np.eye(2)))))
+    povms = np.stack([build_joint_povm(side, _POVM_THETAS) for side in ("A", "B")])
+    worst = float(np.max(np.abs(povms.sum(axis=2) - np.eye(2)), initial=0.0))
     return CheckResult(worst <= 1e-12, f"max |sum - I| = {worst:.2e}")
 
 
 def check_uncertainty_boundary() -> CheckResult:
     rng = np.random.default_rng(20230)
-    ok = True
-    for _ in range(50):
-        radius = math.sqrt(rng.uniform(1.0001, 1.9))
-        angle = rng.uniform(0.05, math.pi / 2 - 0.05)
-        vx, vy = radius * math.cos(angle), radius * math.sin(angle)
-        if vx > 1 or vy > 1:
-            continue
-        ok = ok and min_eigenvalue(povm_elements("A", vx, vy)) < 0
+    # 50 pairs (radius^2, angle), drawn interleaved in one call.
+    draws = rng.uniform([1.0001, 0.05] * 50, [1.9, math.pi / 2 - 0.05] * 50).tolist()
+    radii, angles = list(map(math.sqrt, draws[0::2])), draws[1::2]
+    vx = np.array([r * c for r, c in zip(radii, map(math.cos, angles))])
+    vy = np.array([r * s for r, s in zip(radii, map(math.sin, angles))])
+    inside = (vx <= 1) & (vy <= 1)
+    vx, vy = vx[inside], vy[inside]
+    lowest = np.linalg.eigvalsh(povm_elements("A", vx, vy)).min(axis=(1, 2))
+    ok = bool(np.all(lowest < 0))
+    for pair in zip(vx.tolist(), vy.tolist()):
         try:
-            povm_from_visibilities("A", VisibilityPair(vx, vy))
+            povm_from_visibilities("A", VisibilityPair(*pair))
             ok = False
         except UncertaintyViolationError:
             pass
@@ -99,40 +97,40 @@ def check_uncertainty_boundary() -> CheckResult:
 
 
 def check_observable_algebra() -> CheckResult:
-    defects = []
-    for side in ("A", "B"):
-        ox, oy = side_observables(side)
-        anti = ox.matrix @ oy.matrix + oy.matrix @ ox.matrix
-        defects.append(float(np.max(np.abs(anti))))
-        for obs in (ox, oy):
-            defects.append(hermiticity_defect(obs.matrix))
-            defects.append(abs(float(np.trace(obs.matrix).real)))
-            eig = np.linalg.eigvalsh(obs.matrix)
-            defects.append(float(np.max(np.abs(eig - np.array([-1.0, 1.0])))))
-    b = bell_operator()
-    eigs = np.linalg.eigvalsh(b)
-    defects.append(abs(eigs[0] + CIRELSON_BOUND))
-    defects.append(abs(eigs[-1] - CIRELSON_BOUND))
-    worst = max(defects)
+    # X_A, Y_A, X_B, Y_B as one (4, 2, 2) stack.
+    obs = np.stack([o.matrix for side in ("A", "B") for o in side_observables(side)])
+    xs, ys = obs[0::2], obs[1::2]
+    bell_eigs = np.linalg.eigvalsh(bell_operator())
+    defects = [
+        np.max(np.abs(xs @ ys + ys @ xs)),
+        np.max(np.abs(obs - obs.conj().swapaxes(1, 2))),
+        np.max(np.abs(np.trace(obs, axis1=1, axis2=2).real)),
+        np.max(np.abs(np.linalg.eigvalsh(obs) - np.array([-1.0, 1.0]))),
+        abs(bell_eigs[0] + CIRELSON_BOUND),
+        abs(bell_eigs[-1] - CIRELSON_BOUND),
+    ]
+    worst = float(max(defects))
     return CheckResult(worst <= 1e-10, f"max defect {worst:.2e}")
 
 
 def check_werner_linearity() -> CheckResult:
     worst = 0.0
-    for v in np.linspace(0.0, 1.0, 21):
-        got = bell_expectation(werner_state(float(v)))
-        worst = max(worst, abs(got - float(v) * (-CIRELSON_BOUND)))
+    for v in np.linspace(0.0, 1.0, 21).tolist():
+        worst = max(worst, abs(bell_expectation(werner_state(v)) - v * (-CIRELSON_BOUND)))
     return CheckResult(worst <= 1e-12, f"max |error| {worst:.2e}")
+
+
+def _row_sums(p: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, added left to right as ``_left_sum`` adds."""
+    return p.cumsum(axis=-1)[..., -1]
 
 
 def check_distribution_normalization() -> CheckResult:
     rng = np.random.default_rng(911)
-    worst_sum = 0.0
-    worst_neg = 0.0
-    for _ in range(10):
-        for row in sweep_grid(random_two_qubit_state(rng), _THETA_SET).p_theory.tolist():
-            worst_sum = max(worst_sum, abs(_left_sum(row) - 1.0))
-            worst_neg = min(worst_neg, min(row))
+    states = [random_two_qubit_state(rng) for _ in range(10)]
+    p = np.stack([sweep_grid(state, _THETA_SET).p_theory for state in states])
+    worst_sum = float(np.max(np.abs(_row_sums(p) - 1.0)))
+    worst_neg = min(0.0, float(p.min()))
     ok = worst_sum <= 1e-10 and worst_neg >= -1e-12
     return CheckResult(
         ok,
@@ -142,18 +140,15 @@ def check_distribution_normalization() -> CheckResult:
 
 def check_marginal_consistency() -> CheckResult:
     rng = np.random.default_rng(517)
-    worst = 0.0
-    for _ in range(5):
-        state = random_two_qubit_state(rng)
-        rho_a = partial_trace(state.rho, keep="A")
-        probs = joint_distribution(state, 30.0, 70.0).probs.tolist()
-        povm_a = build_joint_povm("A", [30.0])[0]
-        for (x, y), element in zip(OUTCOME_SIGNS, povm_a):
-            marginal = _left_sum(
-                p for m, p in zip(ALL_OUTCOMES, probs) if (m.x_a, m.y_a) == (x, y)
-            )
-            direct = float(np.real(np.trace(element @ rho_a)))
-            worst = max(worst, abs(marginal - direct))
+    states = [random_two_qubit_state(rng) for _ in range(5)]
+    probs = np.stack([joint_distribution(state, 30.0, 70.0).probs for state in states])
+    # ALL_OUTCOMES runs (x_A, y_A) slowest, in OUTCOME_SIGNS order: row o of the reshape
+    # holds the four outcomes of side A's element o.
+    marginals = _row_sums(probs.reshape(len(states), 4, 4))
+    rho_a = np.stack([partial_trace(state.rho, keep="A") for state in states])
+    povm_a = build_joint_povm("A", [30.0])[0]
+    direct = np.trace(povm_a @ rho_a[:, None], axis1=2, axis2=3).real
+    worst = float(np.max(np.abs(marginals - direct)))
     return CheckResult(worst <= 1e-12, f"max |error| {worst:.2e}")
 
 
@@ -165,28 +160,21 @@ def check_theta45_degeneracy() -> CheckResult:
 
 def check_visibility_scaling() -> CheckResult:
     rng = np.random.default_rng(2718)
-    xa, ya = side_observables("A")
-    xb, yb = side_observables("B")
-    pairs = {
-        ("x_a", "x_b"): np.kron(xa.matrix, xb.matrix),
-        ("x_a", "y_b"): np.kron(xa.matrix, yb.matrix),
-        ("y_a", "x_b"): np.kron(ya.matrix, xb.matrix),
-        ("y_a", "y_b"): np.kron(ya.matrix, yb.matrix),
-    }
-    worst = 0.0
-    for _ in range(5):
-        state = random_two_qubit_state(rng)
-        for theta in (20.0, 45.0, 70.0):
-            dist = joint_distribution(state, theta, theta)
-            c, s = math.cos(math.radians(theta)), math.sin(math.radians(theta))
-            scale = {"x_a": c, "y_a": s, "x_b": c, "y_b": s}
-            for (sa, sb), op in pairs.items():
-                measured = _left_sum(
-                    p * getattr(m, sa) * getattr(m, sb)
-                    for m, p in zip(ALL_OUTCOMES, dist.probs.tolist())
-                )
-                sharp = float(np.real(np.trace(op @ state.rho)))
-                worst = max(worst, abs(measured - scale[sa] * scale[sb] * sharp))
+    (xa, ya), (xb, yb) = side_observables("A"), side_observables("B")
+    sxa, sya, sxb, syb = SIGN_COLUMNS
+    thetas = (20.0, 45.0, 70.0)
+    c = np.array([math.cos(math.radians(t)) for t in thetas])
+    s = np.array([math.sin(math.radians(t)) for t in thetas])
+    # The correlators x_a x_b, x_a y_b, y_a x_b and y_a y_b, in this order on the last axis.
+    signs = np.stack([a * b for a in (sxa, sya) for b in (sxb, syb)])
+    ops = np.stack([np.kron(a.matrix, b.matrix) for a in (xa, ya) for b in (xb, yb)])
+    scales = np.stack([a * b for a in (c, s) for b in (c, s)], axis=-1)
+    states = [random_two_qubit_state(rng) for _ in range(5)]
+    probs = np.stack([[joint_distribution(state, t, t).probs for t in thetas] for state in states])
+    measured = _row_sums(probs[:, :, None, :] * signs)
+    rhos = np.stack([state.rho for state in states])
+    sharp = np.trace(ops @ rhos[:, None], axis1=2, axis2=3).real
+    worst = float(np.max(np.abs(measured - scales * sharp[:, None, :])))
     # Equal visibilities: <b> is exactly half the Bell expectation.
     state = werner_state(0.9)
     half = aggregate_b(joint_distribution(state, 45.0, 45.0)).mean_b
@@ -196,13 +184,13 @@ def check_visibility_scaling() -> CheckResult:
 
 def check_flip_convolution() -> CheckResult:
     rng = np.random.default_rng(40)
+    vis = VisibilityPair(*unit_circle_grid(_THETA_SET))
     worst = 0.0
     for _ in range(10):
         state = random_two_qubit_state(rng)
-        quasi = quasi_distribution(state)
-        for theta, direct in zip(_THETA_SET, sweep_grid(state, _THETA_SET).p_theory):
-            vis = VisibilityPair.from_theta(theta)
-            worst = max(worst, float(np.max(np.abs(flip_convolve(quasi, vis, vis).probs - direct))))
+        convolved = flip_convolve(quasi_distribution(state), vis, vis)
+        direct = sweep_grid(state, _THETA_SET).p_theory
+        worst = max(worst, float(np.max(np.abs(convolved - direct))))
     return CheckResult(worst <= 1e-10, f"max |error| {worst:.2e}")
 
 
@@ -239,12 +227,10 @@ def check_minimal_outcome_monotonicity() -> CheckResult:
 
 
 def check_visibility_circle() -> CheckResult:
-    worst = 0.0
     state = werner_state(0.95)
-    for side in ("A", "B"):
-        for theta in np.arange(0.0, 90.0 + 1e-9, 10.0):
-            est = joint_visibilities(state, float(theta), side)
-            worst = max(worst, abs(est.radius - 1.0))
+    thetas = np.arange(0.0, 90.0 + 1e-9, 10.0)
+    radii = [joint_visibilities(state, thetas, side).radius for side in ("A", "B")]
+    worst = float(np.max(np.abs(np.concatenate(radii) - 1.0)))
     return CheckResult(worst <= 1e-10, f"max |radius - 1| {worst:.2e}")
 
 

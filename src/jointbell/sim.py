@@ -138,7 +138,8 @@ class BAggregate(NamedTuple):
 
 
 class VisibilityEstimate(NamedTuple):
-    """Visibility pair extracted from simulated joint measurements."""
+    """Visibility pair extracted from simulated joint measurements; floats, or (n,) arrays
+    when ``joint_visibilities`` measures n angles."""
 
     vx: float
     vy: float
@@ -332,26 +333,32 @@ def joint_visibilities(
     sharp expectation, evaluated on a conditional state prepared by
     projecting the other side orthogonally to the observable's +1
     eigenstate.  For an exact simulation the result is (cos theta,
-    sin theta) and the radius is one.
+    sin theta) and the radius is one.  ``theta_deg`` may also be a 1-D array
+    of n angles, measured as one element stack against the two conditional
+    states: the fields are then (n,) arrays, entry i exactly the call at the
+    i-th angle.
     """
     obs_x, obs_y = side_observables(side)
     helper: Side = "B" if side == "A" else "A"
-    povm = build_joint_povm(side, [theta_deg])[0]
+    povm = build_joint_povm(side, theta_deg)
+    x_signs, y_signs = np.array(OUTCOME_SIGNS).T
     ratios = []
-    for axis, obs in (("x", obs_x), ("y", obs_y)):
+    for axis, obs, signs in (("x", obs_x, x_signs), ("y", obs_y, y_signs)):
         prepared = conditional_state(state, helper, obs.plus_angle_deg + 90.0)
         precise = float(np.real(np.trace(prepared @ obs.matrix)))
         if abs(precise) < 1e-12:
             raise ValueError(
                 f"precise {axis} expectation vanishes on side {side}; visibility undefined"
             )
-        joint = 0.0
-        for (x, y), element in zip(OUTCOME_SIGNS, povm):
-            sign = x if axis == "x" else y
-            joint += sign * float(np.real(np.trace(element @ prepared)))
-        ratios.append(joint / precise)
+        # Each angle's mean sign: its four outcome terms added left to right, not pairwise.
+        terms = signs * np.trace(povm @ prepared, axis1=-2, axis2=-1).real
+        ratios.append(terms.cumsum(axis=-1)[:, -1] / precise)
     vx, vy = ratios
-    return VisibilityEstimate(vx=vx, vy=vy, radius=math.hypot(vx, vy))
+    # math.hypot, not np.hypot: the two can differ in the last bit.
+    radius = list(map(math.hypot, vx.tolist(), vy.tolist()))
+    if np.ndim(theta_deg) == 0:
+        return VisibilityEstimate(vx=vx.item(), vy=vy.item(), radius=radius[0])
+    return VisibilityEstimate(vx=vx, vy=vy, radius=np.array(radius))
 
 
 def interferometer_visibility(

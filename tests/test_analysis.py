@@ -11,6 +11,7 @@ from jointbell.core import (
     bell_expectation,
     random_two_qubit_state,
     singlet_state,
+    unit_circle_grid,
     werner_state,
 )
 from jointbell.sim import (
@@ -284,6 +285,33 @@ class TestFlipConvolve:
                 direct = joint_distribution(state, theta_a, theta_b)
                 for i in range(16):
                     assert convolved.probs[i] == pytest.approx(direct.probs[i], abs=1e-12)
+
+    def test_array_pairs_equal_single_calls(self):
+        rng = np.random.default_rng(2020)
+        for n in (1, 2, 7):
+            quasi = quasi_distribution(random_two_qubit_state(rng))
+            vx_a, vy_a = unit_circle_grid(rng.uniform(0.0, 90.0, n))
+            vx_b, vy_b = unit_circle_grid(rng.uniform(0.0, 90.0, n))
+            rows = flip_convolve(quasi, VisibilityPair(vx_a, vy_a), VisibilityPair(vx_b, vy_b))
+            assert rows.shape == (n, 16) and not rows.flags.writeable
+            for i in range(n):
+                single = flip_convolve(
+                    quasi, VisibilityPair(vx_a[i], vy_a[i]), VisibilityPair(vx_b[i], vy_b[i])
+                )
+                assert rows[i].tobytes() == single.probs.tobytes()
+
+    def test_array_pairs_broadcast_against_one_pair(self):
+        quasi = quasi_distribution(werner_state(0.9))
+        vx, vy = unit_circle_grid(THETA_SET)
+        rows = flip_convolve(quasi, vis(30.0), VisibilityPair(vx, vy))
+        for row, theta in zip(rows, THETA_SET):
+            assert row.tobytes() == flip_convolve(quasi, vis(30.0), vis(theta)).probs.tobytes()
+
+    def test_array_pairs_outside_the_circle_break_positivity(self):
+        quasi = quasi_distribution(singlet_state())
+        pairs = VisibilityPair(np.array([0.5, 0.9]), np.array([0.5, 0.9]))
+        with pytest.raises(ValueError, match="negative"):
+            flip_convolve(quasi, pairs, pairs)
 
     def test_matches_enumeration_on_table_with_xy_moment(self):
         # A state's quasi-distribution is linear in each side's x and y signs,

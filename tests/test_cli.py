@@ -1039,6 +1039,36 @@ def test_sweep_and_fit_bytes_pinned(runner, tmp_path, monkeypatch):
     assert digests == PINNED_SHA256
 
 
+# The whole stdout of ``validate``, taken when its suites were stacked over their states and
+# angles; byte for byte the output of the per-call suites before them.  Most details are
+# float rounding dust (eigenvalues from LAPACK among them), so a change to a suite's inputs,
+# its arithmetic or the library it checks that moves one printed digit fails.
+VALIDATE_STDOUT = """\
+PASS  povm-positivity: min element eigenvalue -6.94e-17
+PASS  povm-completeness: max |sum - I| = 2.22e-16
+PASS  uncertainty-boundary: vx^2+vy^2 > 1 always breaks positivity
+PASS  observable-algebra: max defect 4.44e-16
+PASS  werner-linearity: max |error| 8.88e-16
+PASS  distribution-normalization: |sum-1| <= 4.44e-16, min prob 0.00e+00
+PASS  marginal-consistency: max |error| 1.11e-16
+PASS  theta45-degeneracy: max in-group spread 2.78e-17
+PASS  visibility-scaling: max |error| 4.44e-16
+PASS  flip-convolution: max |error| 8.33e-17
+PASS  line-consistency: max |error| 5.55e-17
+PASS  flip-floor: min p_bflip 0.146447 vs floor 0.146447
+PASS  minimal-outcome-monotonicity: minima at 22.5 and 67.5 degrees with monotone flanks
+PASS  visibility-circle: max |radius - 1| 2.22e-16
+PASS  count-roundtrip: max deviation 1.63 sigma; text round-trips
+15/15 suites passed
+"""
+
+
+def test_validate_stdout_pinned(runner):
+    result = runner.invoke(main, ["validate"])
+    assert result.exit_code == 0, result.output
+    assert result.output == VALIDATE_STDOUT
+
+
 REPORT_SHA256 = {
     "simulate.json": "e204cf19ac6e73eb5753ee230545cbc950dee881043cde3197d8e64371e8b926",
     "simulate.csv": "2f18e4aa7c18b643dd68204698cbdd816dbb3624f186a699d403fce4fe0984f1",

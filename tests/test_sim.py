@@ -654,6 +654,22 @@ class TestJointVisibilities:
         with pytest.raises(ValueError):
             joint_visibilities(maximally_mixed_state(), 45.0, "A")
 
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_angle_array_equals_single_calls(self, side):
+        state = random_two_qubit_state(np.random.default_rng(12))
+        thetas = np.array([0.0, 12.5, 45.0, 77.0, 90.0])
+        est = joint_visibilities(state, thetas, side)
+        for field in est:
+            assert isinstance(field, np.ndarray) and field.shape == thetas.shape
+        for i, theta in enumerate(thetas.tolist()):
+            single = joint_visibilities(state, theta, side)
+            assert all(type(value) is float for value in single)
+            assert (est.vx[i], est.vy[i], est.radius[i]) == tuple(single)
+
+    def test_angle_array_undefined_for_uncorrelated_state(self):
+        with pytest.raises(ValueError, match="vanishes"):
+            joint_visibilities(maximally_mixed_state(), [10.0, 45.0], "A")
+
 
 class TestInterferometerVisibility:
     def test_extremes(self):
