@@ -140,48 +140,52 @@ def fit_bell_magnitude(
 
     With ``std_err`` the fit is inverse-variance weighted and the parameter errors treat
     the given uncertainties as absolute; without it the parameter errors are scaled by the
-    residual variance (zero for points exactly on a line).
+    residual variance (zero for points exactly on a line).  Sums run left to right and both
+    squares are float ``**``, so results equal the scalar per-point fit bit for bit.
     """
-    xs, ys = list(map(float, x)), list(map(float, y))
-    sigmas = None if std_err is None else list(map(float, std_err))
+    xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    sigmas = None if std_err is None else np.asarray(std_err, dtype=float)
     n = len(xs)
     if len(ys) != n or (sigmas is not None and len(sigmas) != n):
         raise ValueError("x, y and std_err must have equal lengths")
-    if not all(map(math.isfinite, xs + ys)):
-        raise ValueError("fit points must be finite")
-    # Relative guard: abscissae equal up to float dust are degenerate too.
-    if n < 2 or max(xs) - min(xs) <= 1e-12 * max(1.0, max(map(abs, xs))):
-        raise ValueError("fit requires at least two points with distinct abscissae")
-    if sigmas is None:
-        weights = [1.0] * n
-    else:
-        if any(s <= 0 or not math.isfinite(s) for s in sigmas):
-            raise ValueError("standard errors must be positive and finite")
-        weights = [1.0 / (s * s) if s * s > 0 else math.inf for s in sigmas]
-        if not all(0 < w < math.inf for w in weights):
-            raise ValueError("weights 1/std_err**2 must be positive and finite")
-
-    try:
-        sw = _left_sum(weights)
-        x_bar = _left_sum(w * x for w, x in zip(weights, xs)) / sw
-        y_bar = _left_sum(w * y for w, y in zip(weights, ys)) / sw
-        # Both squares stay float ``**`` (libm pow): the pinned fit.json bytes depend on it.
-        stt = _left_sum(w * (x - x_bar) ** 2 for w, x in zip(weights, xs))
-        if stt <= 0:
+    # Float overflow gives inf (or nan) here as in Python arithmetic, and the checks catch it.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("fit points must be finite")
+        # Relative guard: abscissae equal up to float dust are degenerate too.
+        if n < 2 or xs.max() - xs.min() <= 1e-12 * max(1.0, np.abs(xs).max()):
             raise ValueError("fit requires at least two points with distinct abscissae")
-        slope = _left_sum(w * (x - x_bar) * y for w, x, y in zip(weights, xs, ys)) / stt
-        intercept = y_bar - slope * x_bar
-
-        var_slope = 1.0 / stt
-        var_intercept = 1.0 / sw + x_bar * x_bar / stt
         if sigmas is None:
-            # Unweighted: scale by residual variance (unbiased, n - 2 dof).
-            ssr = _left_sum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys))
-            scale = ssr / (n - 2) if n > 2 else 0.0
-            var_slope *= scale
-            var_intercept *= scale
-    except OverflowError:  # a square beyond the float range
-        slope = intercept = var_slope = var_intercept = math.inf
+            weights = np.ones(n)
+        else:
+            if not (np.isfinite(sigmas).all() and (sigmas > 0).all()):
+                raise ValueError("standard errors must be positive and finite")
+            weights = 1.0 / (sigmas * sigmas)
+            if not ((0 < weights) & (weights < math.inf)).all():
+                raise ValueError("weights 1/std_err**2 must be positive and finite")
+        try:
+            sw = _left_sum(weights)
+            x_bar = _left_sum(weights * xs) / sw
+            y_bar = _left_sum(weights * ys) / sw
+            # Both squares stay float ``**`` (libm pow): np.power and d * d differ in the last
+            # bit of some doubles, and the pinned fit.json bytes depend on it.
+            dx = xs - x_bar
+            stt = _left_sum(weights * [d ** 2 for d in dx.tolist()])
+            if stt <= 0:
+                raise ValueError("fit requires at least two points with distinct abscissae")
+            slope = _left_sum(weights * dx * ys) / stt
+            intercept = y_bar - slope * x_bar
+
+            var_slope = 1.0 / stt
+            var_intercept = 1.0 / sw + x_bar * x_bar / stt
+            if sigmas is None:
+                # Unweighted: scale by residual variance (unbiased, n - 2 dof).
+                ssr = _left_sum([r ** 2 for r in (ys - intercept - slope * xs).tolist()])
+                scale = ssr / (n - 2) if n > 2 else 0.0
+                var_slope *= scale
+                var_intercept *= scale
+        except OverflowError:  # a square beyond the float range
+            slope = intercept = var_slope = var_intercept = math.inf
     if not all(map(math.isfinite, (slope, intercept, var_slope, var_intercept))):
         raise ValueError("fit is not finite: the points are beyond the float range")
     return FitResult(

@@ -9,8 +9,6 @@ Angles are degrees in real space throughout.
 from __future__ import annotations
 
 import math
-import operator
-from functools import reduce
 from typing import Iterable, Literal, NamedTuple
 
 import numpy as np
@@ -67,9 +65,12 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
 
 
 def _left_sum(values: Iterable[float]) -> float:
-    """Float sum added strictly left to right, the same on every Python version: numpy's
-    pairwise sum and the compensated ``sum()`` of Python 3.12+ can differ in the last bit."""
-    return reduce(operator.add, values, 0.0)
+    """Float sum added strictly left to right from 0.0 (so a leading -0.0 adds to 0.0), the
+    same on every Python version: numpy's pairwise sum and the compensated ``sum()`` of
+    Python 3.12+ can differ in the last bit.  One cumulative sum over a list, iterator or array."""
+    if not isinstance(values, np.ndarray):
+        values = np.fromiter(values, float)
+    return np.concatenate(([0.0], values)).cumsum()[-1].item()
 
 
 class _Checked:

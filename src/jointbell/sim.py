@@ -25,6 +25,7 @@ from .core import (
     povm_elements,
     projector,
     side_observables,
+    unit_circle_grid,
 )
 
 PROB_TOL = 1e-12
@@ -203,9 +204,8 @@ def aggregate_b(dist: JointDistribution) -> BAggregate:
     """Sum outcome probabilities by b-value and form mean b = 2p+ - 2p-."""
     # Left to right, not numpy's pairwise or Python 3.12's compensated sum: pinned outputs
     # depend on the last bit of the eight-term sums.
-    probs = dist.probs.tolist()
-    p_plus = _left_sum(probs[i] for i in B_COLUMNS[2])
-    p_minus = _left_sum(probs[i] for i in B_COLUMNS[-2])
+    p_plus = _left_sum(dist.probs[B_COLUMNS[2]])
+    p_minus = _left_sum(dist.probs[B_COLUMNS[-2]])
     return BAggregate(p_plus=p_plus, p_minus=p_minus, mean_b=2.0 * p_plus - 2.0 * p_minus)
 
 
@@ -290,8 +290,8 @@ def sweep_grid(
     if sampled:
         _check_sampling(mean_total, seed)
     thetas = tuple(map(float, thetas))
-    povm_a, povm_b = build_joint_povm("A", thetas), build_joint_povm("B", thetas)
-    p = _outcome_probabilities(povm_a, povm_b, state.rho)
+    vx, vy = unit_circle_grid(thetas)  # both sides share the angles, so one visibility grid
+    p = _outcome_probabilities(povm_elements("A", vx, vy), povm_elements("B", vx, vy), state.rho)
     _check_probabilities(p)
     if not sampled:
         return SweepGrid(thetas, p)
@@ -464,6 +464,7 @@ _SWEEP_COLUMNS = (
 )
 #: The sign and b fields of a sweep's sixteen rows per angle, in ALL_OUTCOMES order.
 _OUTCOME_FIELDS = [",".join(map(str, (*m, b_value(m)))) for m in ALL_OUTCOMES]
+_OUTCOME_SIGNS = np.array(ALL_OUTCOMES)  # (16, 4): the sign fields ``read_sweep`` expects
 _SWEEP_BLOCK = 16  # angles whose rows ``write_sweep`` formats at once, column by column
 
 
@@ -560,7 +561,7 @@ def read_sweep(path) -> tuple[SweepGrid, np.ndarray]:
         raise ValueError(f"data row {i + 1}: {names[j]} must be finite, got {value!r}")
     angles = table.reshape(-1, 16, 7)
     thetas = angles[:, 0, 0]
-    bad = (angles[..., 0] != thetas[:, None]) | (angles[..., 1:5] != ALL_OUTCOMES).any(axis=2)
+    bad = (angles[..., 0] != thetas[:, None]) | (angles[..., 1:5] != _OUTCOME_SIGNS).any(axis=2)
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"data row {i + 1} must be outcome {ALL_OUTCOMES[i % 16].label()} at "

@@ -1,8 +1,12 @@
 import math
+import operator
+from functools import reduce
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jointbell.core import (
     CIRELSON_BOUND,
@@ -58,6 +62,85 @@ def closed_form_x_family(vx: float, vy: float) -> float:
 
 
 FLIP_PATTERNS = tuple(product((0, 1), repeat=4))
+
+
+def scalar_fit(x, y, std_err=None) -> tuple[float, float, float, float]:
+    """Reference for ``fit_bell_magnitude``: the per-point Python loop it replaced, summing
+    with ``reduce`` from 0.0 and squaring with float ``**`` (slope, intercept, both errors)."""
+
+    def left_sum(values):
+        return reduce(operator.add, values, 0.0)
+
+    xs, ys = list(map(float, x)), list(map(float, y))
+    sigmas = None if std_err is None else list(map(float, std_err))
+    n = len(xs)
+    if len(ys) != n or (sigmas is not None and len(sigmas) != n):
+        raise ValueError("x, y and std_err must have equal lengths")
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("fit points must be finite")
+    if n < 2 or max(xs) - min(xs) <= 1e-12 * max(1.0, max(map(abs, xs))):
+        raise ValueError("fit requires at least two points with distinct abscissae")
+    if sigmas is None:
+        weights = [1.0] * n
+    else:
+        if any(s <= 0 or not math.isfinite(s) for s in sigmas):
+            raise ValueError("standard errors must be positive and finite")
+        weights = [1.0 / (s * s) if s * s > 0 else math.inf for s in sigmas]
+        if not all(0 < w < math.inf for w in weights):
+            raise ValueError("weights 1/std_err**2 must be positive and finite")
+    try:
+        sw = left_sum(weights)
+        x_bar = left_sum(w * x for w, x in zip(weights, xs)) / sw
+        y_bar = left_sum(w * y for w, y in zip(weights, ys)) / sw
+        stt = left_sum(w * (x - x_bar) ** 2 for w, x in zip(weights, xs))
+        if stt <= 0:
+            raise ValueError("fit requires at least two points with distinct abscissae")
+        slope = left_sum(w * (x - x_bar) * y for w, x, y in zip(weights, xs, ys)) / stt
+        intercept = y_bar - slope * x_bar
+        var_slope = 1.0 / stt
+        var_intercept = 1.0 / sw + x_bar * x_bar / stt
+        if sigmas is None:
+            ssr = left_sum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys))
+            scale = ssr / (n - 2) if n > 2 else 0.0
+            var_slope *= scale
+            var_intercept *= scale
+    except OverflowError:
+        slope = intercept = var_slope = var_intercept = math.inf
+    if not all(map(math.isfinite, (slope, intercept, var_slope, var_intercept))):
+        raise ValueError("fit is not finite: the points are beyond the float range")
+    return slope, intercept, math.sqrt(var_slope), math.sqrt(var_intercept)
+
+
+def fit_bits(fit, *columns):
+    """The four fitted values as float.hex strings (bit for bit, sign of zero included),
+    or the ValueError message."""
+    try:
+        result = tuple(fit(*columns))
+    except ValueError as error:
+        return str(error)
+    assert all(type(v) is float for v in result)
+    return [v.hex() for v in result]
+
+
+#: Values near zero, written over random fit points: exact zeros of either sign, the
+#: smallest subnormal and the ~1e-17 rounding of exact probabilities that are 0.
+_NEAR_ZERO = (0.0, -0.0, 5e-324, -5e-324, 1e-17, -1.0408340855860843e-17)
+
+
+@st.composite
+def fit_columns(draw):
+    """Noisy line points (x, y, std_err or None) with n from 2 to 800, as lists or arrays."""
+    n = draw(st.integers(2, 800))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.uniform(0.0, 0.5, n)
+    ys = 0.17 * xs - 0.02 + rng.normal(0.0, draw(st.sampled_from([0.0, 1e-6, 1e-3])), n)
+    for column in (xs, ys):
+        hits = rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+        column[hits] = rng.choice(_NEAR_ZERO, hits.sum())
+    xs[0], ys[0] = draw(st.sampled_from([(-0.0, -0.0), (-0.0, ys[0]), (xs[0], -0.0), (xs[0], ys[0])]))
+    sigmas = draw(st.sampled_from([None, rng.uniform(1e-4, 1e-2, n), np.full(n, 1e-150)]))
+    columns = (xs, ys) if sigmas is None else (xs, ys, sigmas)
+    return columns if draw(st.booleans()) else tuple(c.tolist() for c in columns)
 
 
 def _rates(vis_a: VisibilityPair, vis_b: VisibilityPair) -> tuple[float, ...]:
@@ -442,6 +525,32 @@ class TestFit:
         arrayed = (fit_bell_magnitude(np.array(xs), np.array(ys)),
                    fit_bell_magnitude(np.array(xs), np.array(ys), np.array(sigmas)))
         assert arrayed == listed
+
+    @settings(max_examples=150, deadline=None)
+    @given(columns=fit_columns())
+    def test_equals_scalar_fit_bit_for_bit(self, columns):
+        assert fit_bits(fit_bell_magnitude, *columns) == fit_bits(scalar_fit, *columns)
+
+    @settings(max_examples=150, deadline=None)
+    @given(points=st.lists(st.tuples(st.floats(), st.floats(), st.floats()), min_size=1, max_size=12),
+           weighted=st.booleans())
+    @example(points=[(0.1, 1e308, 1.0), (0.2, -1e308, 1.0), (0.3, 1e308, 1.0)], weighted=False)
+    @example(points=[(-1e200, 0.0, 1e-200), (1e200, 1.0, 1e-150)], weighted=True)
+    @example(points=[(1e-300, 0.0, 1.0), (0.0, 1.0, 1.0), (-0.0, 2.0, 1.0)], weighted=False)
+    def test_any_points_equal_scalar_fit(self, points, weighted):
+        # Any floats, overflow, nan and inf included: the same four values or the same error.
+        columns = tuple(zip(*points))[:3 if weighted else 2]
+        assert fit_bits(fit_bell_magnitude, *columns) == fit_bits(scalar_fit, *columns)
+
+    def test_squares_follow_float_pow(self):
+        # Where libm pow(v, 2) and v * v differ in the last bit (about 0.1% of doubles on
+        # glibc; none where pow is correctly rounded), stt is 2 v**2 in the first fit and the
+        # residuals are (v, -2v, v) in the second, so a changed square moves the result.
+        values = [v for v in np.random.default_rng(5).uniform(0.01, 1.0, 50000).tolist()
+                  if v ** 2 != v * v]
+        for v in values:
+            for columns in (((-v, 0.0, v), (0.0, 0.0, 1.0)), ((-1.0, 0.0, 1.0), (v, -2.0 * v, v))):
+                assert fit_bits(fit_bell_magnitude, *columns) == fit_bits(scalar_fit, *columns)
 
     def test_monte_carlo_sweep_within_reported_errors(self):
         truth = 0.9716 * CIRELSON_BOUND

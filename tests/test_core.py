@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -236,8 +238,26 @@ class TestLeftSum:
     def test_adds_left_to_right_on_every_python(self):
         # A compensated sum (math.fsum, or sum() on Python 3.12+) gives 2.0 and 1.0 here.
         assert _left_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+        assert _left_sum(np.array([1.0, 1e100, 1.0, -1e100])) == 0.0
         assert _left_sum(iter([0.1] * 10)) == 0.9999999999999999
+        assert _left_sum(np.full(10, 0.1)) == 0.9999999999999999
         assert _left_sum([]) == 0.0
+        assert _left_sum(np.empty(0)) == 0.0
+
+    def test_leading_negative_zero_adds_to_positive_zero(self):
+        # 0.0 + -0.0 is +0.0: the sum starts from 0.0, as reduce(operator.add, values, 0.0) does.
+        for values in ([-0.0], iter([-0.0, -0.0]), np.array([-0.0]), np.array([-0.0, -0.0])):
+            total = _left_sum(values)
+            assert type(total) is float and math.copysign(1.0, total) == 1.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False) | st.sampled_from([-0.0, 5e-324, -1e-17]),
+                           max_size=50))
+    def test_list_iterator_and_array_equal_the_left_fold(self, values):
+        expected = functools.reduce(operator.add, values, 0.0).hex()
+        for form in (values, iter(values), np.array(values, dtype=float)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert _left_sum(form).hex() == expected
 
 
 class TestStates:
