@@ -57,6 +57,10 @@ def line_points(
     flips = columns["p_bflip"].ravel()
     if grid.counts is None:
         return points, fit_bell_magnitude(flips, columns["probability"].ravel())
+    if not columns["std_err"].all():
+        i, j = divmod(int(columns["std_err"].argmin()), len(MINIMAL_OUTCOMES))
+        raise ValueError(f"outcome {MINIMAL_OUTCOMES[j].label()} at theta_deg {grid.thetas[i]!r} "
+                         "has 0 counts, so its std_err is 0")
     return points, fit_bell_magnitude(flips, columns["p_obs"].ravel(), columns["std_err"].ravel())
 
 

@@ -468,11 +468,13 @@ _OUTCOME_SIGNS = np.array(ALL_OUTCOMES)  # (16, 4): the sign fields ``read_sweep
 _SWEEP_BLOCK = 16  # angles whose rows ``write_sweep`` formats at once, column by column
 
 
-def _reprs(values: list[float]) -> list[str]:
-    """Each value's repr, formatted once per distinct nonzero value (as keys, 0.0 == -0.0).
-    For ``p_bflip``, which depends on theta and b alone: a block's flips take few values."""
-    memo = {v: repr(v) for v in set(values) if v}
-    return [memo[v] if v else repr(v) for v in values]
+def _distinct_reprs(values: np.ndarray) -> list[str]:
+    """The repr of each of ``values``, raveled, formatted once per distinct bit pattern: a
+    sweep block's flips, and the exact probabilities of Werner states, repeat often."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).ravel().view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    reprs = list(map(repr, keys.view(np.float64).tolist()))
+    return [reprs[k] for k in inverse.tolist()]
 
 
 def write_sweep(fh: TextIO, grid: SweepGrid, p_bflip: np.ndarray) -> None:
@@ -482,14 +484,14 @@ def write_sweep(fh: TextIO, grid: SweepGrid, p_bflip: np.ndarray) -> None:
         raise ValueError("cannot write a sweep without p_theory: the grid is a sampled sweep "
                          "read back by read_sweep, which does not read that column")
     # No field needs CSV quoting, and numbers are written as their repr, as ``csv`` writes them.
-    columns = [grid.p_theory, p_bflip] + ([] if grid.counts is None else [grid.counts])
+    counts = [] if grid.counts is None else [grid.counts]
     tail = ",\n" if grid.counts is None else "\n"
     fh.write(",".join(_SWEEP_COLUMNS) + "\n")
     for i in range(0, len(grid.thetas), _SWEEP_BLOCK):
         block = slice(i, i + _SWEEP_BLOCK)
-        p_theory, flips, *rest = (c[block].ravel().tolist() for c in columns)
         cells = [[f"{t},{o}" for t in map(repr, grid.thetas[block]) for o in _OUTCOME_FIELDS],
-                 map(repr, p_theory), _reprs(flips), *(map(repr, c) for c in rest)]
+                 _distinct_reprs(grid.p_theory[block]), _distinct_reprs(p_bflip[block]),
+                 *(map(repr, c[block].ravel().tolist()) for c in counts)]
         fh.write(tail.join(map(",".join, zip(*cells))) + tail)
 
 

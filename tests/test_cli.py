@@ -30,6 +30,7 @@ from jointbell.cli import (
     parse_state_spec,
 )
 from jointbell.core import CIRELSON_BOUND, random_two_qubit_state, werner_state
+from jointbell.figures import FIT_GRID
 from jointbell.sim import (
     ALL_OUTCOMES,
     CountTable,
@@ -727,19 +728,33 @@ class TestSweep:
             assert read.counts is None and bits(read.p_theory) == bits(grid.p_theory)
 
 
-def test_reprs_formats_each_distinct_nonzero_value_once():
-    formatted = []
+#: Doubles that a formatter keyed on values rather than bits could confuse or misprint.
+_EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-300, 0.1, math.inf]
+#: Strided and reordered views of a 1-D array, as a caller may pass them: ``read_sweep``
+#: returns its columns as views with a stride of seven doubles.
+_VIEWS = {
+    "contiguous": lambda a: a,
+    "every-other": lambda a: a[::2],
+    "reversed": lambda a: a[::-1],
+    "column": lambda a: np.stack([a, -a, a], axis=1)[:, 1],
+    "2-d column": lambda a: np.stack([a, a], axis=1)[:, :1],
+    "transposed": lambda a: np.stack([a, -a], axis=1).T,
+}
 
-    class Logged(float):
-        def __repr__(self):
-            formatted.append(float(self))
-            return float.__repr__(self)
 
-    values = [Logged(v) for v in (0.0, -0.0, 0.1, 0.1, -0.0, 1e-300)]
-    assert sim._reprs(values) == ["0.0", "-0.0", "0.1", "0.1", "-0.0", "1e-300"]
-    # Zeros are formatted each time: as dict keys 0.0 and -0.0 are one, and would share a repr.
-    assert sorted(formatted) == [0.0, -0.0, -0.0, 1e-300, 0.1]
-    assert [math.copysign(1.0, v) for v in formatted if v == 0] == [1.0, -1.0, -1.0]
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.sampled_from(_EDGE_DOUBLES), st.floats(allow_nan=False)),
+             min_size=1, max_size=6)
+    .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=64)),
+    st.sampled_from(sorted(_VIEWS)),
+)
+@example([0.0, -0.0, 0.1, 0.1, -0.0, 1e-300], "contiguous")
+def test_distinct_reprs_equal_each_values_repr(values, view):
+    """Each value's repr, in raveled order, whatever repeats and layout: 0.0 and -0.0 differ
+    in their bits, so neither takes the other's text."""
+    values = _VIEWS[view](np.array(values))
+    assert sim._distinct_reprs(values) == list(map(repr, values.ravel().tolist()))
 
 
 def _set_count(row, value):
@@ -1005,6 +1020,21 @@ class TestFigures:
         fit = json.loads(fit_path.read_text())
         assert list(fit) == FIT_KEYS
         assert fit_path.read_text() == json.dumps(fit, indent=2) + "\n"
+
+    def test_figure9_names_a_zero_count_point_as_fit_does(self, runner, tmp_path):
+        """A sampled view 9 with a minimal outcome of 0 counts, whose std_err is 0, fails with
+        that point named as ``fit`` names it in the same sweep, and writes no file."""
+        args = ["--state", "singlet", "--sample", "--mean-total", "1000", "--seed", "1"]
+        result = runner.invoke(main, ["figures", "--which", "9", *args,
+                                      "--out-dir", str(tmp_path / "figures")])
+        assert_one_line_error(result, "Error: outcome (+,+;+,-) at theta_deg 20.0 has 0 counts, "
+                                      "so its std_err is 0\n")
+        assert not (tmp_path / "figures").exists()
+        thetas = ",".join(map(repr, FIT_GRID))
+        sweep = ["sweep", *args, "--thetas", thetas, "--out", str(tmp_path / "s.csv")]
+        assert runner.invoke(main, sweep).exit_code == 0
+        fitted = runner.invoke(main, ["fit", str(tmp_path / "s.csv")])
+        assert_one_line_error(fitted, f"data row 34: {result.output.removeprefix('Error: ')}")
 
     def test_unknown_figure_rejected(self, runner):
         result = runner.invoke(main, ["figures", "--which", "5"])

@@ -21,6 +21,7 @@ from jointbell.sim import (
     JointDistribution,
     Outcome,
     QuasiDistribution,
+    SweepGrid,
     _draw,
     aggregate_b,
     b_value,
@@ -39,6 +40,7 @@ from jointbell.sim import (
     write_count_table,
     write_sweep,
 )
+from test_cli import rows_one_at_a_time
 
 ROOT2 = math.sqrt(2.0)
 
@@ -480,6 +482,34 @@ class TestSweepGrid:
             assert read.p_theory.tolist() == grid.p_theory.tolist() and read.counts is None
         else:
             assert read.counts.tolist() == grid.counts.tolist() and read.p_theory is None
+
+    @pytest.mark.parametrize("state", [werner_state(0.9716), singlet_state(),
+                                       random_two_qubit_state(np.random.default_rng(5))],
+                             ids=["werner", "singlet", "random"])
+    def test_exact_file_read_back_writes_the_same_bytes(self, tmp_path, state):
+        """``read_sweep`` returns ``p_theory`` and the flips as strided views of its table,
+        and ``write_sweep`` writes them back to the file they came from, byte for byte."""
+        thetas = sorted(np.random.default_rng(9).uniform(0.0, 90.0, 37).tolist()) + [0.0, 90.0]
+        grid = sweep_grid(state, thetas)
+        with open(tmp_path / "s.csv", "w") as fh:
+            write_sweep(fh, grid, pbflip_grid(grid.thetas))
+        read, flips = read_sweep(tmp_path / "s.csv")
+        assert not (read.p_theory.flags.c_contiguous or flips.flags.c_contiguous)
+        fh = io.StringIO()
+        write_sweep(fh, read, flips)
+        assert fh.getvalue() == (tmp_path / "s.csv").read_text()
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
+    def test_signed_zeros_and_repeats_write_as_rows_one_at_a_time(self, sampled):
+        """A hand-built block whose probabilities hold 0.0, -0.0, subnormals and repeated
+        doubles, within and across angles, writes each field as its own repr."""
+        values = [0.0, -0.0, 5e-324, 0.1, 0.1, -0.0, 1e-300, 0.0, 0.25, 0.25]
+        p_theory = np.resize(np.array(values), (17, 16))
+        counts = np.arange(17 * 16).reshape(17, 16) % 3 if sampled else None
+        grid = SweepGrid(tuple(np.linspace(0.0, 90.0, 17).tolist()), p_theory, counts)
+        fh = io.StringIO()
+        write_sweep(fh, grid, pbflip_grid(grid.thetas))
+        assert fh.getvalue() == rows_one_at_a_time(grid)
 
     def test_sampled_file_read_back_is_not_written_again(self, tmp_path):
         """``read_sweep`` skips the ``p_theory`` column of a sampled file, so ``write_sweep``
