@@ -469,8 +469,7 @@ _SWEEP_BLOCK = 16  # angles whose rows ``write_sweep`` formats at once, column b
 
 
 def _distinct_reprs(values: np.ndarray) -> list[str]:
-    """The repr of each of ``values``, raveled, formatted once per distinct bit pattern: a
-    sweep block's flips, and the exact probabilities of Werner states, repeat often."""
+    """The repr of each raveled value, formatted once per bit pattern: sweep blocks repeat many."""
     bits = np.ascontiguousarray(values, dtype=np.float64).ravel().view(np.int64)
     keys, inverse = np.unique(bits, return_inverse=True)
     reprs = list(map(repr, keys.view(np.float64).tolist()))
