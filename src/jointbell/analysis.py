@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import CIRELSON_BOUND, VisibilityPair, _frozen, _left_sum, unit_circle_grid
 from .sim import ALL_OUTCOMES, SIGN_COLUMNS, JointDistribution, Outcome, QuasiDistribution, b_value
-from .sim import _check_probabilities
+from .sim import SweepGrid, _check_probabilities
 
 #: Outcomes whose flip probability dips lowest over the trade-off range:
 #: the first two bottom out at theta = 22.5 deg, the last two at 67.5 deg.
@@ -29,6 +29,18 @@ MINIMAL_OUTCOMES: tuple[Outcome, ...] = (
 )
 #: Columns of the minimal outcomes in (n, 16) arrays ordered as ALL_OUTCOMES.
 MINIMAL_COLUMNS = [ALL_OUTCOMES.index(m) for m in MINIMAL_OUTCOMES]
+MINIMAL_FILE_COLUMNS = sorted(MINIMAL_COLUMNS)  # in file order, the order ``fit`` adds them in
+
+
+def require_minimal_counts(grid: SweepGrid, rows: bool = False) -> None:
+    """Raise a ValueError naming the first minimal point of a sampled ``grid`` in file order
+    with 0 counts, so a std_err of 0; ``rows`` adds the point's data row in a sweep file."""
+    if grid.counts is not None and not grid.counts[:, MINIMAL_FILE_COLUMNS].all():
+        i, j = divmod(int(grid.counts[:, MINIMAL_FILE_COLUMNS].argmin()), 4)
+        m = MINIMAL_FILE_COLUMNS[j]
+        row = f"data row {16 * i + m + 1}: " if rows else ""
+        raise ValueError(f"{row}outcome {ALL_OUTCOMES[m].label()} at theta_deg "
+                         f"{grid.thetas[i]!r} has 0 counts, so its std_err is 0")
 
 
 def pbflip_outcome(

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import figures as figmod
 from . import selfcheck
-from .analysis import MINIMAL_COLUMNS, FitResult, fit_bell_magnitude, pbflip_grid, pbflip_outcome
+from .analysis import (MINIMAL_FILE_COLUMNS, FitResult, fit_bell_magnitude, pbflip_grid,
+                       pbflip_outcome, require_minimal_counts)
 from .core import (
     CIRELSON_BOUND,
     TwoQubitState,
@@ -382,16 +383,11 @@ def sweep(state, thetas, sample, mean_total, seed, out) -> None:
 @click.option("--out", default=None, help="Output file (default: stdout).")
 def fit(sweepfile, out) -> None:
     """Fit the minimal-outcome line from a sweep table and report |<B>|."""
-    # The minimal columns in file order: the order the fit's sums add the points in.
-    minimal = sorted(MINIMAL_COLUMNS)
+    minimal = MINIMAL_FILE_COLUMNS
     with _usage_errors(f"{sweepfile}: "):
         grid, flip = read_sweep(sweepfile)
+        require_minimal_counts(grid, rows=True)
         errors = grid.std_err
-        if errors is not None and not errors[:, minimal].all():
-            i, j = np.argwhere(errors[:, minimal] == 0)[0]
-            raise ValueError(f"data row {16 * i + minimal[j] + 1}: outcome "
-                             f"{ALL_OUTCOMES[minimal[j]].label()} at theta_deg "
-                             f"{grid.thetas[i]!r} has 0 counts, so its std_err is 0")
         probs = grid.p_theory if errors is None else grid.p_obs
         xs, ys = flip[:, minimal].ravel(), probs[:, minimal].ravel()
         result = fit_bell_magnitude(xs, ys, None if errors is None else errors[:, minimal].ravel())

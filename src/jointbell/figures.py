@@ -13,7 +13,8 @@ from __future__ import annotations
 from .core import TwoQubitState
 from .sim import ALL_OUTCOMES, Outcome, SweepGrid, b_value, sweep_grid
 from .sim import joint_distribution  # noqa: F401  (bench/tests/test_bench.py traces this binding)
-from .analysis import MINIMAL_COLUMNS, MINIMAL_OUTCOMES, FitResult, fit_bell_magnitude, pbflip_grid
+from .analysis import (MINIMAL_COLUMNS, MINIMAL_OUTCOMES, FitResult, fit_bell_magnitude,
+                       pbflip_grid, require_minimal_counts)
 
 FIGURE_THETAS: dict[int, tuple[float, ...]] = {
     6: (45.0,),
@@ -46,6 +47,7 @@ def line_points(
     """(p_bflip, probability) points for the minimal outcomes over FIT_GRID plus their
     straight-line fit (view 9)."""
     grid = sweep_grid(state, FIT_GRID, mean_total, seed)
+    require_minimal_counts(grid)
     columns = {"p_bflip": pbflip_grid(grid.thetas), "probability": grid.p_theory,
                "p_obs": grid.p_obs, "std_err": grid.std_err}
     columns = {key: c[:, MINIMAL_COLUMNS] for key, c in columns.items() if c is not None}
@@ -57,10 +59,6 @@ def line_points(
     flips = columns["p_bflip"].ravel()
     if grid.counts is None:
         return points, fit_bell_magnitude(flips, columns["probability"].ravel())
-    if not columns["std_err"].all():
-        i, j = divmod(int(columns["std_err"].argmin()), len(MINIMAL_OUTCOMES))
-        raise ValueError(f"outcome {MINIMAL_OUTCOMES[j].label()} at theta_deg {grid.thetas[i]!r} "
-                         "has 0 counts, so its std_err is 0")
     return points, fit_bell_magnitude(flips, columns["p_obs"].ravel(), columns["std_err"].ravel())
 
 

@@ -465,7 +465,9 @@ _SWEEP_COLUMNS = (
 #: The sign and b fields of a sweep's sixteen rows per angle, in ALL_OUTCOMES order.
 _OUTCOME_FIELDS = [",".join(map(str, (*m, b_value(m)))) for m in ALL_OUTCOMES]
 _OUTCOME_SIGNS = np.array(ALL_OUTCOMES)  # (16, 4): the sign fields ``read_sweep`` expects
-_SWEEP_BLOCK = 16  # angles whose rows ``write_sweep`` formats at once, column by column
+_SWEEP_BLOCK = 64  # angles whose rows ``write_sweep`` formats at once, column by column
+_THETA_CHARS = 32  # width of ``read_sweep``'s theta_deg text, which a repr (24 at most) fits
+_SWEEP_ROW = np.dtype([("theta_deg", f"U{_THETA_CHARS}"), ("fields", float, (6,))])
 
 
 def _distinct_reprs(values: np.ndarray) -> list[str]:
@@ -520,6 +522,17 @@ def _unreadable_row(lines, columns: dict[str, int]) -> str | None:
     return None
 
 
+def _parse_runs(text: np.ndarray) -> np.ndarray:
+    """The (N,) theta_deg texts as floats, each run of equal text checked and parsed once."""
+    starts = np.flatnonzero(np.concatenate(([True], text[1:] != text[:-1])))
+    fields = text[starts].tolist()
+    for row, field in zip(starts.tolist(), fields):
+        if len(field) == _THETA_CHARS or not _is_number(field):  # a full field may be cut short
+            raise ValueError(f"data row {row + 1}: theta_deg must be a number of at most "
+                             f"{_THETA_CHARS - 1} characters")
+    return np.repeat(list(map(float, fields)), np.diff(starts, append=len(text)))
+
+
 def read_sweep(path) -> tuple[SweepGrid, np.ndarray]:
     """The sweep file at ``path`` as a ``SweepGrid`` and its (n, 16) flip probabilities,
     which are read as written, not recomputed from theta.
@@ -544,8 +557,9 @@ def read_sweep(path) -> tuple[SweepGrid, np.ndarray]:
         usecols = [column[name] for name in names]
         try:
             # Streamed from the file: the rows are never all held as text at once.
-            table = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None,
-                               ndmin=2, usecols=usecols)
+            rows = np.loadtxt(itertools.chain([first], fh), _SWEEP_ROW, delimiter=",",
+                              comments=None, ndmin=1, usecols=usecols)
+            table = np.column_stack((_parse_runs(rows["theta_deg"]), rows["fields"]))
         except ValueError:
             fh.seek(0)
             fh.readline()

@@ -698,7 +698,7 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("sample", [False, True], ids=["exact", "sampled"])
-    @pytest.mark.parametrize("n", [1, 15, 16, 17, 181])
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 63, 64, 65, 129, 181])
     @pytest.mark.parametrize("state", ["werner:0.9716", "singlet", "matrix-file"])
     def test_file_equals_rows_formatted_one_at_a_time(self, runner, tmp_path, state, n, sample):
         """Independent writer oracle: the file ``sweep`` writes, byte for byte, is the one
@@ -1023,18 +1023,21 @@ class TestFigures:
 
     def test_figure9_names_a_zero_count_point_as_fit_does(self, runner, tmp_path):
         """A sampled view 9 with a minimal outcome of 0 counts, whose std_err is 0, fails with
-        that point named as ``fit`` names it in the same sweep, and writes no file."""
-        args = ["--state", "singlet", "--sample", "--mean-total", "1000", "--seed", "1"]
-        result = runner.invoke(main, ["figures", "--which", "9", *args,
-                                      "--out-dir", str(tmp_path / "figures")])
-        assert_one_line_error(result, "Error: outcome (+,+;+,-) at theta_deg 20.0 has 0 counts, "
-                                      "so its std_err is 0\n")
-        assert not (tmp_path / "figures").exists()
-        thetas = ",".join(map(repr, FIT_GRID))
-        sweep = ["sweep", *args, "--thetas", thetas, "--out", str(tmp_path / "s.csv")]
-        assert runner.invoke(main, sweep).exit_code == 0
-        fitted = runner.invoke(main, ["fit", str(tmp_path / "s.csv")])
-        assert_one_line_error(fitted, f"data row 34: {result.output.removeprefix('Error: ')}")
+        that point named as ``fit`` names it in the same sweep, and writes no file.  At seed 40
+        two minimal outcomes of theta 70 have 0 counts: both name the first in file order."""
+        for seed, point, row in [(1, "(+,+;+,-) at theta_deg 20.0", 34),
+                                 (40, "(+,-;-,-) at theta_deg 70.0", 120)]:
+            args = ["--state", "singlet", "--sample", "--mean-total", "1000", "--seed", str(seed)]
+            result = runner.invoke(main, ["figures", "--which", "9", *args,
+                                          "--out-dir", str(tmp_path / "figures")])
+            assert_one_line_error(result, f"Error: outcome {point} has 0 counts, "
+                                          "so its std_err is 0\n")
+            assert not (tmp_path / "figures").exists()
+            thetas = ",".join(map(repr, FIT_GRID))
+            sweep = ["sweep", *args, "--thetas", thetas, "--out", str(tmp_path / "s.csv")]
+            assert runner.invoke(main, sweep).exit_code == 0
+            fitted = runner.invoke(main, ["fit", str(tmp_path / "s.csv")])
+            assert_one_line_error(fitted, f"data row {row}: {result.output.removeprefix('Error: ')}")
 
     def test_unknown_figure_rejected(self, runner):
         result = runner.invoke(main, ["figures", "--which", "5"])
@@ -1043,9 +1046,9 @@ class TestFigures:
 
 # sha256 of outputs for a fixed 19-angle grid: fit.json taken when a sweep's counts became
 # one stream; exact.csv and sampled.csv, and sampled181.csv, 181 angles 0, 0.5, ..., 90 that
-# span twelve blocks of the writer, taken when sweep files dropped p_obs and std_err, each
-# the file of the version before cut to its first nine fields.  A change to the kernel, the
-# sampler or the writers that moves one byte fails.
+# span three blocks of the writer (twelve when it took 16 angles a block), taken when sweep
+# files dropped p_obs and std_err, each the file of the version before cut to its first nine
+# fields.  A change to the kernel, the sampler or the writers that moves one byte fails.
 PINNED_SHA256 = {
     "exact.csv": "96b5dcf63af5ec5f5d1b406967c258f93bef8064a6c4b8e285cb2054b0c4e150",
     "sampled.csv": "f0174277931dccc11806d058a409d26ceb347068ecc7a43c97a0e26fcb006334",

@@ -1,9 +1,16 @@
 import io
+import itertools
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jointbell import sim
 from jointbell.analysis import pbflip_grid
 from jointbell.core import (
     TwoQubitState,
@@ -557,6 +564,190 @@ class TestSweepGrid:
         with pytest.raises(ValueError, match="trade-off angle must be finite") as info:
             sweep_grid(singlet_state(), [10.0, theta])
         assert "\n" not in str(info.value)
+
+
+def reference_read_sweep(path):
+    """``read_sweep`` as it was when one ``np.loadtxt`` pass read all seven columns as floats,
+    theta_deg included: kept as the reference the reader is held to, field for field."""
+    with open(path, encoding="utf-8") as fh:
+        column = {name: i for i, name in enumerate(fh.readline().rstrip("\n").split(","))}
+        missing = [c for c in sim._SWEEP_COLUMNS[:8] if c not in column]
+        if missing:
+            raise ValueError(f"missing columns {missing}")
+        first = next((line for line in fh if line != "\n"), "")
+        if not first:
+            raise ValueError("holds no data rows")
+        at = column.get("counts")
+        fields = first.rstrip("\n").split(",")
+        sampled = at is not None and at < len(fields) and fields[at] != ""
+        names = (*sim._SWEEP_COLUMNS[:5], "p_bflip", "counts" if sampled else "p_theory")
+        usecols = [column[name] for name in names]
+        try:
+            table = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None,
+                               ndmin=2, usecols=usecols)
+        except ValueError:
+            fh.seek(0)
+            fh.readline()
+            bad = sim._unreadable_row(fh, dict(zip(names, usecols)))
+            if bad:
+                raise ValueError(bad) from None
+            raise
+    if len(table) % 16:
+        raise ValueError(f"has {len(table)} data rows, not sixteen per angle")
+    bad = ~np.isfinite(table)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        value = table[i, j].item()
+        raise ValueError(f"data row {i + 1}: {names[j]} must be finite, got {value!r}")
+    angles = table.reshape(-1, 16, 7)
+    thetas = angles[:, 0, 0]
+    bad = ((angles[..., 0] != thetas[:, None])
+           | (angles[..., 1:5] != np.array(ALL_OUTCOMES)).any(axis=2))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"data row {i + 1} must be outcome {ALL_OUTCOMES[i % 16].label()} at "
+                         f"theta_deg {thetas[i // 16].item()!r}: sixteen rows per angle in order")
+    flip, values = angles[..., 5], angles[..., 6]
+    if not sampled:
+        return SweepGrid(tuple(thetas.tolist()), values), flip
+    bad = ~((values >= 0) & (values % 1 == 0) & (values <= sim.MAX_COUNT))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"data row {i + 1}: count must be an integer in [0, 2**53], "
+                         f"got {values.flat[i].item()!r}")
+    counts = values.astype(np.int64)
+    total = counts.sum(axis=1)
+    if not total.all():
+        theta = thetas[np.argmin(total)].item()
+        raise ValueError(f"theta_deg {theta!r} has no counts; probabilities are undefined")
+    return SweepGrid(tuple(thetas.tolist()), None, counts), flip
+
+
+def read_outcome(read, path):
+    """What ``read`` makes of the sweep file at ``path``: the dtype, shape and bytes of each
+    array it returns (None for a None field), or its ValueError text."""
+    try:
+        grid, flips = read(path)
+    except ValueError as exc:
+        return str(exc)
+    arrays = (np.array(grid.thetas), grid.p_theory, grid.counts, flips)
+    return [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def same_double_texts(theta):
+    """Other texts of the double ``theta``: each parses back to its bits."""
+    r = repr(theta)
+    texts = ["%.17g" % theta, "%.17e" % theta, "%.20f" % theta, "+" + r, "0" + r,
+             r.upper(), r + "0" if "e" not in r else r]
+    return [t for t in texts if np.float64(float(t)).tobytes() == np.float64(theta).tobytes()]
+
+
+#: theta_deg texts that are no finite number, or none at all.
+_BAD_THETAS = ["nan", "NaN", "inf", "-inf", "1e400", "abc", "4_5", "", "#", "\u0663", "4.5.0"]
+#: The long-theta rejection of ``read_sweep``, the one way it differs from the reference.
+_LONG_THETA = re.compile(r"data row (\d+): theta_deg must be a number of at most 31 characters")
+
+
+class TestReadSweepReference:
+    """``read_sweep`` reads what ``reference_read_sweep`` reads, bit for bit, and rejects what
+    it rejects with the same text, except that a theta_deg field of 32 or more characters,
+    which the reader cannot tell from one its text width cut short, is rejected."""
+
+    @staticmethod
+    def _assert_as_reference(text, long_rows=()):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            path.write_text(text, encoding="utf-8")
+            new, ref = read_outcome(read_sweep, path), read_outcome(reference_read_sweep, path)
+        long = isinstance(new, str) and _LONG_THETA.fullmatch(new)
+        if long and new != ref:
+            assert int(long[1]) in long_rows, (new, ref)
+        else:
+            assert new == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_perturbed_files_read_as_the_reference(self, data):
+        kind = data.draw(st.sampled_from(["werner", "singlet", "random"]))
+        if kind == "werner":
+            state = werner_state(data.draw(st.floats(0.0, 1.0)))
+        elif kind == "singlet":
+            state = singlet_state()
+        else:
+            state = random_two_qubit_state(np.random.default_rng(data.draw(st.integers(0, 99))))
+        angle = st.one_of(st.sampled_from([0.0, 45.0, 90.0, 22.5, 0.1, 1e-300]),
+                          st.floats(0.0, 90.0))
+        thetas = data.draw(st.lists(angle, min_size=1, max_size=40))
+        sampled = data.draw(st.booleans())
+        mean_total = data.draw(st.sampled_from([1000.0, 568352.0])) if sampled else None
+        grid = sweep_grid(state, thetas, mean_total, 3 if sampled else None)
+        if data.draw(st.booleans(), label="legacy"):
+            text = rows_one_at_a_time(grid, legacy=True)
+        else:
+            fh = io.StringIO()
+            write_sweep(fh, grid, pbflip_grid(grid.thetas))
+            text = fh.getvalue()
+        header, *lines = text.splitlines()
+        rows = [line.split(",") for line in lines]
+        index = st.integers(0, len(rows) - 1)
+
+        def retheta(rows_of, new):
+            for i in rows_of:
+                rows[i][0] = new
+
+        for _ in range(data.draw(st.integers(0, 3), label="rethetas")):
+            k = data.draw(st.integers(0, len(thetas) - 1))
+            which = data.draw(st.sampled_from(["angle", "row"]))
+            rows_of = range(16 * k, 16 * k + 16) if which == "angle" else [16 * k + data.draw(
+                st.integers(0, 15))]
+            retheta(rows_of, data.draw(st.sampled_from(same_double_texts(grid.thetas[k]))))
+        if data.draw(st.booleans(), label="long theta"):
+            k = data.draw(st.integers(0, len(thetas) - 1))
+            width = data.draw(st.sampled_from([31, 32, 40]))
+            retheta(range(16 * k, 16 * k + 16), repr(grid.thetas[k]).rjust(width, "0"))
+        for _ in range(data.draw(st.integers(0, 3), label="spaces")):
+            i, j = data.draw(index), data.draw(st.integers(0, 8))
+            rows[i][j] = data.draw(st.sampled_from([" {}", "{} ", " {} ", "\t{}"])).format(
+                rows[i][j])
+        for _ in range(data.draw(st.integers(0, 3), label="signs")):
+            i, j = data.draw(index), data.draw(st.integers(1, 4))
+            rows[i][j] = data.draw(st.sampled_from(["+{}", "{}.0", "{}"])).format(
+                rows[i][j]).replace("+-", "-")
+        if data.draw(st.booleans(), label="bad theta"):
+            rows[data.draw(index)][0] = data.draw(st.sampled_from(_BAD_THETAS))
+        if data.draw(st.booleans(), label="out of order"):
+            i, j = data.draw(index), data.draw(index)
+            rows[i], rows[j] = rows[j], rows[i]
+        blanks = data.draw(st.lists(st.integers(0, len(rows)), max_size=3), label="blanks")
+        out = [",".join(row) for row in rows]
+        for at in sorted(blanks, reverse=True):
+            out.insert(at, "")
+        # Data rows are counted from 1 with blank lines skipped, as the readers count them.
+        long_rows = {r for r, row in enumerate(rows, start=1) if len(row[0]) >= 32}
+        self._assert_as_reference("\n".join([header, *out]) + "\n", long_rows)
+
+    @pytest.mark.parametrize("width", [24, 31, 32, 40])
+    @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
+    def test_theta_text_width(self, tmp_path, width, sampled):
+        """theta_deg text of up to 31 characters reads as the reference reads it; a field of
+        32 or more is rejected, naming its first row, with no text of its own in the message."""
+        grid = sweep_grid(werner_state(0.9716), [10.0, 45.0], 5e4 if sampled else None,
+                          6 if sampled else None)
+        fh = io.StringIO()
+        write_sweep(fh, grid, pbflip_grid(grid.thetas))
+        header, *lines = fh.getvalue().splitlines()
+        lines[16:] = [line.replace("45.0,", "45.0".rjust(width, "0") + ",", 1)
+                      for line in lines[16:]]
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join([header, *lines]) + "\n")
+        if width < 32:
+            assert read_outcome(read_sweep, path) == read_outcome(reference_read_sweep, path)
+            assert read_sweep(path)[0].thetas == (10.0, 45.0)
+        else:
+            with pytest.raises(ValueError) as info:
+                read_sweep(path)
+            assert str(info.value) == ("data row 17: theta_deg must be a number of at most "
+                                       "31 characters")
 
 
 class TestAngleSweep:
