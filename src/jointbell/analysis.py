@@ -36,7 +36,7 @@ def require_minimal_counts(grid: SweepGrid, rows: bool = False) -> None:
     """Raise a ValueError naming the first minimal point of a sampled ``grid`` in file order
     with 0 counts, so a std_err of 0; ``rows`` adds the point's data row in a sweep file."""
     if grid.counts is not None and not grid.counts[:, MINIMAL_FILE_COLUMNS].all():
-        i, j = divmod(int(grid.counts[:, MINIMAL_FILE_COLUMNS].argmin()), 4)
+        i, j = divmod(int(grid.counts[:, MINIMAL_FILE_COLUMNS].argmin()), len(MINIMAL_OUTCOMES))
         m = MINIMAL_FILE_COLUMNS[j]
         row = f"data row {16 * i + m + 1}: " if rows else ""
         raise ValueError(f"{row}outcome {ALL_OUTCOMES[m].label()} at theta_deg "

@@ -537,11 +537,12 @@ def read_sweep(path) -> tuple[SweepGrid, np.ndarray]:
     """The sweep file at ``path`` as a ``SweepGrid`` and its (n, 16) flip probabilities,
     which are read as written, not recomputed from theta.
 
-    One ``np.loadtxt`` pass reads ``theta_deg``, the signs, ``p_bflip`` and ``counts`` (a
-    sampled sweep, whose first data row has a count) or ``p_theory`` (an exact sweep), found
-    by name in the header.  No other column is read: eleven-column files of earlier versions,
-    with ``p_obs`` and ``std_err`` after ``counts``, read the same, and a sampled sweep has
-    ``p_theory`` None, since parsing that column too would double the read's cost."""
+    One ``np.loadtxt`` pass reads the columns, found by name in the header: ``theta_deg`` as
+    text, parsed once per run of equal text (a field that fills 32 characters may be cut short,
+    so it is rejected), and the signs, ``p_bflip`` and ``counts`` (a sampled sweep, whose first
+    data row has a count) or ``p_theory`` (an exact sweep) as floats.  No other column is read:
+    eleven-column files of earlier versions read the same, and a sampled sweep has ``p_theory``
+    None, since parsing that column too would double the read's cost."""
     with open(path, encoding="utf-8") as fh:
         column = {name: i for i, name in enumerate(fh.readline().rstrip("\n").split(","))}
         missing = [c for c in _SWEEP_COLUMNS[:8] if c not in column]

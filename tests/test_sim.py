@@ -651,7 +651,9 @@ _LONG_THETA = re.compile(r"data row (\d+): theta_deg must be a number of at most
 class TestReadSweepReference:
     """``read_sweep`` reads what ``reference_read_sweep`` reads, bit for bit, and rejects what
     it rejects with the same text, except that a theta_deg field of 32 or more characters,
-    which the reader cannot tell from one its text width cut short, is rejected."""
+    which the reader cannot tell from one its text width cut short, is rejected.  (A field
+    ending in NUL characters, which the text dtype drops, is a second difference that no
+    perturbation here makes: the reader takes it as the text without them.)"""
 
     @staticmethod
     def _assert_as_reference(text, long_rows=()):
