@@ -53,6 +53,7 @@ from .analysis import (
     FitResult,
     cirelson_floor,
     fit_bell_magnitude,
+    fit_sweep,
     flip_convolve,
     intrinsic_probs,
     pbflip_grid,

@@ -29,18 +29,6 @@ MINIMAL_OUTCOMES: tuple[Outcome, ...] = (
 )
 #: Columns of the minimal outcomes in (n, 16) arrays ordered as ALL_OUTCOMES.
 MINIMAL_COLUMNS = [ALL_OUTCOMES.index(m) for m in MINIMAL_OUTCOMES]
-MINIMAL_FILE_COLUMNS = sorted(MINIMAL_COLUMNS)  # in file order, the order ``fit`` adds them in
-
-
-def require_minimal_counts(grid: SweepGrid, rows: bool = False) -> None:
-    """Raise a ValueError naming the first minimal point of a sampled ``grid`` in file order
-    with 0 counts, so a std_err of 0; ``rows`` adds the point's data row in a sweep file."""
-    if grid.counts is not None and not grid.counts[:, MINIMAL_FILE_COLUMNS].all():
-        i, j = divmod(int(grid.counts[:, MINIMAL_FILE_COLUMNS].argmin()), len(MINIMAL_OUTCOMES))
-        m = MINIMAL_FILE_COLUMNS[j]
-        row = f"data row {16 * i + m + 1}: " if rows else ""
-        raise ValueError(f"{row}outcome {ALL_OUTCOMES[m].label()} at theta_deg "
-                         f"{grid.thetas[i]!r} has 0 counts, so its std_err is 0")
 
 
 def pbflip_outcome(
@@ -206,3 +194,18 @@ def fit_bell_magnitude(
         slope_std_err=math.sqrt(var_slope),
         intercept_std_err=math.sqrt(var_intercept),
     )
+
+
+def fit_sweep(grid: SweepGrid, p_bflip: np.ndarray, rows: bool = False) -> FitResult:
+    """``fit_bell_magnitude`` of a sweep's minimal outcomes in file order: their flip
+    probabilities, from the (n, 16) ``p_bflip``, against ``p_theory`` for an exact ``grid`` or
+    ``p_obs`` weighted by ``std_err`` for a sampled one.  A point with 0 counts, so a std_err of
+    0, raises a ValueError naming the first in file order; ``rows`` adds its sweep-file row."""
+    minimal = sorted(MINIMAL_COLUMNS)  # file order
+    if grid.counts is not None and not grid.counts[:, minimal].all():
+        i, j = divmod(int(grid.counts[:, minimal].argmin()), len(minimal))
+        row = f"data row {16 * i + minimal[j] + 1}: " if rows else ""
+        raise ValueError(f"{row}outcome {ALL_OUTCOMES[minimal[j]].label()} at theta_deg "
+                         f"{grid.thetas[i]!r} has 0 counts, so its std_err is 0")
+    observed = (grid.p_theory,) if grid.counts is None else (grid.p_obs, grid.std_err)
+    return fit_bell_magnitude(*(c[:, minimal].ravel() for c in (p_bflip, *observed)))

@@ -27,8 +27,7 @@ import numpy as np
 
 from . import figures as figmod
 from . import selfcheck
-from .analysis import (MINIMAL_FILE_COLUMNS, FitResult, fit_bell_magnitude, pbflip_grid,
-                       pbflip_outcome, require_minimal_counts)
+from .analysis import MINIMAL_OUTCOMES, FitResult, fit_sweep, pbflip_grid, pbflip_outcome
 from .core import (
     CIRELSON_BOUND,
     TwoQubitState,
@@ -383,17 +382,12 @@ def sweep(state, thetas, sample, mean_total, seed, out) -> None:
 @click.option("--out", default=None, help="Output file (default: stdout).")
 def fit(sweepfile, out) -> None:
     """Fit the minimal-outcome line from a sweep table and report |<B>|."""
-    minimal = MINIMAL_FILE_COLUMNS
     with _usage_errors(f"{sweepfile}: "):
         grid, flip = read_sweep(sweepfile)
-        require_minimal_counts(grid, rows=True)
-        errors = grid.std_err
-        probs = grid.p_theory if errors is None else grid.p_obs
-        xs, ys = flip[:, minimal].ravel(), probs[:, minimal].ravel()
-        result = fit_bell_magnitude(xs, ys, None if errors is None else errors[:, minimal].ravel())
+        result = fit_sweep(grid, flip, rows=True)
     report = {
         "sweep_file": str(sweepfile),
-        "n_points": len(xs),
+        "n_points": len(MINIMAL_OUTCOMES) * len(grid.thetas),
         **_line_report(result),
         "bell_magnitude_std_err": result.bell_magnitude_std_err,
         "p_int_low": result.intercept,
@@ -418,9 +412,12 @@ def figures(which, fmt, state, sample, mean_total, seed, out_dir) -> None:
     prepared = _state_or_fail(state)
     directory = Path(out_dir) if out_dir else _output_dir()
     mean_total, seed = (mean_total, seed) if sample else (None, None)
+    with _usage_errors():
+        grid = sweep_grid(prepared, figmod.FIGURE_THETAS[int(which)], mean_total, seed)
+        if which == "9":
+            flips = pbflip_grid(grid.thetas)
+            result = fit_sweep(grid, flips)
     if which != "9":
-        with _usage_errors():
-            grid = sweep_grid(prepared, figmod.FIGURE_THETAS[int(which)], mean_total, seed)
         for theta, rows in zip(grid.thetas, figmod.distribution_rows(grid)):
             stem = directory / f"figure{which}_theta{theta:g}"
             if fmt == "csv":
@@ -429,8 +426,7 @@ def figures(which, fmt, state, sample, mean_total, seed, out_dir) -> None:
                 svg = figmod.bars_svg(rows, f"joint distribution at theta = {theta:g} deg")
                 _write_output(stem.with_suffix(".svg"), lambda fh: fh.write(svg))
         return
-    with _usage_errors():
-        points, result = figmod.line_points(prepared, mean_total, seed)
+    points = figmod.line_points(grid, flips)
     if fmt == "svg":
         svg = figmod.scatter_svg(points, result, "observed probability vs flip probability")
         _write_output(directory / "figure9.svg", lambda fh: fh.write(svg))

@@ -133,15 +133,9 @@ def side_observables(side: Side) -> tuple[PolarizationObservable, PolarizationOb
     return _SIDE_OBSERVABLES[side]
 
 
-def _unit_circle(theta_deg: float) -> tuple[float, float]:
-    """Visibilities (cos theta, sin theta) on the uncertainty-limit circle."""
-    t = math.radians(theta_deg)
-    return (math.cos(t), math.sin(t))
-
-
 def unit_circle_grid(thetas_deg) -> np.ndarray:
-    """Visibilities of n angles as a (2, n) array, rows vx and vy, each pair exactly
-    ``_unit_circle(theta)``; a non-finite angle raises ValueError."""
+    """Visibilities (cos theta, sin theta) on the uncertainty-limit circle of n angles as a
+    (2, n) array, rows vx and vy; a non-finite angle raises ValueError."""
     thetas = np.asarray(thetas_deg, dtype=float).reshape(-1)
     bad = thetas[~np.isfinite(thetas)]
     if bad.size:
@@ -169,9 +163,9 @@ class VisibilityPair(_Checked, NamedTuple("VisibilityPair", [("vx", float), ("vy
 
     @classmethod
     def from_theta(cls, theta_deg: float) -> VisibilityPair:
-        """The pair (cos theta, sin theta); theta outside [0, 90] degrees
-        gives a negative component and raises ValueError."""
-        return cls(*_unit_circle(theta_deg))
+        """The pair (cos theta, sin theta) of ``unit_circle_grid``; theta outside [0, 90]
+        degrees gives a negative component and raises ValueError, as a non-finite one does."""
+        return cls(*unit_circle_grid([theta_deg])[:, 0].tolist())
 
     def require_uncertainty_bound(self) -> None:
         """Raise unless vx**2 + vy**2 <= 1 (within POVM_TOL)."""

@@ -3,26 +3,28 @@
 Views 6, 7 and 8 are per-angle sixteen-bar outcome tables (6: theta = 45;
 7: theta in {0, 20, 40}; 8: theta in {50, 70, 90}).  View 9 is the scatter
 of observed probability against flip probability for the four minimal
-outcomes over a theta grid, together with its straight-line fit.  Output is
-CSV data or a small self-contained SVG; both are deterministic for a fixed
+outcomes over a theta grid, together with its straight-line fit, which is
+``fit``'s fit of that grid (``analysis.fit_sweep``).  Output is CSV data or
+a small self-contained SVG; both are deterministic for a fixed
 configuration and seed.
 """
 
 from __future__ import annotations
 
-from .core import TwoQubitState
-from .sim import ALL_OUTCOMES, Outcome, SweepGrid, b_value, sweep_grid
+import numpy as np
+
+from .sim import ALL_OUTCOMES, Outcome, SweepGrid, b_value
 from .sim import joint_distribution  # noqa: F401  (bench/tests/test_bench.py traces this binding)
-from .analysis import (MINIMAL_COLUMNS, MINIMAL_OUTCOMES, FitResult, fit_bell_magnitude,
-                       pbflip_grid, require_minimal_counts)
+from .analysis import MINIMAL_COLUMNS, MINIMAL_OUTCOMES, FitResult
+
+FIT_GRID: tuple[float, ...] = tuple(float(t) for t in range(0, 91, 10))
 
 FIGURE_THETAS: dict[int, tuple[float, ...]] = {
     6: (45.0,),
     7: (0.0, 20.0, 40.0),
     8: (50.0, 70.0, 90.0),
+    9: FIT_GRID,
 }
-
-FIT_GRID: tuple[float, ...] = tuple(float(t) for t in range(0, 91, 10))
 
 
 def distribution_rows(grid: SweepGrid) -> list[list[dict]]:
@@ -39,27 +41,17 @@ def distribution_rows(grid: SweepGrid) -> list[list[dict]]:
     ]
 
 
-def line_points(
-    state: TwoQubitState,
-    mean_total: float | None = None,
-    seed: int | None = None,
-) -> tuple[list[dict], FitResult]:
-    """(p_bflip, probability) points for the minimal outcomes over FIT_GRID plus their
-    straight-line fit (view 9)."""
-    grid = sweep_grid(state, FIT_GRID, mean_total, seed)
-    require_minimal_counts(grid)
-    columns = {"p_bflip": pbflip_grid(grid.thetas), "probability": grid.p_theory,
+def line_points(grid: SweepGrid, p_bflip: np.ndarray) -> list[dict]:
+    """The (p_bflip, probability) points of view 9: the minimal outcomes of each angle of a
+    sweep in MINIMAL_OUTCOMES order, with flip probabilities from the (n, 16) ``p_bflip``."""
+    columns = {"p_bflip": p_bflip, "probability": grid.p_theory,
                "p_obs": grid.p_obs, "std_err": grid.std_err}
-    columns = {key: c[:, MINIMAL_COLUMNS] for key, c in columns.items() if c is not None}
-    points = [
+    columns = {key: c[:, MINIMAL_COLUMNS].tolist() for key, c in columns.items() if c is not None}
+    return [
         {"theta_deg": theta, **m._asdict(), **dict(zip(columns, values))}
-        for theta, *per_outcome in zip(grid.thetas, *(c.tolist() for c in columns.values()))
+        for theta, *per_outcome in zip(grid.thetas, *columns.values())
         for m, *values in zip(MINIMAL_OUTCOMES, *per_outcome)
     ]
-    flips = columns["p_bflip"].ravel()
-    if grid.counts is None:
-        return points, fit_bell_magnitude(flips, columns["probability"].ravel())
-    return points, fit_bell_magnitude(flips, columns["p_obs"].ravel(), columns["std_err"].ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ from typing import NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .core import (
-    OUTCOME_SIGNS,
     Side,
     TwoQubitState,
     _Checked,
+    _ELEMENT_SIGNS,
     _frozen,
     _left_sum,
     build_joint_povm,
@@ -58,8 +58,9 @@ ALL_OUTCOMES: tuple[Outcome, ...] = tuple(
     for xb in (1, -1)
     for yb in (1, -1)
 )
-#: The signs (x_A, y_A, x_B, y_B) of the sixteen outcomes as four columns.
-SIGN_COLUMNS = tuple(np.array(ALL_OUTCOMES).T)
+#: The signs (x_A, y_A, x_B, y_B) of the sixteen outcomes, (16, 4), and as four columns.
+_OUTCOME_SIGNS = np.array(ALL_OUTCOMES)
+SIGN_COLUMNS = tuple(_OUTCOME_SIGNS.T)
 
 
 def b_value(outcome: Outcome) -> int:
@@ -341,7 +342,7 @@ def joint_visibilities(
     obs_x, obs_y = side_observables(side)
     helper: Side = "B" if side == "A" else "A"
     povm = build_joint_povm(side, theta_deg)
-    x_signs, y_signs = np.array(OUTCOME_SIGNS).T
+    x_signs, y_signs = _ELEMENT_SIGNS[:, 1:].T
     ratios = []
     for axis, obs, signs in (("x", obs_x, x_signs), ("y", obs_y, y_signs)):
         prepared = conditional_state(state, helper, obs.plus_angle_deg + 90.0)
@@ -464,7 +465,6 @@ _SWEEP_COLUMNS = (
 )
 #: The sign and b fields of a sweep's sixteen rows per angle, in ALL_OUTCOMES order.
 _OUTCOME_FIELDS = [",".join(map(str, (*m, b_value(m)))) for m in ALL_OUTCOMES]
-_OUTCOME_SIGNS = np.array(ALL_OUTCOMES)  # (16, 4): the sign fields ``read_sweep`` expects
 _SWEEP_BLOCK = 64  # angles whose rows ``write_sweep`` formats at once, column by column
 _THETA_CHARS = 32  # width of ``read_sweep``'s theta_deg text, which a repr (24 at most) fits
 _SWEEP_ROW = np.dtype([("theta_deg", f"U{_THETA_CHARS}"), ("fields", float, (6,))])
@@ -506,11 +506,13 @@ def _is_number(field: str) -> bool:
     return field.isascii() and "_" not in field
 
 
-def _unreadable_row(lines, columns: dict[str, int]) -> str | None:
-    """Name the first of the data ``lines`` that ``np.loadtxt`` cannot read: a field of
-    ``columns`` (name: index) that is missing or not a number.  Rows are counted from 1 with
-    blank lines skipped, as ``np.loadtxt`` and ``read_sweep``'s other errors count them."""
-    rows = (line.rstrip("\n").split(",") for line in lines if line != "\n")
+def _unreadable_row(fh, columns: dict[str, int]) -> str | None:
+    """Name the first data row of the sweep file ``fh``, read again, that ``np.loadtxt`` cannot
+    read: a field of ``columns`` (name: index) that is missing or not a number.  Rows count
+    from 1 with blank lines skipped, as ``np.loadtxt`` and ``read_sweep``'s other errors do."""
+    fh.seek(0)
+    fh.readline()
+    rows = (line.rstrip("\n").split(",") for line in fh if line != "\n")
     for r, fields in enumerate(rows, start=1):
         for name, i in columns.items():
             if i >= len(fields):
@@ -562,12 +564,13 @@ def read_sweep(path) -> tuple[SweepGrid, np.ndarray]:
                               comments=None, ndmin=1, usecols=usecols)
             table = np.column_stack((_parse_runs(rows["theta_deg"]), rows["fields"]))
         except ValueError:
-            fh.seek(0)
-            fh.readline()
             bad = _unreadable_row(fh, dict(zip(names, usecols)))
             if bad:
                 raise ValueError(bad) from None
             raise
+        fh.seek(0)  # the text dtype drops trailing NULs: theta_deg "45.0\x00" has read as 45.0
+        if b"\x00" in fh.buffer.read() and (bad := _unreadable_row(fh, dict(zip(names, usecols)))):
+            raise ValueError(bad)
     if len(table) % 16:
         raise ValueError(f"has {len(table)} data rows, not sixteen per angle")
     bad = ~np.isfinite(table)

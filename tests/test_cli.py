@@ -1021,6 +1021,25 @@ class TestFigures:
         assert list(fit) == FIT_KEYS
         assert fit_path.read_text() == json.dumps(fit, indent=2) + "\n"
 
+    @pytest.mark.parametrize("state", ["singlet", "werner:0.9716"])
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3], ids=["exact", "seed1", "seed2", "seed3"])
+    def test_figure9_fit_is_the_head_of_fits_report(self, runner, tmp_path, state, seed):
+        """figure9_fit.json is keys 3 to 7 of ``fit``'s report on a sweep of the same grid, bit
+        for bit.  ``figures`` and ``sweep`` default to different mean totals, so the sampled runs
+        pass one."""
+        args = ["--state", state]
+        if seed is not None:
+            args += ["--sample", "--mean-total", "568352", "--seed", str(seed)]
+        result = runner.invoke(main, ["figures", "--which", "9", *args, "--out-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        thetas = ",".join(str(t) for t in range(0, 91, 10))
+        sweep = ["sweep", *args, "--thetas", thetas, "--out", str(tmp_path / "s.csv")]
+        assert runner.invoke(main, sweep).exit_code == 0
+        report = run_json(runner, ["fit", str(tmp_path / "s.csv")])
+        head = dict(list(report.items())[2:7])
+        assert list(head) == FIT_KEYS
+        assert (tmp_path / "figure9_fit.json").read_text() == json.dumps(head, indent=2) + "\n"
+
     def test_figure9_names_a_zero_count_point_as_fit_does(self, runner, tmp_path):
         """A sampled view 9 with a minimal outcome of 0 counts, whose std_err is 0, fails with
         that point named as ``fit`` names it in the same sweep, and writes no file.  At seed 40
@@ -1149,7 +1168,7 @@ FIGURES_SHA256 = {
     "exact/figure8_theta90.svg": "37c6c618ad41628426ab9aa433dc904f8a0164cc802f4dba00c2e1e11586d9b9",
     "exact/figure9.csv": "5ea600e8208dc71b6ef73b6c689005f33de45494293ec401216e6473f5f34a3a",
     "exact/figure9.svg": "56c065435f9137343060a0d8ed24248c1a96b2d3339b344a44912c9e718bf279",
-    "exact/figure9_fit.json": "9cc0af9950f56d4baefeecbb8411155d7859a6b740593153b31e7a7e2c10497b",
+    "exact/figure9_fit.json": "d8c2005ccd93cbb934a2ad14eb8bd578bd33bcc327832c8fea1551f4d8124bf3",
     "sampled/figure6_theta45.csv": "b3563cbb142bc7a49f488831f2d271756e87f9db1e378e0086bb656fdf02268f",
     "sampled/figure6_theta45.svg": "06ead4018d09c5f467d559ee1044cff43290b0fc8f704dce9c78f941b1d43cb1",
     "sampled/figure7_theta0.csv": "8e49824a7104d7a16e3f9970a4047aa0f0e45efbb6decf45516e6f526742f784",
@@ -1166,7 +1185,7 @@ FIGURES_SHA256 = {
     "sampled/figure8_theta90.svg": "150148cd147baa84dcf3c8d905f84a2ac56efd86a8acb5ac2dbf05786b725399",
     "sampled/figure9.csv": "9fe714d4f9f6ac0adad49712fd6ae462f4eeaa67815585d6fcc93703ab656ccb",
     "sampled/figure9.svg": "75ab46067983110ac411a702aebfa61c27ce5185a279f70623af7f2525467a01",
-    "sampled/figure9_fit.json": "5f5c28ee54c1ab643f2bae6b16cf1fc924fec8048222ee99cd65da48de290c29",
+    "sampled/figure9_fit.json": "64b392eeec8541d3a6571a137ff188d7de9e9109d6df6b136812a69f5dfd8580",
 }
 
 

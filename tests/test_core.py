@@ -196,6 +196,8 @@ class TestJointPovm:
             build_joint_povm("B", [10.0, theta, 20.0])
         with pytest.raises(ValueError, match=message):
             unit_circle_grid([10.0, theta, 20.0])
+        with pytest.raises(ValueError, match=message):
+            VisibilityPair.from_theta(theta)
 
     def test_grid_visibilities_equal_the_settings_bit_for_bit(self):
         thetas = [0, 22.5, 45.0, *np.random.default_rng(3).uniform(-100.0, 200.0, 50)]

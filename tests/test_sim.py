@@ -651,9 +651,7 @@ _LONG_THETA = re.compile(r"data row (\d+): theta_deg must be a number of at most
 class TestReadSweepReference:
     """``read_sweep`` reads what ``reference_read_sweep`` reads, bit for bit, and rejects what
     it rejects with the same text, except that a theta_deg field of 32 or more characters,
-    which the reader cannot tell from one its text width cut short, is rejected.  (A field
-    ending in NUL characters, which the text dtype drops, is a second difference that no
-    perturbation here makes: the reader takes it as the text without them.)"""
+    which the reader cannot tell from one its text width cut short, is rejected."""
 
     @staticmethod
     def _assert_as_reference(text, long_rows=()):
@@ -717,6 +715,8 @@ class TestReadSweepReference:
                 rows[i][j]).replace("+-", "-")
         if data.draw(st.booleans(), label="bad theta"):
             rows[data.draw(index)][0] = data.draw(st.sampled_from(_BAD_THETAS))
+        if data.draw(st.booleans(), label="NUL theta"):  # the text dtype drops trailing NULs
+            rows[data.draw(index)][0] += "\x00" * data.draw(st.integers(1, 2))
         if data.draw(st.booleans(), label="out of order"):
             i, j = data.draw(index), data.draw(index)
             rows[i], rows[j] = rows[j], rows[i]
@@ -750,6 +750,21 @@ class TestReadSweepReference:
                 read_sweep(path)
             assert str(info.value) == ("data row 17: theta_deg must be a number of at most "
                                        "31 characters")
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
+    def test_nul_suffixed_theta_rejected(self, tmp_path, sampled):
+        """A theta_deg text ending in NUL, which the text dtype drops, is rejected as the
+        reference rejects it, not read as the number before the NUL."""
+        grid = sweep_grid(werner_state(0.9716), [10.0, 45.0], 5e4 if sampled else None,
+                          6 if sampled else None)
+        fh = io.StringIO()
+        write_sweep(fh, grid, pbflip_grid(grid.thetas))
+        path = tmp_path / "s.csv"
+        path.write_text(fh.getvalue().replace("\n45.0,", "\n45.0\x00,", 1))
+        with pytest.raises(ValueError) as info:
+            read_sweep(path)
+        assert str(info.value) == "data row 17: theta_deg must be a number, got '45.0\\x00'"
+        assert read_outcome(read_sweep, path) == read_outcome(reference_read_sweep, path)
 
 
 class TestAngleSweep:
