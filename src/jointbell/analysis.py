@@ -196,9 +196,9 @@ def fit_bell_magnitude(
     )
 
 
-def fit_sweep(grid: SweepGrid, p_bflip: np.ndarray, rows: bool = False) -> FitResult:
+def fit_sweep(grid: SweepGrid, rows: bool = False) -> FitResult:
     """``fit_bell_magnitude`` of a sweep's minimal outcomes in file order: their flip
-    probabilities, from the (n, 16) ``p_bflip``, against ``p_theory`` for an exact ``grid`` or
+    probabilities, ``pbflip_grid`` of the angles, against ``p_theory`` for an exact ``grid`` or
     ``p_obs`` weighted by ``std_err`` for a sampled one.  A point with 0 counts, so a std_err of
     0, raises a ValueError naming the first in file order; ``rows`` adds its sweep-file row."""
     minimal = sorted(MINIMAL_COLUMNS)  # file order
@@ -207,5 +207,5 @@ def fit_sweep(grid: SweepGrid, p_bflip: np.ndarray, rows: bool = False) -> FitRe
         row = f"data row {16 * i + minimal[j] + 1}: " if rows else ""
         raise ValueError(f"{row}outcome {ALL_OUTCOMES[minimal[j]].label()} at theta_deg "
                          f"{grid.thetas[i]!r} has 0 counts, so its std_err is 0")
-    observed = (grid.p_theory,) if grid.counts is None else (grid.p_obs, grid.std_err)
-    return fit_bell_magnitude(*(c[:, minimal].ravel() for c in (p_bflip, *observed)))
+    y = (grid.p_theory,) if grid.counts is None else (grid.p_obs, grid.std_err)
+    return fit_bell_magnitude(*(c[:, minimal].ravel() for c in (pbflip_grid(grid.thetas), *y)))

@@ -383,8 +383,8 @@ def sweep(state, thetas, sample, mean_total, seed, out) -> None:
 def fit(sweepfile, out) -> None:
     """Fit the minimal-outcome line from a sweep table and report |<B>|."""
     with _usage_errors(f"{sweepfile}: "):
-        grid, flip = read_sweep(sweepfile)
-        result = fit_sweep(grid, flip, rows=True)
+        grid = read_sweep(sweepfile)
+        result = fit_sweep(grid, rows=True)
     report = {
         "sweep_file": str(sweepfile),
         "n_points": len(MINIMAL_OUTCOMES) * len(grid.thetas),
@@ -415,8 +415,7 @@ def figures(which, fmt, state, sample, mean_total, seed, out_dir) -> None:
     with _usage_errors():
         grid = sweep_grid(prepared, figmod.FIGURE_THETAS[int(which)], mean_total, seed)
         if which == "9":
-            flips = pbflip_grid(grid.thetas)
-            result = fit_sweep(grid, flips)
+            result = fit_sweep(grid)
     if which != "9":
         for theta, rows in zip(grid.thetas, figmod.distribution_rows(grid)):
             stem = directory / f"figure{which}_theta{theta:g}"
@@ -426,7 +425,7 @@ def figures(which, fmt, state, sample, mean_total, seed, out_dir) -> None:
                 svg = figmod.bars_svg(rows, f"joint distribution at theta = {theta:g} deg")
                 _write_output(stem.with_suffix(".svg"), lambda fh: fh.write(svg))
         return
-    points = figmod.line_points(grid, flips)
+    points = figmod.line_points(grid)
     if fmt == "svg":
         svg = figmod.scatter_svg(points, result, "observed probability vs flip probability")
         _write_output(directory / "figure9.svg", lambda fh: fh.write(svg))

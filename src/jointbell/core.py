@@ -157,8 +157,10 @@ class VisibilityPair(_Checked, NamedTuple("VisibilityPair", [("vx", float), ("vy
     __slots__ = ()
 
     def __new__(cls, vx: float, vy: float) -> VisibilityPair:
-        if not np.all((0.0 <= vx) & (vx <= 1.0) & (0.0 <= vy) & (vy <= 1.0)):
-            raise ValueError(f"visibilities must lie in [0, 1], got ({vx}, {vy})")
+        ok = (0.0 <= vx) & (vx <= 1.0) & (0.0 <= vy) & (vy <= 1.0)
+        if not np.all(ok):  # name the first bad pair, not whole arrays
+            x, y = (v.flat[np.argmin(ok)].item() for v in np.broadcast_arrays(vx, vy))
+            raise ValueError(f"visibilities must lie in [0, 1], got ({x}, {y})")
         return super().__new__(cls, vx, vy)
 
     @classmethod

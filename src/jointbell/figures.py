@@ -11,11 +11,9 @@ configuration and seed.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .sim import ALL_OUTCOMES, Outcome, SweepGrid, b_value
 from .sim import joint_distribution  # noqa: F401  (bench/tests/test_bench.py traces this binding)
-from .analysis import MINIMAL_COLUMNS, MINIMAL_OUTCOMES, FitResult
+from .analysis import MINIMAL_COLUMNS, MINIMAL_OUTCOMES, FitResult, pbflip_grid
 
 FIT_GRID: tuple[float, ...] = tuple(float(t) for t in range(0, 91, 10))
 
@@ -41,10 +39,10 @@ def distribution_rows(grid: SweepGrid) -> list[list[dict]]:
     ]
 
 
-def line_points(grid: SweepGrid, p_bflip: np.ndarray) -> list[dict]:
+def line_points(grid: SweepGrid) -> list[dict]:
     """The (p_bflip, probability) points of view 9: the minimal outcomes of each angle of a
-    sweep in MINIMAL_OUTCOMES order, with flip probabilities from the (n, 16) ``p_bflip``."""
-    columns = {"p_bflip": p_bflip, "probability": grid.p_theory,
+    sweep in MINIMAL_OUTCOMES order, with flip probabilities ``pbflip_grid`` of the angles."""
+    columns = {"p_bflip": pbflip_grid(grid.thetas), "probability": grid.p_theory,
                "p_obs": grid.p_obs, "std_err": grid.std_err}
     columns = {key: c[:, MINIMAL_COLUMNS].tolist() for key, c in columns.items() if c is not None}
     return [

@@ -256,9 +256,9 @@ def probabilities_from_counts(table: CountTable) -> tuple[JointDistribution, np.
 
 
 class SweepGrid(NamedTuple):
-    """A sweep over angles theta = theta_A = theta_B as (n, 16) arrays in ALL_OUTCOMES order,
-    one row per angle.  ``counts`` and the derived ``p_obs`` N(m)/N and ``std_err`` sqrt(N(m))/N
-    are None unless sampled; ``p_theory`` is None when ``read_sweep`` reads a sampled file."""
+    """A sweep over theta = theta_A = theta_B (flips: ``analysis.pbflip_grid(thetas)``) as (n, 16)
+    arrays in ALL_OUTCOMES order.  ``counts`` and the derived ``p_obs`` N(m)/N and ``std_err``
+    sqrt(N(m))/N are None unless sampled; ``p_theory`` is None in a sampled file read back."""
 
     thetas: tuple[float, ...]
     p_theory: np.ndarray | None
@@ -467,7 +467,7 @@ _SWEEP_COLUMNS = (
 _OUTCOME_FIELDS = [",".join(map(str, (*m, b_value(m)))) for m in ALL_OUTCOMES]
 _SWEEP_BLOCK = 64  # angles whose rows ``write_sweep`` formats at once, column by column
 _THETA_CHARS = 32  # width of ``read_sweep``'s theta_deg text, which a repr (24 at most) fits
-_SWEEP_ROW = np.dtype([("theta_deg", f"U{_THETA_CHARS}"), ("fields", float, (6,))])
+_SWEEP_ROW = np.dtype([("theta_deg", f"U{_THETA_CHARS}"), ("fields", float, (5,))])
 
 
 def _distinct_reprs(values: np.ndarray) -> list[str]:
@@ -479,8 +479,8 @@ def _distinct_reprs(values: np.ndarray) -> list[str]:
 
 
 def write_sweep(fh: TextIO, grid: SweepGrid, p_bflip: np.ndarray) -> None:
-    """Write ``grid``, which must have ``p_theory``, to the text stream ``fh`` as a sweep file
-    whose flip probabilities are the (n, 16) array ``p_bflip``."""
+    """Write ``grid``, which must have ``p_theory``, to ``fh`` as a sweep file; the caller passes
+    its derived column ``p_bflip``, ``analysis.pbflip_grid(grid.thetas)``: analysis imports sim."""
     if grid.p_theory is None:
         raise ValueError("cannot write a sweep without p_theory: the grid is a sampled sweep "
                          "read back by read_sweep, which does not read that column")
@@ -535,16 +535,15 @@ def _parse_runs(text: np.ndarray) -> np.ndarray:
     return np.repeat(list(map(float, fields)), np.diff(starts, append=len(text)))
 
 
-def read_sweep(path) -> tuple[SweepGrid, np.ndarray]:
-    """The sweep file at ``path`` as a ``SweepGrid`` and its (n, 16) flip probabilities,
-    which are read as written, not recomputed from theta.
+def read_sweep(path) -> SweepGrid:
+    """The sweep file at ``path`` as a ``SweepGrid``, each theta in [0, 90] degrees.
 
     One ``np.loadtxt`` pass reads the columns, found by name in the header: ``theta_deg`` as
     text, parsed once per run of equal text (a field that fills 32 characters may be cut short,
-    so it is rejected), and the signs, ``p_bflip`` and ``counts`` (a sampled sweep, whose first
-    data row has a count) or ``p_theory`` (an exact sweep) as floats.  No other column is read:
-    eleven-column files of earlier versions read the same, and a sampled sweep has ``p_theory``
-    None, since parsing that column too would double the read's cost."""
+    so it is rejected), and the signs and ``counts`` (a sampled sweep, whose first data row has
+    a count) or ``p_theory`` (an exact sweep) as floats.  No other column is read: ``p_bflip``
+    is ``analysis.pbflip_grid`` of theta, eleven-column files of earlier versions read the same,
+    and a sampled sweep has ``p_theory`` None, since parsing it too would double the cost."""
     with open(path, encoding="utf-8") as fh:
         column = {name: i for i, name in enumerate(fh.readline().rstrip("\n").split(","))}
         missing = [c for c in _SWEEP_COLUMNS[:8] if c not in column]
@@ -556,7 +555,7 @@ def read_sweep(path) -> tuple[SweepGrid, np.ndarray]:
         at = column.get("counts")
         fields = first.rstrip("\n").split(",")
         sampled = at is not None and at < len(fields) and fields[at] != ""
-        names = (*_SWEEP_COLUMNS[:5], "p_bflip", "counts" if sampled else "p_theory")
+        names = (*_SWEEP_COLUMNS[:5], "counts" if sampled else "p_theory")
         usecols = [column[name] for name in names]
         try:
             # Streamed from the file: the rows are never all held as text at once.
@@ -578,16 +577,20 @@ def read_sweep(path) -> tuple[SweepGrid, np.ndarray]:
         i, j = np.argwhere(bad)[0]
         value = table[i, j].item()
         raise ValueError(f"data row {i + 1}: {names[j]} must be finite, got {value!r}")
-    angles = table.reshape(-1, 16, 7)
+    angles = table.reshape(-1, 16, 6)
     thetas = angles[:, 0, 0]
     bad = (angles[..., 0] != thetas[:, None]) | (angles[..., 1:5] != _OUTCOME_SIGNS).any(axis=2)
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"data row {i + 1} must be outcome {ALL_OUTCOMES[i % 16].label()} at "
                          f"theta_deg {thetas[i // 16].item()!r}: sixteen rows per angle in order")
-    flip, values = angles[..., 5], angles[..., 6]
+    bad = (thetas < 0.0) | (thetas > 90.0)  # theta feeds analysis.pbflip_grid
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"data row {16 * i + 1}: theta_deg must lie in [0, 90], got {thetas[i]}")
+    values = angles[..., 5]
     if not sampled:
-        return SweepGrid(tuple(thetas.tolist()), values), flip
+        return SweepGrid(tuple(thetas.tolist()), values)
     bad = ~((values >= 0) & (values % 1 == 0) & (values <= MAX_COUNT))
     if bad.any():
         i = int(np.argmax(bad))
@@ -598,4 +601,4 @@ def read_sweep(path) -> tuple[SweepGrid, np.ndarray]:
     if not total.all():
         theta = thetas[np.argmin(total)].item()
         raise ValueError(f"theta_deg {theta!r} has no counts; probabilities are undefined")
-    return SweepGrid(tuple(thetas.tolist()), None, counts), flip
+    return SweepGrid(tuple(thetas.tolist()), None, counts)

@@ -255,9 +255,15 @@ class TestPbflipGrid:
     def test_angles_outside_the_quarter_circle_rejected(self):
         with pytest.raises(ValueError, match="visibilities must lie in"):
             pbflip_grid([45.0, 91.0])
+        # The first bad pair, as two numbers on one line, not the whole visibility arrays.
+        with pytest.raises(ValueError) as info:
+            pbflip_grid([10.0, 100.0, 120.0])
+        assert str(info.value) == ("visibilities must lie in [0, 1], "
+                                   "got (-0.1736481776669303, 0.984807753012208)")
         for bad in (-1.0, 90.5):
-            with pytest.raises(ValueError, match="visibilities must lie in"):
+            with pytest.raises(ValueError, match="visibilities must lie in") as info:
                 pbflip_grid([0.0, 30.0, bad, 60.0, 90.0])
+            assert "\n" not in str(info.value)
         with pytest.raises(ValueError, match="trade-off angle must be finite, got nan"):
             pbflip_grid([0.0, 30.0, math.nan, 60.0, 90.0])
         assert pbflip_grid([]).shape == (0, 16)

@@ -703,8 +703,8 @@ class TestSweep:
     def test_file_equals_rows_formatted_one_at_a_time(self, runner, tmp_path, state, n, sample):
         """Independent writer oracle: the file ``sweep`` writes, byte for byte, is the one
         ``rows_one_at_a_time`` formats, whatever the number of angles per block of the writer.
-        ``read_sweep`` gives back the angles, the flips and the counts or exact probabilities
-        bit for bit."""
+        ``read_sweep`` gives back the angles and the counts or exact probabilities bit for
+        bit."""
         if state == "matrix-file":
             # A random state: no two probabilities repeat, at one angle or across angles.
             state = str(tmp_path / "rho.txt")
@@ -719,9 +719,8 @@ class TestSweep:
 
         grid = sweep_grid(parse_state_spec(state), thetas, mean_total, seed)
         assert (tmp_path / "s.csv").read_text() == rows_one_at_a_time(grid)
-        read, flips = read_sweep(tmp_path / "s.csv")
+        read = read_sweep(tmp_path / "s.csv")
         assert read.thetas == grid.thetas
-        assert bits(flips) == bits(pbflip_grid(grid.thetas))
         if sample:
             assert read.p_theory is None and read.counts.tolist() == grid.counts.tolist()
         else:
@@ -888,6 +887,25 @@ class TestFit:
         assert runner.invoke(main, ["fit", str(sweep_path)]).output == before
 
     @pytest.mark.parametrize("sample", [False, True], ids=["exact", "sampled"])
+    def test_p_bflip_is_derived_from_theta(self, runner, tmp_path, sample):
+        """fit recomputes the flips from theta, so a p_bflip column edited by hand, to 0.5 or
+        to a non-number, fits as the file did; a theta outside [0, 90], where the flip model
+        does not reach, is rejected at the first row of its angle."""
+        sweep_path = tmp_path / "s.csv"
+        self._sweep(runner, sweep_path, sample=sample)
+        before = runner.invoke(main, ["fit", str(sweep_path)])
+        assert before.exit_code == 0, before.output
+        for value in ("0.5", "x"):  # field 7 is p_bflip
+            self._edit_data_rows(sweep_path, lambda r, v=value: [[*f[:7], v, *f[8:]] for f in r])
+            assert runner.invoke(main, ["fit", str(sweep_path)]).output == before.output
+        self._edit_data_rows(sweep_path, lambda r: [
+            ["100.0" if f[0] == "90.0" else f[0], *f[1:]] for f in r])
+        result = runner.invoke(main, ["fit", str(sweep_path)])
+        assert_one_line_error(result)
+        assert result.output == (f"Error: {sweep_path}: data row 145: theta_deg must lie in "
+                                 "[0, 90], got 100.0\n")
+
+    @pytest.mark.parametrize("sample", [False, True], ids=["exact", "sampled"])
     def test_legacy_file_fits_as_the_new_file(self, runner, tmp_path, monkeypatch, sample):
         """A sweep file ends at ``counts``; an eleven-column file of earlier versions, with
         ``p_obs`` and ``std_err`` after it, still reads to the same grid and fits to the same
@@ -900,9 +918,8 @@ class TestFit:
         assert new_lines[0].endswith(",p_bflip,counts")
         assert [line.rsplit(",", 2)[0] for line in
                 (tmp_path / "legacy" / "s.csv").read_text().splitlines()] == new_lines
-        (new, new_flips), (legacy, legacy_flips) = (
-            read_sweep(tmp_path / name / "s.csv") for name in ("new", "legacy"))
-        assert legacy.thetas == new.thetas and bits(legacy_flips) == bits(new_flips)
+        new, legacy = (read_sweep(tmp_path / name / "s.csv") for name in ("new", "legacy"))
+        assert legacy.thetas == new.thetas
         if sample:
             assert legacy.p_theory is None and legacy.counts.tolist() == new.counts.tolist()
         else:

@@ -482,9 +482,8 @@ class TestSweepGrid:
         assert texts[1] == texts[0] and texts[2] == texts[0]
         assert texts[0].splitlines()[17].startswith("45.0,1,1,1,1,")
         (tmp_path / "s.csv").write_text(texts[0])
-        read, flips = read_sweep(tmp_path / "s.csv")
+        read = read_sweep(tmp_path / "s.csv")
         assert read.thetas == (0.0, 45.0, 90.0)
-        assert flips.tolist() == pbflip_grid(read.thetas).tolist()
         if seed is None:
             assert read.p_theory.tolist() == grid.p_theory.tolist() and read.counts is None
         else:
@@ -494,16 +493,17 @@ class TestSweepGrid:
                                        random_two_qubit_state(np.random.default_rng(5))],
                              ids=["werner", "singlet", "random"])
     def test_exact_file_read_back_writes_the_same_bytes(self, tmp_path, state):
-        """``read_sweep`` returns ``p_theory`` and the flips as strided views of its table,
-        and ``write_sweep`` writes them back to the file they came from, byte for byte."""
+        """``read_sweep`` returns ``p_theory`` as a strided view of its table, and
+        ``write_sweep`` writes it, with the flips of the angles read, back to the file it came
+        from, byte for byte."""
         thetas = sorted(np.random.default_rng(9).uniform(0.0, 90.0, 37).tolist()) + [0.0, 90.0]
         grid = sweep_grid(state, thetas)
         with open(tmp_path / "s.csv", "w") as fh:
             write_sweep(fh, grid, pbflip_grid(grid.thetas))
-        read, flips = read_sweep(tmp_path / "s.csv")
-        assert not (read.p_theory.flags.c_contiguous or flips.flags.c_contiguous)
+        read = read_sweep(tmp_path / "s.csv")
+        assert not read.p_theory.flags.c_contiguous
         fh = io.StringIO()
-        write_sweep(fh, read, flips)
+        write_sweep(fh, read, pbflip_grid(read.thetas))
         assert fh.getvalue() == (tmp_path / "s.csv").read_text()
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
@@ -524,9 +524,9 @@ class TestSweepGrid:
         grid = sweep_grid(werner_state(0.9716), self.THETAS, mean_total=5e4, seed=6)
         with open(tmp_path / "s.csv", "w") as fh:
             write_sweep(fh, grid, pbflip_grid(grid.thetas))
-        read, flips = read_sweep(tmp_path / "s.csv")
+        read = read_sweep(tmp_path / "s.csv")
         with pytest.raises(ValueError, match="sampled sweep read back by read_sweep") as info:
-            write_sweep(io.StringIO(), read, flips)
+            write_sweep(io.StringIO(), read, pbflip_grid(read.thetas))
         assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize("mean_total, seed", [(None, None), (5e4, None), (None, 3)])
@@ -624,12 +624,15 @@ def reference_read_sweep(path):
 
 
 def read_outcome(read, path):
-    """What ``read`` makes of the sweep file at ``path``: the dtype, shape and bytes of each
-    array it returns (None for a None field), or its ValueError text."""
+    """What ``read`` makes of the sweep file at ``path``: the dtype, shape and bytes of the
+    angles, ``p_theory``, counts (None for a None field) and flips, or its ValueError text.
+    The flips are the parsed column for ``reference_read_sweep`` and ``pbflip_grid`` of the
+    angles for ``read_sweep``, so equal outcomes show the written column is the derived one."""
     try:
-        grid, flips = read(path)
+        grid = read(path)
     except ValueError as exc:
         return str(exc)
+    grid, flips = (grid, pbflip_grid(grid.thetas)) if isinstance(grid, SweepGrid) else grid
     arrays = (np.array(grid.thetas), grid.p_theory, grid.counts, flips)
     return [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
@@ -644,24 +647,33 @@ def same_double_texts(theta):
 
 #: theta_deg texts that are no finite number, or none at all.
 _BAD_THETAS = ["nan", "NaN", "inf", "-inf", "1e400", "abc", "4_5", "", "#", "\u0663", "4.5.0"]
-#: The long-theta rejection of ``read_sweep``, the one way it differs from the reference.
+#: The long-theta rejection of ``read_sweep``, the first way it differs from the reference.
 _LONG_THETA = re.compile(r"data row (\d+): theta_deg must be a number of at most 31 characters")
+#: The out-of-range rejection of ``read_sweep``, the second way it differs from the reference.
+_OUTSIDE_THETA = re.compile(r"data row (\d+): theta_deg must lie in \[0, 90\], got .+")
+#: Finite theta_deg texts outside [0, 90].
+_OUTSIDE_THETAS = ["100.0", "90.00000000000001", "-1.5", "-5e-324", "1e300"]
 
 
 class TestReadSweepReference:
-    """``read_sweep`` reads what ``reference_read_sweep`` reads, bit for bit, and rejects what
-    it rejects with the same text, except that a theta_deg field of 32 or more characters,
-    which the reader cannot tell from one its text width cut short, is rejected."""
+    """``read_sweep`` reads what ``reference_read_sweep`` reads, bit for bit, flips included,
+    and rejects what it rejects with the same text, with two differences.  A theta_deg field of
+    32 or more characters, which the reader cannot tell from one its text width cut short, is
+    rejected.  So is a theta outside [0, 90], which the reference reads with the flips as
+    written, and which ``read_sweep`` names at the first row of its angle."""
 
     @staticmethod
-    def _assert_as_reference(text, long_rows=()):
+    def _assert_as_reference(text, long_rows=(), outside_rows=()):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "s.csv"
             path.write_text(text, encoding="utf-8")
             new, ref = read_outcome(read_sweep, path), read_outcome(reference_read_sweep, path)
         long = isinstance(new, str) and _LONG_THETA.fullmatch(new)
+        outside = isinstance(new, str) and _OUTSIDE_THETA.fullmatch(new)
         if long and new != ref:
             assert int(long[1]) in long_rows, (new, ref)
+        elif outside and new != ref:
+            assert int(outside[1]) in outside_rows, (new, ref)
         else:
             assert new == ref
 
@@ -701,6 +713,11 @@ class TestReadSweepReference:
             rows_of = range(16 * k, 16 * k + 16) if which == "angle" else [16 * k + data.draw(
                 st.integers(0, 15))]
             retheta(rows_of, data.draw(st.sampled_from(same_double_texts(grid.thetas[k]))))
+        outside_rows = set()
+        if data.draw(st.booleans(), label="outside theta"):
+            k = data.draw(st.integers(0, len(thetas) - 1))
+            retheta(range(16 * k, 16 * k + 16), data.draw(st.sampled_from(_OUTSIDE_THETAS)))
+            outside_rows.add(16 * k + 1)
         if data.draw(st.booleans(), label="long theta"):
             k = data.draw(st.integers(0, len(thetas) - 1))
             width = data.draw(st.sampled_from([31, 32, 40]))
@@ -726,7 +743,7 @@ class TestReadSweepReference:
             out.insert(at, "")
         # Data rows are counted from 1 with blank lines skipped, as the readers count them.
         long_rows = {r for r, row in enumerate(rows, start=1) if len(row[0]) >= 32}
-        self._assert_as_reference("\n".join([header, *out]) + "\n", long_rows)
+        self._assert_as_reference("\n".join([header, *out]) + "\n", long_rows, outside_rows)
 
     @pytest.mark.parametrize("width", [24, 31, 32, 40])
     @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
@@ -744,7 +761,7 @@ class TestReadSweepReference:
         path.write_text("\n".join([header, *lines]) + "\n")
         if width < 32:
             assert read_outcome(read_sweep, path) == read_outcome(reference_read_sweep, path)
-            assert read_sweep(path)[0].thetas == (10.0, 45.0)
+            assert read_sweep(path).thetas == (10.0, 45.0)
         else:
             with pytest.raises(ValueError) as info:
                 read_sweep(path)
