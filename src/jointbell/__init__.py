@@ -14,7 +14,6 @@ from .core import (
     build_joint_povm,
     observable_from_angle,
     partial_trace,
-    polarizer_angles,
     povm_from_visibilities,
     random_two_qubit_state,
     side_observables,
@@ -35,7 +34,6 @@ from .sim import (
     b_value,
     conditional_state,
     format_count_table,
-    interferometer_visibility,
     joint_distribution,
     joint_visibilities,
     parse_count_table,

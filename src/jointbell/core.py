@@ -299,32 +299,3 @@ def partial_trace(rho4: np.ndarray, keep: Side) -> np.ndarray:
         return np.einsum("kikj->ij", r)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
-
-def polarizer_angles(
-    side: Side, theta_deg: float, outcome: tuple[int, int]
-) -> tuple[float, float]:
-    """Filter angles realizing one outcome of the joint measurement at trade-off angle
-    ``theta_deg`` on ``side``.
-
-    The detected polarization starts at the X eigenstate matching the x sign
-    of the outcome and is rotated by theta/2 along the shorter arc toward
-    the Y eigenstate matching the y sign.  Returns ``(polarizer_deg,
-    hwp_offset_deg)`` where ``polarizer_deg`` is in [0, 180) and
-    ``hwp_offset_deg`` is the signed theta/4 offset of the half-wave plate
-    from its X-eigenstate orientation (a half-wave plate rotates
-    polarization by twice its own angle).
-    """
-    _check_side(side)
-    x, y = outcome
-    if x not in (1, -1) or y not in (1, -1):
-        raise ValueError(f"outcome signs must be +1 or -1, got {outcome!r}")
-    if not math.isfinite(theta_deg):
-        raise ValueError(f"trade-off angle must be finite, got {theta_deg!r}")
-    angles = OBSERVABLE_ANGLES[side]
-    x_angle = angles["x"] if x > 0 else angles["x"] + 90.0
-    y_angle = angles["y"] if y > 0 else angles["y"] + 90.0
-    # Signed shorter-arc distance between polarization axes (mod 180).
-    d = (y_angle - x_angle + 90.0) % 180.0 - 90.0
-    sign = 1.0 if d > 0 else -1.0
-    polarizer = (x_angle + sign * theta_deg / 2.0) % 180.0
-    return polarizer, sign * theta_deg / 4.0

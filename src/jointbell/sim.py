@@ -14,6 +14,7 @@ from typing import NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .core import (
+    OUTCOME_SIGNS,
     Side,
     TwoQubitState,
     _Checked,
@@ -25,7 +26,6 @@ from .core import (
     povm_elements,
     projector,
     side_observables,
-    unit_circle_grid,
 )
 
 PROB_TOL = 1e-12
@@ -51,13 +51,7 @@ class Outcome(NamedTuple):
 
 
 #: The sixteen outcomes in canonical order (x_A slowest, +1 before -1).
-ALL_OUTCOMES: tuple[Outcome, ...] = tuple(
-    Outcome(xa, ya, xb, yb)
-    for xa in (1, -1)
-    for ya in (1, -1)
-    for xb in (1, -1)
-    for yb in (1, -1)
-)
+ALL_OUTCOMES = tuple(Outcome(*a, *b) for a in OUTCOME_SIGNS for b in OUTCOME_SIGNS)
 #: The signs (x_A, y_A, x_B, y_B) of the sixteen outcomes, (16, 4), and as four columns.
 _OUTCOME_SIGNS = np.array(ALL_OUTCOMES)
 SIGN_COLUMNS = tuple(_OUTCOME_SIGNS.T)
@@ -255,6 +249,13 @@ def probabilities_from_counts(table: CountTable) -> tuple[JointDistribution, np.
     return JointDistribution(table.counts / total), np.sqrt(table.counts) / total
 
 
+def _check_angle_totals(thetas: Sequence[float], counts: np.ndarray) -> None:
+    """Raise naming the first angle whose row of ``counts`` sums to zero."""
+    if not (total := counts.sum(axis=1)).all():
+        theta = float(thetas[int(np.argmin(total))])
+        raise ValueError(f"theta_deg {theta!r} has no counts; probabilities are undefined")
+
+
 class SweepGrid(NamedTuple):
     """A sweep over theta = theta_A = theta_B (flips: ``analysis.pbflip_grid(thetas)``) as (n, 16)
     arrays in ALL_OUTCOMES order.  ``counts`` and the derived ``p_obs`` N(m)/N and ``std_err``
@@ -291,13 +292,12 @@ def sweep_grid(
     if sampled:
         _check_sampling(mean_total, seed)
     thetas = tuple(map(float, thetas))
-    vx, vy = unit_circle_grid(thetas)  # both sides share the angles, so one visibility grid
-    p = _outcome_probabilities(povm_elements("A", vx, vy), povm_elements("B", vx, vy), state.rho)
+    p = _outcome_probabilities(*(build_joint_povm(side, thetas) for side in "AB"), state.rho)
     _check_probabilities(p)
     if not sampled:
         return SweepGrid(thetas, p)
     counts = _draw(p.ravel(), mean_total, seed).astype(np.int64, copy=False).reshape(len(p), 16)
-    _check_total(counts.sum(axis=1).min(initial=1))
+    _check_angle_totals(thetas, counts)
     return SweepGrid(thetas, p, counts)
 
 
@@ -360,20 +360,6 @@ def joint_visibilities(
     if np.ndim(theta_deg) == 0:
         return VisibilityEstimate(vx=vx.item(), vy=vy.item(), radius=radius[0])
     return VisibilityEstimate(vx=vx, vy=vy, radius=np.array(radius))
-
-
-def interferometer_visibility(
-    n_plus_minus: float, n_minus_plus: float, n_plus_plus: float, n_minus_minus: float
-) -> float:
-    """(N+- + N-+ - N++ - N--) / total for parallel-polarizer coincidence
-    counts; +- and -+ are the intended anti-correlated outcomes."""
-    rates = (n_plus_minus, n_minus_plus, n_plus_plus, n_minus_minus)
-    if any(n < 0 for n in rates):
-        raise ValueError("counts must be non-negative")
-    total = sum(rates)
-    if total <= 0:
-        raise ValueError("total count is zero; visibility undefined")
-    return (n_plus_minus + n_minus_plus - n_plus_plus - n_minus_minus) / total
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +583,5 @@ def read_sweep(path) -> SweepGrid:
         raise ValueError(f"data row {i + 1}: count must be an integer in [0, 2**53], "
                          f"got {values.flat[i].item()!r}")
     counts = values.astype(np.int64)
-    total = counts.sum(axis=1)
-    if not total.all():
-        theta = thetas[np.argmin(total)].item()
-        raise ValueError(f"theta_deg {theta!r} has no counts; probabilities are undefined")
+    _check_angle_totals(thetas, counts)
     return SweepGrid(tuple(thetas.tolist()), None, counts)

@@ -519,6 +519,9 @@ class TestFit:
         for s in (1e-200, 1e-160, 1e200):
             with pytest.raises(ValueError, match="weights"):
                 fit_bell_magnitude([0.1, 0.2, 0.3], [0.2, 0.3, 0.1], [s, s, s])
+        # Distinct abscissae whose weighted squared spread underflows to zero.
+        with pytest.raises(ValueError, match="at least two points with distinct abscissae"):
+            fit_bell_magnitude([0.0, 1e-11], [0.0, 1.0], std_err=[1e154, 1e154])
         for ys in ((1e308, -1e308, 1e308, -1e308), (1e308, -1e308, 1e308)):
             with pytest.raises(ValueError, match="not finite"):
                 fit_bell_magnitude((0.1, 0.2, 0.3, 0.4)[:len(ys)], ys)

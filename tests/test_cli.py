@@ -299,6 +299,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="bad value"):
             parse_config_text("theta_a = fast\n")
 
+    def test_line_without_equals_sign(self):
+        with pytest.raises(ValueError, match="config line 1: expected 'key = value', "
+                                             "got 'state singlet'"):
+            parse_config_text("state singlet\n")
+
     @pytest.mark.parametrize("before", [False, True], ids=["flag-after", "flag-before"])
     def test_flag_beats_file_beats_default(self, runner, tmp_path, before):
         cfg = tmp_path / "run.cfg"
@@ -511,7 +516,7 @@ class TestCounts:
         result = runner.invoke(main, args)
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert ("count table is empty" if "1e-300" in args else "positive") in result.output
+        assert ("theta_deg 0.0 has no counts" if "1e-300" in args else "positive") in result.output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["zero.cfg"]
 
     def test_default_location_from_env(self, runner, tmp_path):
@@ -684,8 +689,13 @@ class TestSweep:
             assert lines[1].endswith(",") != bool(sample)
 
     def test_empty_theta_list_fails(self, runner):
-        result = runner.invoke(main, ["sweep", "--state", "singlet", "--thetas", " , "])
-        assert result.exit_code != 0
+        for thetas, message in (
+            (["--thetas", " , "], "theta list is empty"),
+            ([], "--thetas is required (comma-separated degrees)"),
+            (["--thetas", "1,x"], "bad theta list '1,x'"),
+        ):
+            result = runner.invoke(main, ["sweep", "--state", "singlet", *thetas])
+            assert_one_line_error(result, message)
 
     def test_sampled_sweep_deterministic(self, runner, tmp_path):
         args = [

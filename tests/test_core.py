@@ -23,7 +23,6 @@ from jointbell.core import (
     min_eigenvalue,
     observable_from_angle,
     partial_trace,
-    polarizer_angles,
     povm_elements,
     povm_from_visibilities,
     random_two_qubit_state,
@@ -413,49 +412,7 @@ class TestPartialTrace:
         assert np.allclose(partial_trace(rho, "A"), a, atol=1e-14)
         assert np.allclose(partial_trace(rho, "B"), b, atol=1e-14)
 
+    def test_rejects_bad_side(self):
+        with pytest.raises(ValueError, match="keep must be 'A' or 'B', got 'C'"):
+            partial_trace(np.eye(4), "C")
 
-class TestPolarizerAngles:
-    def test_side_a_plus_plus(self):
-        pol, hwp = polarizer_angles("A", 20.0, (1, 1))
-        assert pol == pytest.approx(10.0, abs=1e-12)
-        assert hwp == pytest.approx(5.0, abs=1e-12)
-
-    def test_side_b_plus_plus(self):
-        pol, hwp = polarizer_angles("B", 20.0, (1, 1))
-        assert pol == pytest.approx(32.5, abs=1e-12)
-        assert hwp == pytest.approx(5.0, abs=1e-12)
-
-    def test_theta0_sits_on_x_eigenstates(self):
-        for outcome, expected in (((1, 1), 0.0), ((1, -1), 0.0), ((-1, 1), 90.0), ((-1, -1), 90.0)):
-            pol, hwp = polarizer_angles("A", 0.0, outcome)
-            assert pol == pytest.approx(expected, abs=1e-12)
-            assert hwp == pytest.approx(0.0, abs=1e-12)
-
-    def test_shorter_arc_can_go_negative(self):
-        pol, hwp = polarizer_angles("A", 20.0, (1, -1))
-        assert pol == pytest.approx(170.0, abs=1e-12)
-        assert hwp == pytest.approx(-5.0, abs=1e-12)
-
-    @pytest.mark.parametrize("side", ["A", "B"])
-    @pytest.mark.parametrize("outcome", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
-    def test_polarizer_matches_bloch_direction(self, side, outcome):
-        # The detected polarization must diagonalize x*vx*X + y*vy*Y.
-        ox, oy = side_observables(side)
-        x, y = outcome
-        thetas = np.arange(0.0, 90.0 + 1e-9, 7.5)
-        for theta, vx, vy in zip(thetas.tolist(), *unit_circle_grid(thetas).tolist()):
-            direction = x * vx * ox.matrix + y * vy * oy.matrix
-            pol, _ = polarizer_angles(side, theta, outcome)
-            expected = observable_from_angle(pol).matrix
-            assert np.max(np.abs(direction - expected)) < 1e-12
-
-    def test_rejects_bad_signs(self):
-        with pytest.raises(ValueError):
-            polarizer_angles("A", 10.0, (0, 1))
-
-    def test_rejects_bad_side_and_non_finite_angle(self):
-        with pytest.raises(ValueError, match="side must be 'A' or 'B', got 'X'"):
-            polarizer_angles("X", 10.0, (1, 1))
-        for theta in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=f"trade-off angle must be finite, got {theta!r}"):
-                polarizer_angles("B", theta, (1, 1))

@@ -34,7 +34,6 @@ from jointbell.sim import (
     b_value,
     conditional_state,
     format_count_table,
-    interferometer_visibility,
     joint_distribution,
     joint_visibilities,
     parse_count_table,
@@ -550,7 +549,7 @@ class TestSweepGrid:
             sweep_grid(singlet_state(), [10.0], mean_total=0.0, seed=1)
         with pytest.raises(ValueError, match="non-negative"):
             sweep_grid(singlet_state(), [10.0], mean_total=1e3, seed=-1)
-        with pytest.raises(ValueError, match="count table is empty"):
+        with pytest.raises(ValueError, match="theta_deg 10.0 has no counts"):
             sweep_grid(singlet_state(), [10.0], mean_total=1e-300, seed=1)
         # Passes the state's 1e-10 positivity tolerance, not the 1e-12 of a probability.
         rho = np.diag([0.5 + 2e-11, 0.5 - 1e-11, 0.0, -1e-11]).astype(complex)
@@ -864,6 +863,10 @@ class TestConditionalState:
         rho_a = conditional_state(singlet_state(), "B", 90.0)
         assert np.allclose(rho_a, projector(0.0), atol=1e-12)
 
+    def test_rejects_bad_side(self):
+        with pytest.raises(ValueError, match="side must be 'A' or 'B', got 'C'"):
+            conditional_state(singlet_state(), "C", 0.0)
+
     def test_maximally_mixed_stays_mixed(self):
         rho_a = conditional_state(maximally_mixed_state(), "B", 37.0)
         assert np.allclose(rho_a, np.eye(2) / 2, atol=1e-12)
@@ -926,40 +929,6 @@ class TestJointVisibilities:
             joint_visibilities(maximally_mixed_state(), [10.0, 45.0], "A")
 
 
-class TestInterferometerVisibility:
-    def test_extremes(self):
-        assert interferometer_visibility(100, 100, 0, 0) == pytest.approx(1.0)
-        assert interferometer_visibility(50, 50, 50, 50) == pytest.approx(0.0)
-
-    def test_zero_total_rejected(self):
-        with pytest.raises(ValueError):
-            interferometer_visibility(0, 0, 0, 0)
-        with pytest.raises(ValueError):
-            interferometer_visibility(-1, 2, 0, 0)
-
-    def test_werner_rates_give_source_visibility(self):
-        # Parallel-polarizer coincidence probabilities at angle phi.
-        state = werner_state(0.98)
-        phi = 0.0
-        plus = projector(phi)
-        minus = projector(phi + 90.0)
-        def rate(pa, pb):
-            return float(np.real(np.trace(np.kron(pa, pb) @ state.rho)))
-        v = interferometer_visibility(
-            rate(plus, minus), rate(minus, plus), rate(plus, plus), rate(minus, minus)
-        )
-        assert v == pytest.approx(0.98, abs=1e-12)
-
-    def test_sampled_counts_near_source_visibility(self):
-        state = werner_state(0.98)
-        plus, minus = projector(0.0), projector(90.0)
-        def rate(pa, pb):
-            return float(np.real(np.trace(np.kron(pa, pb) @ state.rho)))
-        rates = [rate(a, b) for a, b in ((plus, minus), (minus, plus), (plus, plus), (minus, minus))]
-        n = _draw(rates, 1e5, 8).tolist()
-        assert interferometer_visibility(*n) == pytest.approx(0.980, abs=0.004)
-
-
 class TestCountTableFormat:
     def test_round_trip(self):
         dist = joint_distribution(werner_state(0.9), 20.0, 20.0)
@@ -1018,6 +987,16 @@ class TestCountTableFormat:
             spelled[5] = spelled[5].rsplit(",", 1)[0] + "," + token
             with pytest.raises(CountFileError, match="row 6: count must be an integer"):
                 parse_count_table("\n".join(spelled) + "\n")
+        for tail, message in (
+            (["# duration_s=ten"], "row 18: malformed duration in '# duration_s=ten'"),
+            (["# duration_s=2.0", good[1]], "row 19: data after the duration metadata line"),
+        ):
+            with pytest.raises(CountFileError, match=re.escape(message)):
+                parse_count_table("\n".join(good + tail) + "\n")
+        extra_field = good.copy()
+        extra_field[1] += ",1"
+        with pytest.raises(CountFileError, match="row 2: expected 5 comma-separated fields, got 6"):
+            parse_count_table("\n".join(extra_field) + "\n")
 
     def test_unknown_metadata_rejected(self):
         text = format_count_table(uniform_table(3)) + "# other=1\n"
