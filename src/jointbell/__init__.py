@@ -40,11 +40,9 @@ from .sim import (
     probabilities_from_counts,
     quasi_distribution,
     read_count_table,
-    read_sweep,
     sample_counts,
     sweep_grid,
     write_count_table,
-    write_sweep,
 )
 from .analysis import (
     MINIMAL_OUTCOMES,
@@ -57,6 +55,8 @@ from .analysis import (
     pbflip_grid,
     pbflip_outcome,
     predicted_probability,
+    read_sweep,
+    write_sweep,
 )
 
 __version__ = "0.1.0"

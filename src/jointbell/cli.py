@@ -27,7 +27,8 @@ import numpy as np
 
 from . import figures as figmod
 from . import selfcheck
-from .analysis import MINIMAL_OUTCOMES, FitResult, fit_sweep, pbflip_grid, pbflip_outcome
+from .analysis import MINIMAL_OUTCOMES, FitResult, fit_sweep, pbflip_outcome
+from .analysis import read_sweep, write_sweep
 from .core import (
     CIRELSON_BOUND,
     TwoQubitState,
@@ -46,11 +47,9 @@ from .sim import (
     joint_distribution,
     probabilities_from_counts,
     read_count_table,
-    read_sweep,
     sample_counts,
     sweep_grid,
     write_count_table,
-    write_sweep,
 )
 
 #: Environment variable naming the directory for outputs written without
@@ -373,8 +372,7 @@ def sweep(state, thetas, sample, mean_total, seed, out) -> None:
     with _usage_errors():
         grid = sweep_grid(prepared, theta_list, mean_total if sample else None,
                           seed if sample else None)
-    flips = pbflip_grid(grid.thetas)
-    _write_output(_resolve_out(out, "sweep.csv"), lambda fh: write_sweep(fh, grid, flips))
+    _write_output(_resolve_out(out, "sweep.csv"), lambda fh: write_sweep(fh, grid))
 
 
 @main.command()
@@ -422,12 +420,12 @@ def figures(which, fmt, state, sample, mean_total, seed, out_dir) -> None:
             if fmt == "csv":
                 _write_output(stem.with_suffix(".csv"), lambda fh: _write_csv(fh, rows))
             else:
-                svg = figmod.bars_svg(rows, f"joint distribution at theta = {theta:g} deg")
+                svg = figmod.bars_svg(rows)
                 _write_output(stem.with_suffix(".svg"), lambda fh: fh.write(svg))
         return
     points = figmod.line_points(grid)
     if fmt == "svg":
-        svg = figmod.scatter_svg(points, result, "observed probability vs flip probability")
+        svg = figmod.scatter_svg(points, result)
         _write_output(directory / "figure9.svg", lambda fh: fh.write(svg))
         return
     _write_output(directory / "figure9.csv", lambda fh: _write_csv(fh, points))

@@ -61,12 +61,6 @@ _MARGIN = 55
 _BAR_FILL = {2: "#e6b800", -2: "#3a9d46"}  # b=+2 amber, b=-2 green
 
 
-def _escape(text: str) -> str:
-    """``&``, ``<`` and ``>`` as XML entities: ``html.escape(text, quote=False)``
-    without importing the entity tables of ``html``."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
 def _svg_document(body: list[str], title: str) -> str:
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -74,7 +68,7 @@ def _svg_document(body: list[str], title: str) -> str:
     )
     caption = (
         f'<text x="{_W / 2}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
+        f'font-family="sans-serif" font-size="14">{title}</text>'
     )
     return "\n".join([head, caption, *body, "</svg>"]) + "\n"
 
@@ -84,13 +78,13 @@ def _axes(x_label: str, y_label: str) -> list[str]:
         f'<line x1="{_MARGIN}" y1="{_H - _MARGIN}" x2="{_W - 15}" y2="{_H - _MARGIN}" stroke="black"/>',
         f'<line x1="{_MARGIN}" y1="{_H - _MARGIN}" x2="{_MARGIN}" y2="30" stroke="black"/>',
         f'<text x="{_W / 2}" y="{_H - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>',
+        f'font-family="sans-serif" font-size="12">{x_label}</text>',
         f'<text x="14" y="{_H / 2}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12" transform="rotate(-90 14 {_H / 2})">{_escape(y_label)}</text>',
+        f'font-size="12" transform="rotate(-90 14 {_H / 2})">{y_label}</text>',
     ]
 
 
-def bars_svg(rows: list[dict], title: str) -> str:
+def bars_svg(rows: list[dict]) -> str:
     values = [row.get("p_obs", row["probability"]) for row in rows]
     top = max(max(values), 1e-12)
     plot_w = _W - _MARGIN - 15
@@ -108,18 +102,18 @@ def bars_svg(rows: list[dict], title: str) -> str:
         label = Outcome(row["x_a"], row["y_a"], row["x_b"], row["y_b"]).label()
         body.append(
             f'<rect x="{x:.2f}" y="{y:.2f}" width="{0.7 * slot:.2f}" height="{h:.2f}" '
-            f'fill="{_BAR_FILL[row["b"]]}"><title>{_escape(label)}</title></rect>'
+            f'fill="{_BAR_FILL[row["b"]]}"><title>{label}</title></rect>'
         )
         cx = _MARGIN + (i + 0.5) * slot
         body.append(
             f'<text x="{cx:.2f}" y="{_H - _MARGIN + 10}" text-anchor="end" '
             f'font-family="sans-serif" font-size="8" '
-            f'transform="rotate(-60 {cx:.2f} {_H - _MARGIN + 10})">{_escape(label)}</text>'
+            f'transform="rotate(-60 {cx:.2f} {_H - _MARGIN + 10})">{label}</text>'
         )
-    return _svg_document(body, title)
+    return _svg_document(body, f"joint distribution at theta = {rows[0]['theta_deg']:g} deg")
 
 
-def scatter_svg(points: list[dict], fit: FitResult, title: str) -> str:
+def scatter_svg(points: list[dict], fit: FitResult) -> str:
     xs = [p["p_bflip"] for p in points]
     ys = [p.get("p_obs", p["probability"]) for p in points]
     x_lo, x_hi = 0.0, max(xs) * 1.05
@@ -137,7 +131,7 @@ def scatter_svg(points: list[dict], fit: FitResult, title: str) -> str:
     for x, label in ((x_lo, f"{x_lo:.2g}"), (x_hi, f"{x_hi:.3g}")):
         body.append(
             f'<text x="{px(x):.2f}" y="{_H - _MARGIN + 14}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{_escape(label)}</text>'
+            f'font-family="sans-serif" font-size="10">{label}</text>'
         )
     for y in (y_lo, 0.0, y_hi):
         body.append(
@@ -160,4 +154,4 @@ def scatter_svg(points: list[dict], fit: FitResult, title: str) -> str:
         f'<text x="{_W - 20}" y="40" text-anchor="end" font-family="sans-serif" '
         f'font-size="11">slope {fit.slope:.5f}, intercept {fit.intercept:.5f}</text>'
     )
-    return _svg_document(body, title)
+    return _svg_document(body, "observed probability vs flip probability")

@@ -2,14 +2,13 @@
 
 Joint and intrinsic (quasi-)distributions, b-value aggregation, Poisson
 coincidence-count simulation, remotely prepared conditional states,
-visibility extraction, and the plain-text count-table and sweep file formats.
+visibility extraction, and the plain-text count-table format.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import NamedTuple, Sequence, TextIO
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -442,146 +441,3 @@ def write_count_table(table: CountTable, path) -> None:
 def read_count_table(path) -> CountTable:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_count_table(fh.read())
-
-
-#: Header of the sweep-file format (written by ``sweep``, read by ``fit``); sixteen rows per
-#: angle follow in ALL_OUTCOMES order, with blank counts in an exact sweep.
-_SWEEP_COLUMNS = (
-    "theta_deg", "x_a", "y_a", "x_b", "y_b", "b", "p_theory", "p_bflip", "counts",
-)
-#: The sign and b fields of a sweep's sixteen rows per angle, in ALL_OUTCOMES order.
-_OUTCOME_FIELDS = [",".join(map(str, (*m, b_value(m)))) for m in ALL_OUTCOMES]
-_SWEEP_BLOCK = 64  # angles whose rows ``write_sweep`` formats at once, column by column
-_THETA_CHARS = 32  # width of ``read_sweep``'s theta_deg text, which a repr (24 at most) fits
-_SWEEP_ROW = np.dtype([("theta_deg", f"U{_THETA_CHARS}"), ("fields", float, (5,))])
-
-
-def _distinct_reprs(values: np.ndarray) -> list[str]:
-    """The repr of each raveled value, formatted once per bit pattern: sweep blocks repeat many."""
-    bits = np.ascontiguousarray(values, dtype=np.float64).ravel().view(np.int64)
-    keys, inverse = np.unique(bits, return_inverse=True)
-    reprs = list(map(repr, keys.view(np.float64).tolist()))
-    return [reprs[k] for k in inverse.tolist()]
-
-
-def write_sweep(fh: TextIO, grid: SweepGrid, p_bflip: np.ndarray) -> None:
-    """Write ``grid``, which must have ``p_theory``, to ``fh`` as a sweep file; the caller passes
-    its derived column ``p_bflip``, ``analysis.pbflip_grid(grid.thetas)``: analysis imports sim."""
-    if grid.p_theory is None:
-        raise ValueError("cannot write a sweep without p_theory: the grid is a sampled sweep "
-                         "read back by read_sweep, which does not read that column")
-    # No field needs CSV quoting, and numbers are written as their repr, as ``csv`` writes them.
-    counts = [] if grid.counts is None else [grid.counts]
-    tail = ",\n" if grid.counts is None else "\n"
-    fh.write(",".join(_SWEEP_COLUMNS) + "\n")
-    for i in range(0, len(grid.thetas), _SWEEP_BLOCK):
-        block = slice(i, i + _SWEEP_BLOCK)
-        cells = [[f"{t},{o}" for t in map(repr, grid.thetas[block]) for o in _OUTCOME_FIELDS],
-                 _distinct_reprs(grid.p_theory[block]), _distinct_reprs(p_bflip[block]),
-                 *(map(repr, c[block].ravel().tolist()) for c in counts)]
-        fh.write(tail.join(map(",".join, zip(*cells))) + tail)
-
-
-def _is_number(field: str) -> bool:
-    """Whether ``np.loadtxt`` reads ``field`` as a float: ``float``'s grammar without the
-    underscores and non-ASCII digits that only ``float`` accepts."""
-    try:
-        float(field)
-    except ValueError:
-        return False
-    return field.isascii() and "_" not in field
-
-
-def _unreadable_row(fh, columns: dict[str, int]) -> str | None:
-    """Name the first data row of the sweep file ``fh``, read again, that ``np.loadtxt`` cannot
-    read: a field of ``columns`` (name: index) that is missing or not a number.  Rows count
-    from 1 with blank lines skipped, as ``np.loadtxt`` and ``read_sweep``'s other errors do."""
-    fh.seek(0)
-    fh.readline()
-    rows = (line.rstrip("\n").split(",") for line in fh if line != "\n")
-    for r, fields in enumerate(rows, start=1):
-        for name, i in columns.items():
-            if i >= len(fields):
-                return f"data row {r}: has {len(fields)} fields, so no {name}"
-            if name == "counts" and fields[i] == "":
-                return f"data row {r}: blank counts: the file mixes sampled and exact rows"
-            if not _is_number(fields[i]):
-                return f"data row {r}: {name} must be a number, got {fields[i]!r}"
-    return None
-
-
-def _parse_runs(text: np.ndarray) -> np.ndarray:
-    """The (N,) theta_deg texts as floats, each run of equal text checked and parsed once."""
-    starts = np.flatnonzero(np.concatenate(([True], text[1:] != text[:-1])))
-    fields = text[starts].tolist()
-    for row, field in zip(starts.tolist(), fields):
-        if len(field) == _THETA_CHARS or not _is_number(field):  # a full field may be cut short
-            raise ValueError(f"data row {row + 1}: theta_deg must be a number of at most "
-                             f"{_THETA_CHARS - 1} characters")
-    return np.repeat(list(map(float, fields)), np.diff(starts, append=len(text)))
-
-
-def read_sweep(path) -> SweepGrid:
-    """The sweep file at ``path`` as a ``SweepGrid``, each theta in [0, 90] degrees.
-
-    One ``np.loadtxt`` pass reads the columns, found by name in the header: ``theta_deg`` as
-    text, parsed once per run of equal text (a field that fills 32 characters may be cut short,
-    so it is rejected), and the signs and ``counts`` (a sampled sweep, whose first data row has
-    a count) or ``p_theory`` (an exact sweep) as floats.  No other column is read: ``p_bflip``
-    is ``analysis.pbflip_grid`` of theta, eleven-column files of earlier versions read the same,
-    and a sampled sweep has ``p_theory`` None, since parsing it too would double the cost."""
-    with open(path, encoding="utf-8") as fh:
-        column = {name: i for i, name in enumerate(fh.readline().rstrip("\n").split(","))}
-        missing = [c for c in _SWEEP_COLUMNS[:8] if c not in column]
-        if missing:
-            raise ValueError(f"missing columns {missing}")
-        first = next((line for line in fh if line != "\n"), "")
-        if not first:
-            raise ValueError("holds no data rows")
-        at = column.get("counts")
-        fields = first.rstrip("\n").split(",")
-        sampled = at is not None and at < len(fields) and fields[at] != ""
-        names = (*_SWEEP_COLUMNS[:5], "counts" if sampled else "p_theory")
-        usecols = [column[name] for name in names]
-        try:
-            # Streamed from the file: the rows are never all held as text at once.
-            rows = np.loadtxt(itertools.chain([first], fh), _SWEEP_ROW, delimiter=",",
-                              comments=None, ndmin=1, usecols=usecols)
-            table = np.column_stack((_parse_runs(rows["theta_deg"]), rows["fields"]))
-        except ValueError:
-            bad = _unreadable_row(fh, dict(zip(names, usecols)))
-            if bad:
-                raise ValueError(bad) from None
-            raise
-        fh.seek(0)  # the text dtype drops trailing NULs: theta_deg "45.0\x00" has read as 45.0
-        if b"\x00" in fh.buffer.read() and (bad := _unreadable_row(fh, dict(zip(names, usecols)))):
-            raise ValueError(bad)
-    if len(table) % 16:
-        raise ValueError(f"has {len(table)} data rows, not sixteen per angle")
-    bad = ~np.isfinite(table)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        value = table[i, j].item()
-        raise ValueError(f"data row {i + 1}: {names[j]} must be finite, got {value!r}")
-    angles = table.reshape(-1, 16, 6)
-    thetas = angles[:, 0, 0]
-    bad = (angles[..., 0] != thetas[:, None]) | (angles[..., 1:5] != _OUTCOME_SIGNS).any(axis=2)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"data row {i + 1} must be outcome {ALL_OUTCOMES[i % 16].label()} at "
-                         f"theta_deg {thetas[i // 16].item()!r}: sixteen rows per angle in order")
-    bad = (thetas < 0.0) | (thetas > 90.0)  # theta feeds analysis.pbflip_grid
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"data row {16 * i + 1}: theta_deg must lie in [0, 90], got {thetas[i]}")
-    values = angles[..., 5]
-    if not sampled:
-        return SweepGrid(tuple(thetas.tolist()), values)
-    bad = ~((values >= 0) & (values % 1 == 0) & (values <= MAX_COUNT))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"data row {i + 1}: count must be an integer in [0, 2**53], "
-                         f"got {values.flat[i].item()!r}")
-    counts = values.astype(np.int64)
-    _check_angle_totals(thetas, counts)
-    return SweepGrid(tuple(thetas.tolist()), None, counts)

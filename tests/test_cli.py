@@ -2,7 +2,6 @@ import contextlib
 import csv
 import gc
 import hashlib
-import html
 import io
 import json
 import math
@@ -20,8 +19,8 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jointbell import cli, selfcheck, sim
-from jointbell.analysis import MINIMAL_COLUMNS, fit_bell_magnitude, pbflip_grid
+from jointbell import analysis, cli, selfcheck
+from jointbell.analysis import MINIMAL_COLUMNS, fit_bell_magnitude, pbflip_grid, read_sweep
 from jointbell.cli import (
     _write_json,
     _write_output,
@@ -37,7 +36,6 @@ from jointbell.sim import (
     b_value,
     format_count_table,
     joint_distribution,
-    read_sweep,
     sweep_grid,
 )
 
@@ -193,13 +191,6 @@ def test_run_freezes_the_collector_then_calls_main(monkeypatch):
     monkeypatch.setattr(cli, "main", lambda: calls.append("main"))
     cli.run()
     assert calls == ["freeze", "main"]
-
-
-def test_svg_escape_matches_html_escape():
-    from jointbell.figures import _escape
-
-    text = "a & b < c > d \"e\" 'f' &amp;"
-    assert _escape(text) == html.escape(text, quote=False)
 
 
 def test_redirected_stdout_is_freed(tmp_path):
@@ -763,7 +754,7 @@ def test_distinct_reprs_equal_each_values_repr(values, view):
     """Each value's repr, in raveled order, whatever repeats and layout: 0.0 and -0.0 differ
     in their bits, so neither takes the other's text."""
     values = _VIEWS[view](np.array(values))
-    assert sim._distinct_reprs(values) == list(map(repr, values.ravel().tolist()))
+    assert analysis._distinct_reprs(values) == list(map(repr, values.ravel().tolist()))
 
 
 def _set_count(row, value):

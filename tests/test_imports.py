@@ -106,6 +106,50 @@ def test_checker_flags_an_unused_export():
     assert unused_exports(init, sources, "Call `documented` first.") == ["spare"]
 
 
+#: Each module's layer: a module imports only modules of lower layers.  ``__init__`` only
+#: re-exports, from core, sim and analysis.
+LAYERS = {"core": 0, "sim": 1, "analysis": 2, "figures": 3, "selfcheck": 3, "__init__": 3,
+          "cli": 4}
+
+
+def layer_violations(sources: dict[str, str]) -> list[str]:
+    """Module-level ``from .x import`` edges of ``sources`` (module name: source) that do not
+    lead to a lower layer of LAYERS, and ``import`` statements inside function bodies."""
+    problems = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                problems.extend(f"{module} imports {target}" for target in targets
+                                if LAYERS.get(target, 9) >= LAYERS.get(module, -1))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                problems.extend(f"{module}: import in {fn.name}, line {node.lineno}"
+                                for node in ast.walk(fn)
+                                if isinstance(node, (ast.Import, ast.ImportFrom)))
+    return problems
+
+
+def test_modules_import_only_lower_layers():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert set(sources) == set(LAYERS)
+    assert layer_violations(sources) == []
+
+
+def test_checker_flags_a_layer_violation():
+    sources = {
+        "sim": "from .core import x\nfrom .analysis import y\n",
+        "analysis": "from . import sim\n\ndef f():\n    import math\n",
+        "__init__": "from .figures import z\n",
+        "extra": "from .core import x\n",
+    }
+    assert layer_violations(sources) == [
+        "sim imports analysis", "analysis: import in f, line 4", "__init__ imports figures",
+        "extra imports core",
+    ]
+
+
 def test_cli_import_adds_no_dataclasses():
     """The value types are NamedTuples: building them costs no dataclass decorators, and
     importing the command line after numpy and click imports no ``dataclasses``."""

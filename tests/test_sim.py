@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointbell import sim
-from jointbell.analysis import pbflip_grid
+from jointbell import analysis, sim
+from jointbell.analysis import pbflip_grid, read_sweep, write_sweep
 from jointbell.core import (
     TwoQubitState,
     observable_from_angle,
@@ -40,11 +40,9 @@ from jointbell.sim import (
     probabilities_from_counts,
     quasi_distribution,
     read_count_table,
-    read_sweep,
     sample_counts,
     sweep_grid,
     write_count_table,
-    write_sweep,
 )
 from test_cli import rows_one_at_a_time
 
@@ -476,7 +474,7 @@ class TestSweepGrid:
             grid = sweep_grid(werner_state(0.9716), thetas, mean_total, seed)
             assert [type(t) for t in grid.thetas] == [float] * 3
             fh = io.StringIO()
-            write_sweep(fh, grid, pbflip_grid(grid.thetas))
+            write_sweep(fh, grid)
             texts.append(fh.getvalue())
         assert texts[1] == texts[0] and texts[2] == texts[0]
         assert texts[0].splitlines()[17].startswith("45.0,1,1,1,1,")
@@ -498,11 +496,11 @@ class TestSweepGrid:
         thetas = sorted(np.random.default_rng(9).uniform(0.0, 90.0, 37).tolist()) + [0.0, 90.0]
         grid = sweep_grid(state, thetas)
         with open(tmp_path / "s.csv", "w") as fh:
-            write_sweep(fh, grid, pbflip_grid(grid.thetas))
+            write_sweep(fh, grid)
         read = read_sweep(tmp_path / "s.csv")
         assert not read.p_theory.flags.c_contiguous
         fh = io.StringIO()
-        write_sweep(fh, read, pbflip_grid(read.thetas))
+        write_sweep(fh, read)
         assert fh.getvalue() == (tmp_path / "s.csv").read_text()
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
@@ -514,19 +512,28 @@ class TestSweepGrid:
         counts = np.arange(17 * 16).reshape(17, 16) % 3 if sampled else None
         grid = SweepGrid(tuple(np.linspace(0.0, 90.0, 17).tolist()), p_theory, counts)
         fh = io.StringIO()
-        write_sweep(fh, grid, pbflip_grid(grid.thetas))
+        write_sweep(fh, grid)
         assert fh.getvalue() == rows_one_at_a_time(grid)
 
     def test_sampled_file_read_back_is_not_written_again(self, tmp_path):
         """``read_sweep`` skips the ``p_theory`` column of a sampled file, so ``write_sweep``
-        refuses the grid it returns rather than writing a third row shape."""
+        refuses the grid it returns rather than writing a third row shape.  Like a theta
+        outside [0, 90], which has no flip probabilities, it raises before writing anything."""
         grid = sweep_grid(werner_state(0.9716), self.THETAS, mean_total=5e4, seed=6)
         with open(tmp_path / "s.csv", "w") as fh:
-            write_sweep(fh, grid, pbflip_grid(grid.thetas))
+            write_sweep(fh, grid)
         read = read_sweep(tmp_path / "s.csv")
-        with pytest.raises(ValueError, match="sampled sweep read back by read_sweep") as info:
-            write_sweep(io.StringIO(), read, pbflip_grid(read.thetas))
-        assert "\n" not in str(info.value)
+        out_of_range = sweep_grid(werner_state(0.9), [10.0, 100.0])
+        for bad, message in [
+            (read, "sampled sweep read back by read_sweep"),
+            (out_of_range, "visibilities must lie in [0, 1], "
+                           "got (-0.1736481776669303, 0.984807753012208)"),
+        ]:
+            fh = io.StringIO()
+            with pytest.raises(ValueError, match=re.escape(message)) as info:
+                write_sweep(fh, bad)
+            assert "\n" not in str(info.value)
+            assert fh.getvalue() == ""
 
     @pytest.mark.parametrize("mean_total, seed", [(None, None), (5e4, None), (None, 3)])
     def test_unsampled_sweep_carries_no_counts(self, mean_total, seed):
@@ -570,7 +577,7 @@ def reference_read_sweep(path):
     theta_deg included: kept as the reference the reader is held to, field for field."""
     with open(path, encoding="utf-8") as fh:
         column = {name: i for i, name in enumerate(fh.readline().rstrip("\n").split(","))}
-        missing = [c for c in sim._SWEEP_COLUMNS[:8] if c not in column]
+        missing = [c for c in analysis._SWEEP_COLUMNS[:8] if c not in column]
         if missing:
             raise ValueError(f"missing columns {missing}")
         first = next((line for line in fh if line != "\n"), "")
@@ -579,7 +586,7 @@ def reference_read_sweep(path):
         at = column.get("counts")
         fields = first.rstrip("\n").split(",")
         sampled = at is not None and at < len(fields) and fields[at] != ""
-        names = (*sim._SWEEP_COLUMNS[:5], "p_bflip", "counts" if sampled else "p_theory")
+        names = (*analysis._SWEEP_COLUMNS[:5], "p_bflip", "counts" if sampled else "p_theory")
         usecols = [column[name] for name in names]
         try:
             table = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None,
@@ -587,7 +594,7 @@ def reference_read_sweep(path):
         except ValueError:
             fh.seek(0)
             fh.readline()
-            bad = sim._unreadable_row(fh, dict(zip(names, usecols)))
+            bad = analysis._unreadable_row(fh, dict(zip(names, usecols)))
             if bad:
                 raise ValueError(bad) from None
             raise
@@ -696,7 +703,7 @@ class TestReadSweepReference:
             text = rows_one_at_a_time(grid, legacy=True)
         else:
             fh = io.StringIO()
-            write_sweep(fh, grid, pbflip_grid(grid.thetas))
+            write_sweep(fh, grid)
             text = fh.getvalue()
         header, *lines = text.splitlines()
         rows = [line.split(",") for line in lines]
@@ -752,7 +759,7 @@ class TestReadSweepReference:
         grid = sweep_grid(werner_state(0.9716), [10.0, 45.0], 5e4 if sampled else None,
                           6 if sampled else None)
         fh = io.StringIO()
-        write_sweep(fh, grid, pbflip_grid(grid.thetas))
+        write_sweep(fh, grid)
         header, *lines = fh.getvalue().splitlines()
         lines[16:] = [line.replace("45.0,", "45.0".rjust(width, "0") + ",", 1)
                       for line in lines[16:]]
@@ -774,7 +781,7 @@ class TestReadSweepReference:
         grid = sweep_grid(werner_state(0.9716), [10.0, 45.0], 5e4 if sampled else None,
                           6 if sampled else None)
         fh = io.StringIO()
-        write_sweep(fh, grid, pbflip_grid(grid.thetas))
+        write_sweep(fh, grid)
         path = tmp_path / "s.csv"
         path.write_text(fh.getvalue().replace("\n45.0,", "\n45.0\x00,", 1))
         with pytest.raises(ValueError) as info:
