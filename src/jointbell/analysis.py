@@ -345,7 +345,7 @@ def read_sweep(path) -> SweepGrid:
         raise ValueError(f"data row {16 * i + 1}: theta_deg must lie in [0, 90], got {thetas[i]}")
     values = angles[..., 5]
     if not sampled:
-        return SweepGrid(tuple(thetas.tolist()), values)
+        return SweepGrid(tuple(thetas.tolist()), _frozen(values))
     bad = ~((values >= 0) & (values % 1 == 0) & (values <= MAX_COUNT))
     if bad.any():
         i = int(np.argmax(bad))
@@ -353,4 +353,4 @@ def read_sweep(path) -> SweepGrid:
                          f"got {values.flat[i].item()!r}")
     counts = values.astype(np.int64)
     _check_angle_totals(thetas, counts)
-    return SweepGrid(tuple(thetas.tolist()), None, counts)
+    return SweepGrid(tuple(thetas.tolist()), None, _frozen(counts))

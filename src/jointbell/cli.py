@@ -43,7 +43,6 @@ from .sim import (
     B_COLUMNS,
     SIGN_COLUMNS,
     aggregate_b,
-    b_value,
     joint_distribution,
     probabilities_from_counts,
     read_count_table,
@@ -164,11 +163,6 @@ def _writing(out: Path):
     _echo(f"wrote {out}")
 
 
-def _state_or_fail(spec: str) -> TwoQubitState:
-    with _usage_errors():
-        return parse_state_spec(spec)
-
-
 def _pbflip_table(theta_a: float, theta_b: float) -> dict[str, float] | None:
     if not (0.0 <= theta_a <= 90.0 and 0.0 <= theta_b <= 90.0):
         return None
@@ -257,15 +251,11 @@ _format_option = click.option("--format", "fmt", type=_FORMAT, default="json",
 @_format_option
 def simulate(state, theta_a, theta_b, out, fmt) -> None:
     """Compute the sixteen-outcome distribution and b-value aggregates."""
-    prepared = _state_or_fail(state)
     with _usage_errors():
+        prepared = parse_state_spec(state)
         dist = joint_distribution(prepared, theta_a, theta_b)
     agg = aggregate_b(dist)
     vx, vy = unit_circle_grid([theta_a, theta_b]).tolist()
-    rows = [
-        {**m._asdict(), "b": b_value(m), "probability": p}
-        for m, p in zip(ALL_OUTCOMES, dist.probs.tolist())
-    ]
     report = {
         "state": state,
         "theta_a_deg": theta_a,
@@ -276,7 +266,7 @@ def simulate(state, theta_a, theta_b, out, fmt) -> None:
         "p_b_minus": agg.p_minus,
         "mean_b": agg.mean_b,
         "p_bflip": _pbflip_table(theta_a, theta_b),
-        "outcomes": rows,
+        "outcomes": figmod.outcome_rows(probability=dist.probs),
     }
     _emit_report(report, Path(out) if out else None, fmt)
 
@@ -292,9 +282,8 @@ def simulate(state, theta_a, theta_b, out, fmt) -> None:
 @click.option("--out", default=None, help="Output file (default: counts.csv in the output dir).")
 def counts(state, theta_a, theta_b, mean_total, seed, duration_s, out) -> None:
     """Sample a Poisson coincidence-count table and write it."""
-    prepared = _state_or_fail(state)
     with _usage_errors():
-        dist = joint_distribution(prepared, theta_a, theta_b)
+        dist = joint_distribution(parse_state_spec(state), theta_a, theta_b)
         table = sample_counts(dist, mean_total, seed=seed, duration_s=duration_s)
     path = _resolve_out(out, "counts.csv")
     with _writing(path) as tmp:
@@ -317,12 +306,6 @@ def analyze(countfile, theta_a, theta_b, out, fmt) -> None:
     agg = aggregate_b(dist)
     total = table.total()
     n_plus = int(table.counts[B_COLUMNS[2]].sum())
-    rows = [
-        {**m._asdict(), "b": b_value(m), "counts": n, "probability": p, "std_err": e}
-        for m, n, p, e in zip(
-            ALL_OUTCOMES, table.counts.tolist(), dist.probs.tolist(), errors.tolist()
-        )
-    ]
     report = {
         "count_file": str(countfile),
         "total_counts": total,
@@ -336,7 +319,8 @@ def analyze(countfile, theta_a, theta_b, out, fmt) -> None:
         "mean_b": agg.mean_b,
         "mean_b_std_err": 2.0 / math.sqrt(total),
         "p_bflip": _pbflip_table(theta_a, theta_b),
-        "outcomes": rows,
+        "outcomes": figmod.outcome_rows(counts=table.counts, probability=dist.probs,
+                                        std_err=errors),
     }
     _emit_report(report, Path(out) if out else None, fmt)
 
@@ -368,9 +352,8 @@ def sweep(state, thetas, sample, mean_total, seed, out) -> None:
         raise click.ClickException("theta list is empty")
     if any(not 0.0 <= t <= 90.0 for t in theta_list):
         raise click.ClickException("sweep angles must lie in [0, 90] degrees")
-    prepared = _state_or_fail(state)
     with _usage_errors():
-        grid = sweep_grid(prepared, theta_list, mean_total if sample else None,
+        grid = sweep_grid(parse_state_spec(state), theta_list, mean_total if sample else None,
                           seed if sample else None)
     _write_output(_resolve_out(out, "sweep.csv"), lambda fh: write_sweep(fh, grid))
 
@@ -407,11 +390,11 @@ def fit(sweepfile, out) -> None:
 @click.option("--out-dir", default=None, help="Target directory (default: output dir).")
 def figures(which, fmt, state, sample, mean_total, seed, out_dir) -> None:
     """Emit plot-ready data (csv) or vector graphics (svg) for a preset view."""
-    prepared = _state_or_fail(state)
     directory = Path(out_dir) if out_dir else _output_dir()
     mean_total, seed = (mean_total, seed) if sample else (None, None)
     with _usage_errors():
-        grid = sweep_grid(prepared, figmod.FIGURE_THETAS[int(which)], mean_total, seed)
+        grid = sweep_grid(parse_state_spec(state), figmod.FIGURE_THETAS[int(which)],
+                          mean_total, seed)
         if which == "9":
             result = fit_sweep(grid)
     if which != "9":

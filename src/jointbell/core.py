@@ -64,13 +64,17 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _left_sum(values: Iterable[float]) -> float:
-    """Float sum added strictly left to right from 0.0 (so a leading -0.0 adds to 0.0), the
-    same on every Python version: numpy's pairwise sum and the compensated ``sum()`` of
-    Python 3.12+ can differ in the last bit.  One cumulative sum over a list, iterator or array."""
+def _left_sum(values: Iterable[float] | np.ndarray) -> float | np.ndarray:
+    """Float sum over the last axis added strictly left to right from 0.0 (so a leading -0.0
+    adds to 0.0), the same on every Python version: numpy's pairwise sum and the compensated
+    ``sum()`` of Python 3.12+ can differ in the last bit.  One cumulative sum over a list,
+    iterator or 1-D array, giving a float, or over each row of an (..., k) array, giving an
+    (...) array whose entries equal the sums of the rows one at a time."""
     if not isinstance(values, np.ndarray):
         values = np.fromiter(values, float)
-    return np.concatenate(([0.0], values)).cumsum()[-1].item()
+    zeros = np.zeros(values.shape[:-1] + (1,))
+    sums = np.concatenate((zeros, values), axis=-1).cumsum(axis=-1)[..., -1]
+    return sums.item() if values.ndim == 1 else sums
 
 
 class _Checked:

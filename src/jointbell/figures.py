@@ -25,17 +25,21 @@ FIGURE_THETAS: dict[int, tuple[float, ...]] = {
 }
 
 
+def outcome_rows(**columns) -> list[dict]:
+    """The sixteen report rows {x_a, y_a, x_b, y_b, b, **columns} in ALL_OUTCOMES order, each
+    column a (16,) array of one value per outcome."""
+    values = zip(ALL_OUTCOMES, *(c.tolist() for c in columns.values()))
+    return [{**m._asdict(), "b": b_value(m), **dict(zip(columns, v))} for m, *v in values]
+
+
 def distribution_rows(grid: SweepGrid) -> list[list[dict]]:
     """The sixteen outcome rows of each angle of a sweep, with sampled counts and
     count-derived probabilities when the sweep was sampled."""
     columns = {"probability": grid.p_theory, "counts": grid.counts, "p_obs": grid.p_obs}
-    columns = {key: c.tolist() for key, c in columns.items() if c is not None}
+    columns = {key: c for key, c in columns.items() if c is not None}
     return [
-        [
-            {"theta_deg": theta, **m._asdict(), "b": b_value(m), **dict(zip(columns, values))}
-            for m, *values in zip(ALL_OUTCOMES, *per_outcome)
-        ]
-        for theta, *per_outcome in zip(grid.thetas, *columns.values())
+        [{"theta_deg": theta, **row} for row in outcome_rows(**dict(zip(columns, per_angle)))]
+        for theta, *per_angle in zip(grid.thetas, *columns.values())
     ]
 
 
@@ -61,26 +65,27 @@ _MARGIN = 55
 _BAR_FILL = {2: "#e6b800", -2: "#3a9d46"}  # b=+2 amber, b=-2 green
 
 
+def _text(x, y, anchor: str, size: int, body: str, rotate: int | None = None) -> str:
+    """One SVG text element at (x, y), written as given, turned ``rotate`` degrees about it."""
+    turn = "" if rotate is None else f' transform="rotate({rotate} {x} {y})"'
+    return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" '
+            f'font-size="{size}"{turn}>{body}</text>')
+
+
 def _svg_document(body: list[str], title: str) -> str:
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">'
     )
-    caption = (
-        f'<text x="{_W / 2}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>'
-    )
-    return "\n".join([head, caption, *body, "</svg>"]) + "\n"
+    return "\n".join([head, _text(_W / 2, 20, "middle", 14, title), *body, "</svg>"]) + "\n"
 
 
 def _axes(x_label: str, y_label: str) -> list[str]:
     return [
         f'<line x1="{_MARGIN}" y1="{_H - _MARGIN}" x2="{_W - 15}" y2="{_H - _MARGIN}" stroke="black"/>',
         f'<line x1="{_MARGIN}" y1="{_H - _MARGIN}" x2="{_MARGIN}" y2="30" stroke="black"/>',
-        f'<text x="{_W / 2}" y="{_H - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x_label}</text>',
-        f'<text x="14" y="{_H / 2}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12" transform="rotate(-90 14 {_H / 2})">{y_label}</text>',
+        _text(_W / 2, _H - 8, "middle", 12, x_label),
+        _text(14, _H / 2, "middle", 12, y_label, rotate=-90),
     ]
 
 
@@ -91,10 +96,7 @@ def bars_svg(rows: list[dict]) -> str:
     plot_h = _H - _MARGIN - 30
     slot = plot_w / len(rows)
     body = _axes("outcome (x_A, y_A; x_B, y_B)", "probability")
-    body.append(
-        f'<text x="{_MARGIN - 5}" y="34" text-anchor="end" font-family="sans-serif" '
-        f'font-size="10">{top:.4g}</text>'
-    )
+    body.append(_text(_MARGIN - 5, 34, "end", 10, f"{top:.4g}"))
     for i, (row, value) in enumerate(zip(rows, values)):
         h = max(value, 0.0) / top * plot_h
         x = _MARGIN + i * slot + 0.15 * slot
@@ -105,11 +107,7 @@ def bars_svg(rows: list[dict]) -> str:
             f'fill="{_BAR_FILL[row["b"]]}"><title>{label}</title></rect>'
         )
         cx = _MARGIN + (i + 0.5) * slot
-        body.append(
-            f'<text x="{cx:.2f}" y="{_H - _MARGIN + 10}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="8" '
-            f'transform="rotate(-60 {cx:.2f} {_H - _MARGIN + 10})">{label}</text>'
-        )
+        body.append(_text(f"{cx:.2f}", _H - _MARGIN + 10, "end", 8, label, rotate=-60))
     return _svg_document(body, f"joint distribution at theta = {rows[0]['theta_deg']:g} deg")
 
 
@@ -129,15 +127,9 @@ def scatter_svg(points: list[dict], fit: FitResult) -> str:
 
     body = _axes("p_bflip", "probability")
     for x, label in ((x_lo, f"{x_lo:.2g}"), (x_hi, f"{x_hi:.3g}")):
-        body.append(
-            f'<text x="{px(x):.2f}" y="{_H - _MARGIN + 14}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{label}</text>'
-        )
+        body.append(_text(f"{px(x):.2f}", _H - _MARGIN + 14, "middle", 10, label))
     for y in (y_lo, 0.0, y_hi):
-        body.append(
-            f'<text x="{_MARGIN - 5}" y="{py(y):.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{y:.3g}</text>'
-        )
+        body.append(_text(_MARGIN - 5, f"{py(y):.2f}", "end", 10, f"{y:.3g}"))
     if y_lo < 0.0 < y_hi:
         body.append(
             f'<line x1="{_MARGIN}" y1="{py(0.0):.2f}" x2="{_W - 15}" y2="{py(0.0):.2f}" '
@@ -150,8 +142,6 @@ def scatter_svg(points: list[dict], fit: FitResult) -> str:
     )
     for x, y in zip(xs, ys):
         body.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="#c03028"/>')
-    body.append(
-        f'<text x="{_W - 20}" y="40" text-anchor="end" font-family="sans-serif" '
-        f'font-size="11">slope {fit.slope:.5f}, intercept {fit.intercept:.5f}</text>'
-    )
+    body.append(_text(_W - 20, 40, "end", 11,
+                      f"slope {fit.slope:.5f}, intercept {fit.intercept:.5f}"))
     return _svg_document(body, "observed probability vs flip probability")

@@ -18,6 +18,7 @@ from .core import (
     UncertaintyViolationError,
     VisibilityPair,
     _frozen,
+    _left_sum,
     bell_expectation,
     bell_operator,
     build_joint_povm,
@@ -120,16 +121,11 @@ def check_werner_linearity() -> CheckResult:
     return CheckResult(worst <= 1e-12, f"max |error| {worst:.2e}")
 
 
-def _row_sums(p: np.ndarray) -> np.ndarray:
-    """Sums over the last axis, added left to right as ``_left_sum`` adds."""
-    return p.cumsum(axis=-1)[..., -1]
-
-
 def check_distribution_normalization() -> CheckResult:
     rng = np.random.default_rng(911)
     states = [random_two_qubit_state(rng) for _ in range(10)]
     p = np.stack([sweep_grid(state, _THETA_SET).p_theory for state in states])
-    worst_sum = float(np.max(np.abs(_row_sums(p) - 1.0)))
+    worst_sum = float(np.max(np.abs(_left_sum(p) - 1.0)))
     worst_neg = min(0.0, float(p.min()))
     ok = worst_sum <= 1e-10 and worst_neg >= -1e-12
     return CheckResult(
@@ -144,7 +140,7 @@ def check_marginal_consistency() -> CheckResult:
     probs = np.stack([joint_distribution(state, 30.0, 70.0).probs for state in states])
     # ALL_OUTCOMES runs (x_A, y_A) slowest, in OUTCOME_SIGNS order: row o of the reshape
     # holds the four outcomes of side A's element o.
-    marginals = _row_sums(probs.reshape(len(states), 4, 4))
+    marginals = _left_sum(probs.reshape(len(states), 4, 4))
     rho_a = np.stack([partial_trace(state.rho, keep="A") for state in states])
     povm_a = build_joint_povm("A", [30.0])[0]
     direct = np.trace(povm_a @ rho_a[:, None], axis1=2, axis2=3).real
@@ -171,7 +167,7 @@ def check_visibility_scaling() -> CheckResult:
     scales = np.stack([a * b for a in (c, s) for b in (c, s)], axis=-1)
     states = [random_two_qubit_state(rng) for _ in range(5)]
     probs = np.stack([[joint_distribution(state, t, t).probs for t in thetas] for state in states])
-    measured = _row_sums(probs[:, :, None, :] * signs)
+    measured = _left_sum(probs[:, :, None, :] * signs)
     rhos = np.stack([state.rho for state in states])
     sharp = np.trace(ops @ rhos[:, None], axis1=2, axis2=3).real
     worst = float(np.max(np.abs(measured - scales * sharp[:, None, :])))

@@ -151,8 +151,8 @@ class CountTable(
 
     def __new__(cls, counts: np.ndarray, duration_s: float | None = None) -> CountTable:
         counts = _outcome_array(counts)
-        if duration_s is not None and not math.isfinite(duration_s):
-            raise ValueError(f"duration_s must be finite, got {duration_s!r}")
+        if duration_s is not None and not 0.0 <= duration_s < math.inf:
+            raise ValueError(f"duration_s must be finite and non-negative, got {duration_s!r}")
         # Checked before the int64 conversion, which a count above 2**63 would overflow.
         whole = (counts >= 0) & (counts % 1 == 0)
         _require(whole, counts, "count for {m} must be a non-negative integer, got {v!r}")
@@ -198,8 +198,7 @@ def aggregate_b(dist: JointDistribution) -> BAggregate:
     """Sum outcome probabilities by b-value and form mean b = 2p+ - 2p-."""
     # Left to right, not numpy's pairwise or Python 3.12's compensated sum: pinned outputs
     # depend on the last bit of the eight-term sums.
-    p_plus = _left_sum(dist.probs[B_COLUMNS[2]])
-    p_minus = _left_sum(dist.probs[B_COLUMNS[-2]])
+    p_plus, p_minus = _left_sum(dist.probs[[B_COLUMNS[2], B_COLUMNS[-2]]]).tolist()
     return BAggregate(p_plus=p_plus, p_minus=p_minus, mean_b=2.0 * p_plus - 2.0 * p_minus)
 
 
@@ -257,8 +256,9 @@ def _check_angle_totals(thetas: Sequence[float], counts: np.ndarray) -> None:
 
 class SweepGrid(NamedTuple):
     """A sweep over theta = theta_A = theta_B (flips: ``analysis.pbflip_grid(thetas)``) as (n, 16)
-    arrays in ALL_OUTCOMES order.  ``counts`` and the derived ``p_obs`` N(m)/N and ``std_err``
-    sqrt(N(m))/N are None unless sampled; ``p_theory`` is None in a sampled file read back."""
+    arrays in ALL_OUTCOMES order, read-only from ``sweep_grid`` and ``read_sweep``.  ``counts``
+    and the derived ``p_obs`` N(m)/N and ``std_err`` sqrt(N(m))/N are None unless sampled;
+    ``p_theory`` is None in a sampled file read back."""
 
     thetas: tuple[float, ...]
     p_theory: np.ndarray | None
@@ -294,10 +294,10 @@ def sweep_grid(
     p = _outcome_probabilities(*(build_joint_povm(side, thetas) for side in "AB"), state.rho)
     _check_probabilities(p)
     if not sampled:
-        return SweepGrid(thetas, p)
+        return SweepGrid(thetas, _frozen(p))
     counts = _draw(p.ravel(), mean_total, seed).astype(np.int64, copy=False).reshape(len(p), 16)
     _check_angle_totals(thetas, counts)
-    return SweepGrid(thetas, p, counts)
+    return SweepGrid(thetas, _frozen(p), _frozen(counts))
 
 
 def conditional_state(
@@ -352,7 +352,7 @@ def joint_visibilities(
             )
         # Each angle's mean sign: its four outcome terms added left to right, not pairwise.
         terms = signs * np.trace(povm @ prepared, axis1=-2, axis2=-1).real
-        ratios.append(terms.cumsum(axis=-1)[:, -1] / precise)
+        ratios.append(_left_sum(terms) / precise)
     vx, vy = ratios
     # math.hypot, not np.hypot: the two can differ in the last bit.
     radius = list(map(math.hypot, vx.tolist(), vy.tolist()))

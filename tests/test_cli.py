@@ -80,6 +80,12 @@ MIXED_MATRIX = "0.25 0 0 0\n0 0.25 0 0\n0 0 0.25 0\n0 0 0 0.25\n"
                  id="analyze-inf"),
     pytest.param(["analyze", "nan.csv", "--theta-a", "20", "--theta-b", "20"], "finite",
                  id="analyze-duration"),
+    pytest.param(["counts", "--duration-s", "-5", "--out", "x.csv"],
+                 "duration_s must be finite and non-negative, got -5.0",
+                 id="counts-negative-duration"),
+    pytest.param(["analyze", "neg.csv", "--theta-a", "20", "--theta-b", "20"],
+                 "neg.csv: duration_s must be finite and non-negative, got -5.0",
+                 id="analyze-negative-duration"),
     pytest.param(["analyze", "huge.csv", "--theta-a", "20", "--theta-b", "20"],
                  "huge.csv: count for (+,+;+,+) exceeds 2**53", id="analyze-huge-count"),
     pytest.param(["simulate", "--state", "nan.txt"], "entries must be finite", id="matrix-nan"),
@@ -94,6 +100,7 @@ def test_non_finite_input_fails(runner, tmp_path, monkeypatch, args, fragment):
     table = format_count_table(CountTable(counts=[4] * 16))
     inputs = {
         "nan.cfg": "theta_a = nan\n", "c.csv": table, "nan.csv": table + "# duration_s=nan\n",
+        "neg.csv": table + "# duration_s=-5.0\n",
         "huge.csv": table.replace(",4\n", "," + "9" * 320 + "\n", 1),
         "nan.txt": MIXED_MATRIX.replace("0.25 0 0 0", "0.25 nan 0 0"),
         "inf.txt": MIXED_MATRIX.replace("0.25 0 0 0", "inf 0 0 0"), "empty.txt": "",

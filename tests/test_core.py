@@ -260,6 +260,22 @@ class TestLeftSum:
             with np.errstate(over="ignore", invalid="ignore"):
                 assert _left_sum(form).hex() == expected
 
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.tuples(st.integers(0, 5), st.integers(0, 9)), data=st.data())
+    def test_rows_of_an_array_equal_each_row_alone(self, shape, data):
+        """An (n, k) array sums row by row, bit for bit, also with a leading axis added; the
+        first row, when there is one, leads with -0.0."""
+        elements = st.floats(allow_nan=False) | st.sampled_from([-0.0, 5e-324, -1e-17])
+        a = np.array(data.draw(st.lists(elements, min_size=shape[0] * shape[1],
+                                        max_size=shape[0] * shape[1]))).reshape(shape)
+        if a.size:
+            a[0, 0] = -0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = [_left_sum(row).hex() for row in a]
+            sums = _left_sum(a)
+            assert sums.shape == (shape[0],) and [s.hex() for s in sums.tolist()] == expected
+            assert [s.hex() for s in _left_sum(a[None]).ravel().tolist()] == expected
+
 
 class TestStates:
     def test_singlet_basics(self):

@@ -106,6 +106,36 @@ def test_checker_flags_an_unused_export():
     assert unused_exports(init, sources, "Call `documented` first.") == ["spare"]
 
 
+def cumsum_calls(sources: dict[str, str]) -> list[str]:
+    """Calls of ``cumsum`` in ``sources`` (module name: source) outside ``core._left_sum``, the
+    one left-to-right sum that pinned outputs depend on."""
+    problems = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        allowed = {id(node) for fn in tree.body if module == "core"
+                   and isinstance(fn, ast.FunctionDef) and fn.name == "_left_sum"
+                   for node in ast.walk(fn)}
+        problems.extend(
+            f"{module}: cumsum, line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in allowed
+            and "cumsum" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        )
+    return problems
+
+
+def test_cumsum_only_in_left_sum():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert cumsum_calls(sources) == []
+
+
+def test_checker_flags_a_cumsum_outside_left_sum():
+    sources = {
+        "core": "def _left_sum(v):\n    return v.cumsum()\n\ndef other(v):\n    return cumsum(v)\n",
+        "sim": "import numpy as np\n\ndef _left_sum(v):\n    return np.cumsum(v)\n",
+    }
+    assert cumsum_calls(sources) == ["core: cumsum, line 5", "sim: cumsum, line 4"]
+
+
 #: Each module's layer: a module imports only modules of lower layers.  ``__init__`` only
 #: re-exports, from core, sim and analysis.
 LAYERS = {"core": 0, "sim": 1, "analysis": 2, "figures": 3, "selfcheck": 3, "__init__": 3,

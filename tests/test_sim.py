@@ -486,6 +486,20 @@ class TestSweepGrid:
         else:
             assert read.counts.tolist() == grid.counts.tolist() and read.p_theory is None
 
+    @pytest.mark.parametrize("mean_total, seed", [(None, None), (5e4, 6)], ids=["exact", "sampled"])
+    def test_grid_arrays_are_read_only(self, tmp_path, mean_total, seed):
+        """The arrays of ``sweep_grid`` and ``read_sweep`` are read-only, as a distribution's
+        are, so no in-place edit reaches ``write_sweep``."""
+        grid = sweep_grid(werner_state(0.9716), self.THETAS, mean_total, seed)
+        with open(tmp_path / "s.csv", "w") as fh:
+            write_sweep(fh, grid)
+        read = read_sweep(tmp_path / "s.csv")
+        arrays = [a for a in (*grid[1:], *read[1:]) if a is not None]
+        assert len(arrays) == (2 if seed is None else 3)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
+
     @pytest.mark.parametrize("state", [werner_state(0.9716), singlet_state(),
                                        random_two_qubit_state(np.random.default_rng(5))],
                              ids=["werner", "singlet", "random"])
