@@ -5,7 +5,6 @@ simulation, the bit-flip error model and the Bell-magnitude line fit."""
 from .core import (
     CIRELSON_BOUND,
     InvalidStateError,
-    PolarizationObservable,
     TwoQubitState,
     UncertaintyViolationError,
     VisibilityPair,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import CIRELSON_BOUND, VisibilityPair, _frozen, _left_sum, unit_circle_grid
 from .sim import ALL_OUTCOMES, SIGN_COLUMNS, JointDistribution, Outcome, QuasiDistribution, b_value
-from .sim import MAX_COUNT, SweepGrid, _OUTCOME_SIGNS, _check_angle_totals, _check_probabilities
+from .sim import MAX_COUNT, SweepGrid, _check_angle_totals, _check_probabilities
 
 #: Outcomes whose flip probability dips lowest over the trade-off range:
 #: the first two bottom out at theta = 22.5 deg, the last two at 67.5 deg.
@@ -334,7 +334,7 @@ def read_sweep(path) -> SweepGrid:
         raise ValueError(f"data row {i + 1}: {names[j]} must be finite, got {value!r}")
     angles = table.reshape(-1, 16, 6)
     thetas = angles[:, 0, 0]
-    bad = (angles[..., 0] != thetas[:, None]) | (angles[..., 1:5] != _OUTCOME_SIGNS).any(axis=2)
+    bad = (angles[..., 0] != thetas[:, None]) | (angles[..., 1:5] != SIGN_COLUMNS.T).any(axis=2)
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"data row {i + 1} must be outcome {ALL_OUTCOMES[i % 16].label()} at "

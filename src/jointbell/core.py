@@ -88,38 +88,19 @@ class _Checked:
         return cls(*iterable)
 
 
-class PolarizationObservable(NamedTuple):
-    """A +/-1 valued polarization observable.
-
-    The +1 eigenstate is the linear polarization at ``plus_angle_deg``; the
-    -1 eigenstate is orthogonal to it (rotated by 90 degrees in real space).
-    The matrix is |a><a| - |a+90><a+90|: Hermitian, traceless, eigenvalues
-    exactly +1 and -1.
-    """
-
-    plus_angle_deg: float
-    matrix: np.ndarray
-
-
-def observable_from_angle(plus_angle_deg: float) -> PolarizationObservable:
-    """Build the polarization observable whose +1 eigenstate sits at the
-    given real-space angle (reduced mod 180 degrees)."""
+def observable_from_angle(plus_angle_deg: float) -> np.ndarray:
+    """The +/-1 valued polarization observable |a><a| - |a+90><a+90| whose +1 eigenstate is the
+    linear polarization at real-space angle a (mod 180 degrees), as a read-only real 2x2
+    matrix: Hermitian, traceless, eigenvalues exactly +1 and -1."""
     alpha = plus_angle_deg % 180.0
-    matrix = projector(alpha) - projector(alpha + 90.0)
-    return PolarizationObservable(plus_angle_deg=alpha, matrix=_frozen(matrix))
+    return _frozen((projector(alpha) - projector(alpha + 90.0)).real)
 
 
-#: The fixed (X, Y) observable pair of each side, built once (read-only).
-_SIDE_OBSERVABLES = {
-    side: (observable_from_angle(angles["x"]), observable_from_angle(angles["y"]))
-    for side, angles in OBSERVABLE_ANGLES.items()
-}
-
-#: The operator basis (I, X, Y) of each side as a read-only (3, 2, 2) float stack: the
-#: observables of linear polarizations have all-zero imaginary parts.
+#: The operator basis (I, X, Y) of each side as a read-only (3, 2, 2) float stack, with X and
+#: Y the observables at the side's OBSERVABLE_ANGLES: the one copy of each side's observables.
 _SIDE_BASES = {
-    side: _frozen(np.stack([np.eye(2), obs_x.matrix.real, obs_y.matrix.real]))
-    for side, (obs_x, obs_y) in _SIDE_OBSERVABLES.items()
+    side: _frozen(np.stack([np.eye(2), *map(observable_from_angle, (angles["x"], angles["y"]))]))
+    for side, angles in OBSERVABLE_ANGLES.items()
 }
 
 #: Signs of the (I, X, Y) coefficients (1, x, y) of each element, in OUTCOME_SIGNS order.
@@ -131,10 +112,11 @@ def _check_side(side: Side) -> None:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
 
 
-def side_observables(side: Side) -> tuple[PolarizationObservable, PolarizationObservable]:
-    """The (X, Y) observable pair measured on one side."""
+def side_observables(side: Side) -> np.ndarray:
+    """The (X, Y) observables measured on one side as a read-only (2, 2, 2) stack: rows 1 and
+    2 of the side's (I, X, Y) basis."""
     _check_side(side)
-    return _SIDE_OBSERVABLES[side]
+    return _SIDE_BASES[side][1:]
 
 
 def unit_circle_grid(thetas_deg) -> np.ndarray:
@@ -272,13 +254,8 @@ def random_two_qubit_state(rng: np.random.Generator) -> TwoQubitState:
 
 
 def _chsh_operator() -> np.ndarray:
-    (xa, ya), (xb, yb) = _SIDE_OBSERVABLES["A"], _SIDE_OBSERVABLES["B"]
-    return _frozen(
-        np.kron(xa.matrix, xb.matrix)
-        - np.kron(xa.matrix, yb.matrix)
-        + np.kron(ya.matrix, xb.matrix)
-        + np.kron(ya.matrix, yb.matrix)
-    )
+    (xa, ya), (xb, yb) = (side_observables(side).astype(complex) for side in "AB")
+    return _frozen(np.kron(xa, xb) - np.kron(xa, yb) + np.kron(ya, xb) + np.kron(ya, yb))
 
 
 _BELL_OPERATOR = _chsh_operator()

@@ -99,7 +99,7 @@ def check_uncertainty_boundary() -> CheckResult:
 
 def check_observable_algebra() -> CheckResult:
     # X_A, Y_A, X_B, Y_B as one (4, 2, 2) stack.
-    obs = np.stack([o.matrix for side in ("A", "B") for o in side_observables(side)])
+    obs = np.concatenate([side_observables(side) for side in ("A", "B")])
     xs, ys = obs[0::2], obs[1::2]
     bell_eigs = np.linalg.eigvalsh(bell_operator())
     defects = [
@@ -163,7 +163,7 @@ def check_visibility_scaling() -> CheckResult:
     s = np.array([math.sin(math.radians(t)) for t in thetas])
     # The correlators x_a x_b, x_a y_b, y_a x_b and y_a y_b, in this order on the last axis.
     signs = np.stack([a * b for a in (sxa, sya) for b in (sxb, syb)])
-    ops = np.stack([np.kron(a.matrix, b.matrix) for a in (xa, ya) for b in (xb, yb)])
+    ops = np.stack([np.kron(a, b) for a in (xa, ya) for b in (xb, yb)])
     scales = np.stack([a * b for a in (c, s) for b in (c, s)], axis=-1)
     states = [random_two_qubit_state(rng) for _ in range(5)]
     probs = np.stack([[joint_distribution(state, t, t).probs for t in thetas] for state in states])

@@ -13,11 +13,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    OBSERVABLE_ANGLES,
     OUTCOME_SIGNS,
     Side,
     TwoQubitState,
     _Checked,
     _ELEMENT_SIGNS,
+    _check_side,
     _frozen,
     _left_sum,
     build_joint_povm,
@@ -51,9 +53,9 @@ class Outcome(NamedTuple):
 
 #: The sixteen outcomes in canonical order (x_A slowest, +1 before -1).
 ALL_OUTCOMES = tuple(Outcome(*a, *b) for a in OUTCOME_SIGNS for b in OUTCOME_SIGNS)
-#: The signs (x_A, y_A, x_B, y_B) of the sixteen outcomes, (16, 4), and as four columns.
-_OUTCOME_SIGNS = np.array(ALL_OUTCOMES)
-SIGN_COLUMNS = tuple(_OUTCOME_SIGNS.T)
+#: The signs x_A, y_A, x_B and y_B of the sixteen outcomes as the rows of a read-only (4, 16)
+#: array: row k is sign k of every outcome, in ALL_OUTCOMES order.
+SIGN_COLUMNS = _frozen(np.transpose(ALL_OUTCOMES))
 
 
 def b_value(outcome: Outcome) -> int:
@@ -306,22 +308,16 @@ def conditional_state(
     """Normalized 2x2 state of the partner qubit after projecting ``side``
     onto the linear polarization at ``proj_angle_deg`` (remote state
     preparation)."""
-    p = projector(proj_angle_deg)
-    if side == "A":
-        op = np.kron(p, np.eye(2, dtype=complex))
-        keep: Side = "B"
-    elif side == "B":
-        op = np.kron(np.eye(2, dtype=complex), p)
-        keep = "A"
-    else:
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    _check_side(side)
+    p, eye = projector(proj_angle_deg), np.eye(2, dtype=complex)
+    op = np.kron(p, eye) if side == "A" else np.kron(eye, p)
     projected = op @ state.rho @ op
     prob = float(np.real(np.trace(projected)))
     if prob <= 1e-12:
         raise ValueError(
             f"projection of side {side} onto {proj_angle_deg} deg has vanishing probability"
         )
-    return partial_trace(projected, keep=keep) / prob
+    return partial_trace(projected, keep="B" if side == "A" else "A") / prob
 
 
 def joint_visibilities(
@@ -338,14 +334,13 @@ def joint_visibilities(
     states: the fields are then (n,) arrays, entry i exactly the call at the
     i-th angle.
     """
-    obs_x, obs_y = side_observables(side)
+    observables = side_observables(side)
     helper: Side = "B" if side == "A" else "A"
     povm = build_joint_povm(side, theta_deg)
-    x_signs, y_signs = _ELEMENT_SIGNS[:, 1:].T
     ratios = []
-    for axis, obs, signs in (("x", obs_x, x_signs), ("y", obs_y, y_signs)):
-        prepared = conditional_state(state, helper, obs.plus_angle_deg + 90.0)
-        precise = float(np.real(np.trace(prepared @ obs.matrix)))
+    for axis, obs, signs in zip("xy", observables, _ELEMENT_SIGNS[:, 1:].T):
+        prepared = conditional_state(state, helper, OBSERVABLE_ANGLES[side][axis] + 90.0)
+        precise = float(np.real(np.trace(prepared @ obs)))
         if abs(precise) < 1e-12:
             raise ValueError(
                 f"precise {axis} expectation vanishes on side {side}; visibility undefined"
@@ -403,6 +398,8 @@ def parse_count_table(text: str) -> CountTable:
         if line.startswith("#"):
             if not line.startswith(_DURATION_PREFIX):
                 raise CountFileError(f"row {row}: unrecognized metadata line {line!r}")
+            if duration is not None:
+                raise CountFileError(f"row {row}: duplicate duration metadata line")
             try:
                 duration = float(line[len(_DURATION_PREFIX):])
             except ValueError:
@@ -416,7 +413,8 @@ def parse_count_table(text: str) -> CountTable:
         outcome = Outcome(*(_parse_sign(f.strip(), row) for f in fields[:4]))
         token = fields[4].strip()
         try:
-            # Plain ASCII digits only: int() alone also takes "+5", "1_000" and other scripts.
+            # Plain ASCII digits only: int() alone also takes "+5", "1_000" and other scripts,
+            # and it raises ValueError past Python's limit on integer string digits.
             if not (token.isascii() and token.removeprefix("-").isdigit()):
                 raise ValueError
             n = int(token)

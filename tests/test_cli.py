@@ -132,6 +132,9 @@ def test_non_finite_input_fails(runner, tmp_path, monkeypatch, args, fragment):
     pytest.param(["analyze", "arabic.csv", "--theta-a", "20", "--theta-b", "20"],
                  "arabic.csv: row 3: count must be an integer, got '\u0663'",
                  id="analyze-arabic-digit"),
+    pytest.param(["analyze", "twice.csv", "--theta-a", "20", "--theta-b", "20"],
+                 "twice.csv: row 19: duplicate duration metadata line",
+                 id="analyze-duplicate-duration"),
 ])
 def test_file_errors_fail(runner, tmp_path, monkeypatch, args, fragment):
     monkeypatch.chdir(tmp_path)
@@ -142,6 +145,8 @@ def test_file_errors_fail(runner, tmp_path, monkeypatch, args, fragment):
     rows = (tmp_path / "c.csv").read_text().splitlines()
     rows[2] = rows[2].replace(",4", ",\u0663")  # ARABIC-INDIC DIGIT THREE
     (tmp_path / "arabic.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (tmp_path / "twice.csv").write_text(
+        format_count_table(CountTable([4] * 16, 1.0)) + "# duration_s=2.0\n")
     assert runner.invoke(main, ["sweep", "--thetas", "0,90", "--out", "s.csv"]).exit_code == 0
     before = sorted(p.name for p in tmp_path.rglob("*"))
     assert_one_line_error(runner.invoke(main, args), fragment)
@@ -834,9 +839,10 @@ class TestFit:
         """Rewrite the sweep at ``path`` with its data rows, a list of lists of fields, replaced
         by ``edit(rows)``; the header stays.  Row 1 is the minimal outcome (+,+;+,-) at the
         first angle, theta 0, and field 8 is the count."""
-        header, *lines = path.read_text().splitlines()
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
         rows = edit([line.split(",") for line in lines])
-        path.write_text("\n".join([header, *(",".join(row) for row in rows)]) + "\n")
+        text = "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
+        path.write_text(text, encoding="utf-8")
 
     @pytest.mark.parametrize("edit, fragment", [
         # The first data row keeps its count, so the file stays sampled.

@@ -16,6 +16,7 @@ from jointbell.core import (
     TwoQubitState,
     UncertaintyViolationError,
     VisibilityPair,
+    _SIDE_BASES,
     _left_sum,
     bell_expectation,
     bell_operator,
@@ -25,12 +26,14 @@ from jointbell.core import (
     partial_trace,
     povm_elements,
     povm_from_visibilities,
+    projector,
     random_two_qubit_state,
     side_observables,
     singlet_state,
     unit_circle_grid,
     werner_state,
 )
+from jointbell.sim import ALL_OUTCOMES, SIGN_COLUMNS
 
 ROOT2 = math.sqrt(2.0)
 
@@ -47,61 +50,62 @@ def rotation_form(angle_deg: float) -> np.ndarray:
 class TestObservables:
     def test_horizontal_vertical(self):
         obs = observable_from_angle(0.0)
-        assert np.allclose(obs.matrix, np.diag([1.0, -1.0]), atol=1e-15)
+        assert np.allclose(obs, np.diag([1.0, -1.0]), atol=1e-15)
+        assert obs.dtype == float and not obs.flags.writeable
 
     def test_diagonal(self):
         obs = observable_from_angle(45.0)
-        assert np.allclose(obs.matrix, np.array([[0, 1], [1, 0]]), atol=1e-15)
+        assert np.allclose(obs, np.array([[0, 1], [1, 0]]), atol=1e-15)
 
     def test_22_5_degrees(self):
         # Hand expansion of |22.5><22.5| - |112.5><112.5|.
         c45 = math.cos(math.radians(45.0))
         expected = np.array([[c45, c45], [c45, -c45]])
-        assert np.allclose(observable_from_angle(22.5).matrix, expected, atol=1e-15)
+        assert np.allclose(observable_from_angle(22.5), expected, atol=1e-15)
 
     @pytest.mark.parametrize("angle", np.arange(0.0, 180.0, 7.5))
     def test_matches_rotation_form(self, angle):
         obs = observable_from_angle(angle)
-        assert np.max(np.abs(obs.matrix - rotation_form(angle))) < 1e-12
-        assert abs(np.trace(obs.matrix)) < 1e-15
-        assert np.allclose(np.linalg.eigvalsh(obs.matrix), [-1.0, 1.0], atol=1e-12)
+        assert np.max(np.abs(obs - rotation_form(angle))) < 1e-12
+        assert abs(np.trace(obs)) < 1e-15
+        assert np.allclose(np.linalg.eigvalsh(obs), [-1.0, 1.0], atol=1e-12)
 
     def test_angle_reduced_mod_180(self):
-        assert observable_from_angle(190.0).plus_angle_deg == pytest.approx(10.0)
-        assert np.allclose(
-            observable_from_angle(-45.0).matrix, observable_from_angle(135.0).matrix
-        )
+        assert np.array_equal(observable_from_angle(190.0), observable_from_angle(10.0))
+        assert np.allclose(observable_from_angle(-45.0), observable_from_angle(135.0))
 
     def test_plus_eigenstate_orientation(self):
         for angle in (0.0, 30.0, 67.5):
             obs = observable_from_angle(angle)
             ket = np.array([math.cos(math.radians(angle)), math.sin(math.radians(angle))])
-            assert np.allclose(obs.matrix @ ket, ket, atol=1e-12)
+            assert np.allclose(obs @ ket, ket, atol=1e-12)
 
     def test_same_side_observables_anticommute(self):
         for side in ("A", "B"):
             ox, oy = side_observables(side)
-            anti = ox.matrix @ oy.matrix + oy.matrix @ ox.matrix
+            anti = ox @ oy + oy @ ox
             assert np.max(np.abs(anti)) < 1e-12
 
     def test_table_angles(self):
-        xa, ya = side_observables("A")
-        xb, yb = side_observables("B")
-        assert (xa.plus_angle_deg, ya.plus_angle_deg) == (0.0, 45.0)
-        assert (xb.plus_angle_deg, yb.plus_angle_deg) == (22.5, 67.5)
+        assert OBSERVABLE_ANGLES == {"A": {"x": 0.0, "y": 45.0}, "B": {"x": 22.5, "y": 67.5}}
+        for side, angles in OBSERVABLE_ANGLES.items():
+            for obs, angle in zip(side_observables(side), (angles["x"], angles["y"])):
+                assert np.array_equal(obs, observable_from_angle(angle))
 
     @pytest.mark.parametrize("side", ["A", "B"])
     def test_table_matches_rotation_form(self, side):
         for axis, obs in zip("xy", side_observables(side)):
             expected = rotation_form(OBSERVABLE_ANGLES[side][axis])
-            assert np.max(np.abs(obs.matrix - expected)) < 1e-12
+            assert np.max(np.abs(obs - expected)) < 1e-12
 
     def test_table_is_shared_and_read_only(self):
         for side in ("A", "B"):
-            assert side_observables(side) is side_observables(side)
-            for obs in side_observables(side):
+            observables = side_observables(side)
+            assert observables.shape == (2, 2, 2) and observables.dtype == float
+            assert np.shares_memory(observables, _SIDE_BASES[side])
+            for obs in observables:
                 with pytest.raises(ValueError):
-                    obs.matrix[0, 0] = 0.0
+                    obs[0, 0] = 0.0
 
     def test_bad_side(self):
         with pytest.raises(ValueError):
@@ -112,14 +116,14 @@ class TestJointPovm:
     def test_theta45_element(self):
         povm = build_joint_povm("A", [45.0])[0]
         xa, ya = side_observables("A")
-        expected = 0.25 * (np.eye(2) + (ROOT2 / 2) * xa.matrix + (ROOT2 / 2) * ya.matrix)
+        expected = 0.25 * (np.eye(2) + (ROOT2 / 2) * xa + (ROOT2 / 2) * ya)
         assert np.allclose(povm[OUTCOME_SIGNS.index((1, 1))], expected, atol=1e-15)
 
     def test_theta20_side_b_element(self):
         povm = build_joint_povm("B", [20.0])[0]
         xb, yb = side_observables("B")
         c, s = math.cos(math.radians(20.0)), math.sin(math.radians(20.0))
-        expected = 0.25 * (np.eye(2) - c * xb.matrix + s * yb.matrix)
+        expected = 0.25 * (np.eye(2) - c * xb + s * yb)
         assert np.allclose(povm[OUTCOME_SIGNS.index((-1, 1))], expected, atol=1e-15)
         assert c == pytest.approx(0.9397, abs=5e-5)
         assert s == pytest.approx(0.3420, abs=5e-5)
@@ -128,7 +132,7 @@ class TestJointPovm:
         povm = build_joint_povm("A", [0.0])[0]
         xa, _ = side_observables("A")
         for x in (1, -1):
-            expected = 0.25 * (np.eye(2) + x * xa.matrix)
+            expected = 0.25 * (np.eye(2) + x * xa)
             assert np.allclose(povm[OUTCOME_SIGNS.index((x, 1))], expected, atol=1e-15)
             assert np.allclose(povm[OUTCOME_SIGNS.index((x, -1))], expected, atol=1e-15)
 
@@ -286,7 +290,7 @@ class TestStates:
     @pytest.mark.parametrize("angle", [0.0, 22.5, 45.0, 77.0])
     def test_singlet_parallel_anticorrelation(self, angle):
         state = singlet_state()
-        obs = observable_from_angle(angle).matrix
+        obs = observable_from_angle(angle)
         value = np.real(np.trace(np.kron(obs, obs) @ state.rho))
         assert value == pytest.approx(-1.0, abs=1e-12)
 
@@ -353,6 +357,19 @@ class TestBellOperator:
         expected = np.kron(xa, xb) - np.kron(xa, yb) + np.kron(ya, xb) + np.kron(ya, yb)
         assert np.max(np.abs(bell_operator() - expected)) < 1e-12
 
+    def test_equals_projector_construction_bit_for_bit(self):
+        # Each observable built as the complex |a><a| - |a+90><a+90| at its table angle; and the
+        # outcome sign table whose rows the CHSH sum's signs are read from.
+        (xa, ya), (xb, yb) = (
+            [projector(a % 180.0) - projector(a % 180.0 + 90.0) for a in angles.values()]
+            for angles in OBSERVABLE_ANGLES.values()
+        )
+        expected = np.kron(xa, xb) - np.kron(xa, yb) + np.kron(ya, xb) + np.kron(ya, yb)
+        assert bell_operator().dtype == np.complex128
+        assert bell_operator().tobytes() == expected.tobytes()
+        assert np.array_equal(SIGN_COLUMNS.T, np.array(ALL_OUTCOMES))
+        assert not SIGN_COLUMNS.flags.writeable
+
     def test_shared_and_read_only(self):
         assert bell_operator() is bell_operator()
         with pytest.raises(ValueError):
@@ -362,8 +379,8 @@ class TestBellOperator:
         # B^2 = 4 I + [X_A, Y_A] (x) [X_B, Y_B] for anticommuting pairs.
         xa, ya = side_observables("A")
         xb, yb = side_observables("B")
-        comm_a = xa.matrix @ ya.matrix - ya.matrix @ xa.matrix
-        comm_b = xb.matrix @ yb.matrix - yb.matrix @ xb.matrix
+        comm_a = xa @ ya - ya @ xa
+        comm_b = xb @ yb - yb @ xb
         b = bell_operator()
         assert np.allclose(b @ b, 4 * np.eye(4) + np.kron(comm_a, comm_b), atol=1e-12)
 
@@ -377,10 +394,10 @@ class TestBellOperator:
         xa, ya = side_observables("A")
         xb, yb = side_observables("B")
         correlations = [
-            np.real(np.trace(np.kron(xa.matrix, xb.matrix) @ state.rho)),
-            -np.real(np.trace(np.kron(xa.matrix, yb.matrix) @ state.rho)),
-            np.real(np.trace(np.kron(ya.matrix, xb.matrix) @ state.rho)),
-            np.real(np.trace(np.kron(ya.matrix, yb.matrix) @ state.rho)),
+            np.real(np.trace(np.kron(xa, xb) @ state.rho)),
+            -np.real(np.trace(np.kron(xa, yb) @ state.rho)),
+            np.real(np.trace(np.kron(ya, xb) @ state.rho)),
+            np.real(np.trace(np.kron(ya, yb) @ state.rho)),
         ]
         assert correlations == pytest.approx([-ROOT2 / 2] * 4, abs=1e-12)
         assert sum(correlations) == pytest.approx(bell_expectation(state), abs=1e-12)

@@ -8,6 +8,7 @@ import pytest
 from jointbell import selfcheck
 from jointbell.analysis import flip_convolve
 from jointbell.core import (
+    OBSERVABLE_ANGLES,
     VisibilityPair,
     bell_expectation,
     bell_operator,
@@ -40,8 +41,8 @@ def povm_without_bound_check(side, vis):
 
 
 def y_observable_rotated(side):
-    obs_x, obs_y = side_observables(side)
-    return obs_x, observable_from_angle(obs_y.plus_angle_deg + 1e-3)
+    obs_x, _ = side_observables(side)
+    return np.stack([obs_x, observable_from_angle(OBSERVABLE_ANGLES[side]["y"] + 1e-3)])
 
 
 def bell_operator_scaled():

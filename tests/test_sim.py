@@ -79,14 +79,14 @@ def expansion_probability(rho: np.ndarray, theta_a: float, theta_b: float, m: Ou
 
     total = (
         1.0
-        + m.x_a * va * ev(xa.matrix, eye)
-        + m.y_a * wa * ev(ya.matrix, eye)
-        + m.x_b * vb * ev(eye, xb.matrix)
-        + m.y_b * wb * ev(eye, yb.matrix)
-        + m.x_a * m.x_b * va * vb * ev(xa.matrix, xb.matrix)
-        + m.x_a * m.y_b * va * wb * ev(xa.matrix, yb.matrix)
-        + m.y_a * m.x_b * wa * vb * ev(ya.matrix, xb.matrix)
-        + m.y_a * m.y_b * wa * wb * ev(ya.matrix, yb.matrix)
+        + m.x_a * va * ev(xa, eye)
+        + m.y_a * wa * ev(ya, eye)
+        + m.x_b * vb * ev(eye, xb)
+        + m.y_b * wb * ev(eye, yb)
+        + m.x_a * m.x_b * va * vb * ev(xa, xb)
+        + m.x_a * m.y_b * va * wb * ev(xa, yb)
+        + m.y_a * m.x_b * wa * vb * ev(ya, xb)
+        + m.y_a * m.y_b * wa * wb * ev(ya, yb)
     )
     return total / 16.0
 
@@ -163,10 +163,10 @@ class TestJointDistribution:
             ca, sa = math.cos(math.radians(theta_a)), math.sin(math.radians(theta_a))
             cb, sb = math.cos(math.radians(theta_b)), math.sin(math.radians(theta_b))
             cases = (
-                ("x_a", "x_b", ca * cb, np.kron(xa.matrix, xb.matrix)),
-                ("x_a", "y_b", ca * sb, np.kron(xa.matrix, yb.matrix)),
-                ("y_a", "x_b", sa * cb, np.kron(ya.matrix, xb.matrix)),
-                ("y_a", "y_b", sa * sb, np.kron(ya.matrix, yb.matrix)),
+                ("x_a", "x_b", ca * cb, np.kron(xa, xb)),
+                ("x_a", "y_b", ca * sb, np.kron(xa, yb)),
+                ("y_a", "x_b", sa * cb, np.kron(ya, xb)),
+                ("y_a", "y_b", sa * sb, np.kron(ya, yb)),
             )
             for field_a, field_b, scale, op in cases:
                 measured = sum(
@@ -265,14 +265,14 @@ def _unit_expansion(rho: np.ndarray, m: Outcome) -> float:
 
     return (
         1.0
-        + m.x_a * ev(xa.matrix, eye)
-        + m.y_a * ev(ya.matrix, eye)
-        + m.x_b * ev(eye, xb.matrix)
-        + m.y_b * ev(eye, yb.matrix)
-        + m.x_a * m.x_b * ev(xa.matrix, xb.matrix)
-        + m.x_a * m.y_b * ev(xa.matrix, yb.matrix)
-        + m.y_a * m.x_b * ev(ya.matrix, xb.matrix)
-        + m.y_a * m.y_b * ev(ya.matrix, yb.matrix)
+        + m.x_a * ev(xa, eye)
+        + m.y_a * ev(ya, eye)
+        + m.x_b * ev(eye, xb)
+        + m.y_b * ev(eye, yb)
+        + m.x_a * m.x_b * ev(xa, xb)
+        + m.x_a * m.y_b * ev(xa, yb)
+        + m.y_a * m.x_b * ev(ya, xb)
+        + m.y_a * m.y_b * ev(ya, yb)
     ) / 16.0
 
 
@@ -894,7 +894,7 @@ class TestConditionalState:
 
     def test_werner_expectation(self):
         rho_a = conditional_state(werner_state(0.975), "B", 90.0)
-        x_a = observable_from_angle(0.0).matrix
+        x_a = observable_from_angle(0.0)
         assert np.real(np.trace(rho_a @ x_a)) == pytest.approx(0.975, abs=1e-12)
 
     def test_zero_probability_projection(self):
@@ -1002,8 +1002,9 @@ class TestCountTableFormat:
         negative[3] = negative[3].rsplit(",", 1)[0] + ",-2"
         with pytest.raises(CountFileError, match="row 4: count must be non-negative"):
             parse_count_table("\n".join(negative) + "\n")
-        # int() would take these; the format writes counts as plain ASCII digits only.
-        for token in ("1_000", "+5", "\u0663"):
+        # int() would take the first three; the format writes counts as plain ASCII digits only.
+        # The last passes that check, and int() rejects it past Python's 4300-digit limit.
+        for token in ("1_000", "+5", "\u0663", "9" * 5000):
             spelled = good.copy()
             spelled[5] = spelled[5].rsplit(",", 1)[0] + "," + token
             with pytest.raises(CountFileError, match="row 6: count must be an integer"):
@@ -1011,6 +1012,7 @@ class TestCountTableFormat:
         for tail, message in (
             (["# duration_s=ten"], "row 18: malformed duration in '# duration_s=ten'"),
             (["# duration_s=2.0", good[1]], "row 19: data after the duration metadata line"),
+            (["# duration_s=1.0", "# duration_s=2.0"], "row 19: duplicate duration metadata line"),
         ):
             with pytest.raises(CountFileError, match=re.escape(message)):
                 parse_count_table("\n".join(good + tail) + "\n")

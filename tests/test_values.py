@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jointbell.analysis import fit_bell_magnitude
-from jointbell.core import InvalidStateError, VisibilityPair, observable_from_angle, singlet_state
+from jointbell.core import InvalidStateError, VisibilityPair, singlet_state
 from jointbell.selfcheck import CheckResult
 from jointbell.sim import (
     CountTable,
@@ -19,7 +19,6 @@ from jointbell.sim import (
 )
 
 VALUES = {
-    "PolarizationObservable": lambda: observable_from_angle(22.5),
     "VisibilityPair": lambda: VisibilityPair(0.6, 0.8),
     "TwoQubitState": singlet_state,
     "JointDistribution": lambda: joint_distribution(singlet_state(), 45.0, 45.0),
