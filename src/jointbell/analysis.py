@@ -315,7 +315,7 @@ def read_sweep(path) -> SweepGrid:
         try:
             # Streamed from the file: the rows are never all held as text at once.
             rows = np.loadtxt(itertools.chain([first], fh), _SWEEP_ROW, delimiter=",",
-                              comments=None, ndmin=1, usecols=usecols)
+                              comments=None, ndmin=1, usecols=usecols, encoding="utf-8")
             table = np.column_stack((_parse_runs(rows["theta_deg"]), rows["fields"]))
         except ValueError:
             bad = _unreadable_row(fh, dict(zip(names, usecols)))

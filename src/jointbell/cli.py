@@ -113,7 +113,7 @@ def parse_state_spec(spec: str) -> TwoQubitState:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            matrix = np.loadtxt(path, dtype=complex)
+            matrix = np.loadtxt(path, dtype=complex, encoding="utf-8")
     except Exception as exc:
         raise ValueError(f"cannot read matrix file {spec!r}: {exc}") from None
     return TwoQubitState(rho=matrix)
@@ -143,26 +143,6 @@ def _usage_errors(prefix: str = ""):
         raise click.ClickException(f"{prefix}{exc}") from None
 
 
-@contextmanager
-def _writing(out: Path):
-    """Make the directory of ``out``, yield the path a block writes ``out`` through, then
-    echo ``wrote <out>``.  That path is a temporary file beside a new or regular ``out``,
-    moved onto it only if the block succeeds, so a failed command leaves no partial file."""
-    with _usage_errors():
-        out.parent.mkdir(parents=True, exist_ok=True)
-        target = Path(os.path.realpath(out))
-        if target.exists() and not target.is_file():
-            yield out
-        else:
-            tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-            try:
-                yield tmp
-                os.replace(tmp, target)
-            finally:
-                tmp.unlink(missing_ok=True)
-    _echo(f"wrote {out}")
-
-
 def _pbflip_table(theta_a: float, theta_b: float) -> dict[str, float] | None:
     if not (0.0 <= theta_a <= 90.0 and 0.0 <= theta_b <= 90.0):
         return None
@@ -183,15 +163,31 @@ def _write_csv(fh: TextIO, rows: list[dict]) -> None:
 
 
 def _write_output(out: Path | None, write: Callable[[TextIO], None]) -> None:
-    """Run ``write`` on the file ``out`` and echo ``wrote <out>``, or echo
-    what it writes to stdout when ``out`` is None."""
+    """Run ``write`` on the file ``out`` and echo ``wrote <out>``, or echo what it writes to
+    stdout when ``out`` is None.  The file is UTF-8 on every locale, and command-line text
+    decoded with surrogate escapes is written back byte for byte.  ``out``'s directory is
+    made, and a new or regular ``out`` is written through a temporary file beside it, moved
+    onto it only if ``write`` succeeds, so a failed command leaves no partial file."""
     if out is None:
         buffer = io.StringIO()
         write(buffer)
         _echo(buffer.getvalue(), nl=False)
         return
-    with _writing(out) as path, open(path, "w", newline="") as fh:
-        write(fh)
+    with _usage_errors():
+        out.parent.mkdir(parents=True, exist_ok=True)
+        target = Path(os.path.realpath(out))
+        tmp = (None if target.exists() and not target.is_file()
+               else target.with_name(f".{target.name}.{os.getpid()}.tmp"))
+        try:
+            with open(tmp or out, "w", encoding="utf-8", errors="surrogateescape",
+                      newline="") as fh:
+                write(fh)
+            if tmp:
+                os.replace(tmp, target)
+        finally:
+            if tmp:
+                tmp.unlink(missing_ok=True)
+    _echo(f"wrote {out}")
 
 
 def _emit_report(report: dict, out: Path | None, fmt: str) -> None:
@@ -285,9 +281,7 @@ def counts(state, theta_a, theta_b, mean_total, seed, duration_s, out) -> None:
     with _usage_errors():
         dist = joint_distribution(parse_state_spec(state), theta_a, theta_b)
         table = sample_counts(dist, mean_total, seed=seed, duration_s=duration_s)
-    path = _resolve_out(out, "counts.csv")
-    with _writing(path) as tmp:
-        write_count_table(table, tmp)
+    _write_output(_resolve_out(out, "counts.csv"), lambda fh: write_count_table(fh, table))
 
 
 @main.command()

@@ -8,7 +8,7 @@ visibility extraction, and the plain-text count-table format.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -431,9 +431,8 @@ def parse_count_table(text: str) -> CountTable:
     return CountTable([counts[m] for m in ALL_OUTCOMES], duration_s=duration)
 
 
-def write_count_table(table: CountTable, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_count_table(table))
+def write_count_table(fh: TextIO, table: CountTable) -> None:
+    fh.write(format_count_table(table))
 
 
 def read_count_table(path) -> CountTable:

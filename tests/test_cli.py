@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -187,6 +188,49 @@ def test_write_through_a_symlink_replaces_its_target(tmp_path):
     _write_output(link, lambda fh: fh.write("new\n"))
     assert link.is_symlink() and target.read_text() == "new\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+@pytest.mark.parametrize("command", ["counts", "simulate"])
+def test_write_to_a_device_goes_to_it_directly(runner, command):
+    result = runner.invoke(main, [command, "--out", "/dev/null"])
+    assert result.exit_code == 0, result.output
+    assert result.output == "wrote /dev/null\n"
+
+
+#: A locale whose text encoding is ASCII, with Python's coercion to UTF-8 switched off.
+C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def run_in_c_locale(args: list, cwd: Path) -> subprocess.CompletedProcess:
+    """``python -m jointbell.cli`` with ``args`` (bytes pass into argv as they are) under the C
+    locale, importing the package from ``src``."""
+    env = {**os.environ, **C_LOCALE, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "jointbell.cli", *args], cwd=cwd, env=env,
+                          capture_output=True)
+
+
+def test_c_locale_writes_a_non_ascii_matrix_path_back_byte_for_byte(runner, tmp_path,
+                                                                    monkeypatch):
+    name = "st\u00e4te.txt".encode("utf-8")
+    (tmp_path / os.fsdecode(name)).write_bytes(MIXED_MATRIX.encode())
+    proc = run_in_c_locale([b"simulate", b"--state", name, b"--format", b"csv", b"--out",
+                            b"r.csv"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"wrote r.csv\n"
+    in_c_locale = (tmp_path / "r.csv").read_bytes()
+    assert b"# state=" + name + b"\n" in in_c_locale
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["simulate", "--state", os.fsdecode(name), "--format", "csv",
+                                  "--out", "r.csv"])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "r.csv").read_bytes() == in_c_locale
+
+
+def test_c_locale_reads_a_matrix_file_with_a_non_ascii_comment(tmp_path):
+    (tmp_path / "m.txt").write_bytes(("# Zustand f\u00fcr den Test\n" + MIXED_MATRIX).encode())
+    proc = run_in_c_locale(["simulate", "--state", "m.txt"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["bell_expectation"] == 0.0
 
 
 def test_import_pulls_in_no_network_modules():

@@ -136,6 +136,40 @@ def test_checker_flags_a_cumsum_outside_left_sum():
     assert cumsum_calls(sources) == ["core: cumsum, line 5", "sim: cumsum, line 4"]
 
 
+#: Calls that open a text file in the locale's encoding unless given ``encoding=``.
+TEXT_FILE_CALLS = {"open", "read_text", "write_text", "loadtxt"}
+
+
+def calls_without_encoding(sources: dict[str, str]) -> list[str]:
+    """Calls of TEXT_FILE_CALLS in ``sources`` (module name: source) that pass no
+    ``encoding=`` keyword, so that the file they read or write would follow the locale."""
+    problems = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            if name in TEXT_FILE_CALLS and all(k.arg != "encoding" for k in node.keywords):
+                problems.append(f"{module}: {name}, line {node.lineno}")
+    return problems
+
+
+def test_text_files_name_their_encoding():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert calls_without_encoding(sources) == []
+
+
+def test_checker_flags_a_call_without_encoding():
+    sources = {
+        "cli": ("open(p, 'w', encoding='utf-8')\nopen(p, 'w', newline='')\n"
+                "np.loadtxt(p, dtype=complex)\nnp.loadtxt(p, encoding='utf-8')\n"),
+        "sim": "Path(p).read_text()\nPath(p).write_text(t, encoding='utf-8')\nfh.readline()\n",
+    }
+    assert calls_without_encoding(sources) == [
+        "cli: open, line 2", "cli: loadtxt, line 3", "sim: read_text, line 1",
+    ]
+
+
 #: Each module's layer: a module imports only modules of lower layers.  ``__init__`` only
 #: re-exports, from core, sim and analysis.
 LAYERS = {"core": 0, "sim": 1, "analysis": 2, "figures": 3, "selfcheck": 3, "__init__": 3,

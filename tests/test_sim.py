@@ -962,13 +962,15 @@ class TestCountTableFormat:
 
     def test_file_round_trip(self, tmp_path):
         table = uniform_table(7, duration_s=2.5)
-        path = tmp_path / "t.csv"
-        write_count_table(table, path)
-        again = read_count_table(path)
+        with open(tmp_path / "t.csv", "w", encoding="utf-8", newline="") as fh:
+            write_count_table(fh, table)
+        again = read_count_table(tmp_path / "t.csv")
         assert again.counts.tolist() == table.counts.tolist()
         assert again.duration_s == 2.5
-        write_count_table(again, tmp_path / "t2.csv")
+        with open(tmp_path / "t2.csv", "w", encoding="utf-8", newline="") as fh:
+            write_count_table(fh, again)
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+        assert (tmp_path / "t.csv").read_bytes() == format_count_table(table).encode("ascii")
 
     def test_header_required(self):
         with pytest.raises(CountFileError, match="header"):
