@@ -10,7 +10,6 @@ the least-squares estimator of |<B>| built on it, and the sweep file format.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple, Sequence, TextIO
 
@@ -219,13 +218,12 @@ _SWEEP_COLUMNS = (
 )
 #: The sign and b fields of a sweep's sixteen rows per angle, in ALL_OUTCOMES order.
 _OUTCOME_FIELDS = [",".join(map(str, (*m, b_value(m)))) for m in ALL_OUTCOMES]
-_SWEEP_BLOCK = 64  # angles whose rows ``write_sweep`` formats at once, column by column
 _THETA_CHARS = 32  # width of ``read_sweep``'s theta_deg text, which a repr (24 at most) fits
 _SWEEP_ROW = np.dtype([("theta_deg", f"U{_THETA_CHARS}"), ("fields", float, (5,))])
 
 
 def _distinct_reprs(values: np.ndarray) -> list[str]:
-    """The repr of each raveled value, formatted once per bit pattern: sweep blocks repeat many."""
+    """The repr of each raveled value, formatted once per bit pattern: sweeps repeat many."""
     bits = np.ascontiguousarray(values, dtype=np.float64).ravel().view(np.int64)
     keys, inverse = np.unique(bits, return_inverse=True)
     reprs = list(map(repr, keys.view(np.float64).tolist()))
@@ -240,15 +238,11 @@ def write_sweep(fh: TextIO, grid: SweepGrid) -> None:
                          "read back by read_sweep, which does not read that column")
     p_bflip = pbflip_grid(grid.thetas)
     # No field needs CSV quoting, and numbers are written as their repr, as ``csv`` writes them.
-    counts = [] if grid.counts is None else [grid.counts]
-    tail = ",\n" if grid.counts is None else "\n"
-    fh.write(",".join(_SWEEP_COLUMNS) + "\n")
-    for i in range(0, len(grid.thetas), _SWEEP_BLOCK):
-        block = slice(i, i + _SWEEP_BLOCK)
-        cells = [[f"{t},{o}" for t in map(repr, grid.thetas[block]) for o in _OUTCOME_FIELDS],
-                 _distinct_reprs(grid.p_theory[block]), _distinct_reprs(p_bflip[block]),
-                 *(map(repr, c[block].ravel().tolist()) for c in counts)]
-        fh.write(tail.join(map(",".join, zip(*cells))) + tail)
+    counts = ([""] * grid.p_theory.size if grid.counts is None
+              else map(repr, grid.counts.ravel().tolist()))
+    cells = [[f"{t},{o}" for t in map(repr, grid.thetas) for o in _OUTCOME_FIELDS],
+             _distinct_reprs(grid.p_theory), _distinct_reprs(p_bflip), counts]
+    fh.write("\n".join([",".join(_SWEEP_COLUMNS), *map(",".join, zip(*cells))]) + "\n")
 
 
 def _is_number(field: str) -> bool:
@@ -261,13 +255,11 @@ def _is_number(field: str) -> bool:
     return field.isascii() and "_" not in field
 
 
-def _unreadable_row(fh, columns: dict[str, int]) -> str | None:
-    """Name the first data row of the sweep file ``fh``, read again, that ``np.loadtxt`` cannot
-    read: a field of ``columns`` (name: index) that is missing or not a number.  Rows count
-    from 1 with blank lines skipped, as ``np.loadtxt`` and ``read_sweep``'s other errors do."""
-    fh.seek(0)
-    fh.readline()
-    rows = (line.rstrip("\n").split(",") for line in fh if line != "\n")
+def _unreadable_row(lines, columns: dict[str, int]) -> str | None:
+    """Name the first of ``lines``, a sweep file's data rows with or without their ``"\\n"``,
+    that ``np.loadtxt`` cannot read: a field of ``columns`` (name: index) missing or not a number.
+    Rows count from 1 with blank lines skipped, as ``np.loadtxt`` and ``read_sweep`` count."""
+    rows = (line.rstrip("\n").split(",") for line in lines if line not in ("", "\n"))
     for r, fields in enumerate(rows, start=1):
         for name, i in columns.items():
             if i >= len(fields):
@@ -293,38 +285,39 @@ def _parse_runs(text: np.ndarray) -> np.ndarray:
 def read_sweep(path) -> SweepGrid:
     """The sweep file at ``path`` as a ``SweepGrid``, each theta in [0, 90] degrees.
 
-    One ``np.loadtxt`` pass reads the columns, found by name in the header: ``theta_deg`` as
-    text, parsed once per run of equal text (a field that fills 32 characters may be cut short,
-    so it is rejected), and the signs and ``counts`` (a sampled sweep, whose first data row has
-    a count) or ``p_theory`` (an exact sweep) as floats.  No other column is read: ``p_bflip``
-    is ``pbflip_grid`` of theta, eleven-column files of earlier versions read the same,
-    and a sampled sweep has ``p_theory`` None, since parsing it too would double the cost."""
+    The file is read once, front to back, so ``path`` may be a pipe, and split into lines at
+    ``"\\n"`` alone.  One ``np.loadtxt`` pass reads the columns, found by name in the header:
+    ``theta_deg`` as text, parsed once per run of equal text (a field that fills 32 characters
+    may be cut short, so it is rejected), and the signs and ``counts`` (a sampled sweep, whose
+    first data row has a count) or ``p_theory`` (an exact sweep) as floats.  No other column is
+    read: ``p_bflip`` is ``pbflip_grid`` of theta, eleven-column files of earlier versions read
+    the same, and a sampled sweep has ``p_theory`` None, as parsing it would double the cost."""
     with open(path, encoding="utf-8") as fh:
-        column = {name: i for i, name in enumerate(fh.readline().rstrip("\n").split(","))}
-        missing = [c for c in _SWEEP_COLUMNS[:8] if c not in column]
-        if missing:
-            raise ValueError(f"missing columns {missing}")
-        first = next((line for line in fh if line != "\n"), "")
-        if not first:
-            raise ValueError("holds no data rows")
-        at = column.get("counts")
-        fields = first.rstrip("\n").split(",")
-        sampled = at is not None and at < len(fields) and fields[at] != ""
-        names = (*_SWEEP_COLUMNS[:5], "counts" if sampled else "p_theory")
-        usecols = [column[name] for name in names]
-        try:
-            # Streamed from the file: the rows are never all held as text at once.
-            rows = np.loadtxt(itertools.chain([first], fh), _SWEEP_ROW, delimiter=",",
-                              comments=None, ndmin=1, usecols=usecols, encoding="utf-8")
-            table = np.column_stack((_parse_runs(rows["theta_deg"]), rows["fields"]))
-        except ValueError:
-            bad = _unreadable_row(fh, dict(zip(names, usecols)))
-            if bad:
-                raise ValueError(bad) from None
-            raise
-        fh.seek(0)  # the text dtype drops trailing NULs: theta_deg "45.0\x00" has read as 45.0
-        if b"\x00" in fh.buffer.read() and (bad := _unreadable_row(fh, dict(zip(names, usecols)))):
-            raise ValueError(bad)
+        text = fh.read()
+    header, *lines = text.split("\n")
+    column = {name: i for i, name in enumerate(header.split(","))}
+    missing = [c for c in _SWEEP_COLUMNS[:8] if c not in column]
+    if missing:
+        raise ValueError(f"missing columns {missing}")
+    lines = lines[next((i for i, line in enumerate(lines) if line), len(lines)):]
+    if not lines:
+        raise ValueError("holds no data rows")
+    at = column.get("counts")
+    fields = lines[0].split(",")
+    sampled = at is not None and at < len(fields) and fields[at] != ""
+    names = (*_SWEEP_COLUMNS[:5], "counts" if sampled else "p_theory")
+    usecols = [column[name] for name in names]
+    try:
+        rows = np.loadtxt(lines, _SWEEP_ROW, delimiter=",", comments=None, ndmin=1,
+                          usecols=usecols, encoding="utf-8")
+        table = np.column_stack((_parse_runs(rows["theta_deg"]), rows["fields"]))
+    except ValueError:
+        if bad := _unreadable_row(lines, dict(zip(names, usecols))):
+            raise ValueError(bad) from None
+        raise
+    # The text dtype drops trailing NULs: theta_deg "45.0\x00" has read as 45.0.
+    if "\x00" in text and (bad := _unreadable_row(lines, dict(zip(names, usecols)))):
+        raise ValueError(bad)
     if len(table) % 16:
         raise ValueError(f"has {len(table)} data rows, not sixteen per angle")
     bad = ~np.isfinite(table)

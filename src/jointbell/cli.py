@@ -106,7 +106,7 @@ def parse_state_spec(spec: str) -> TwoQubitState:
             raise ValueError(f"bad mixing parameter in state spec {spec!r}") from None
         return werner_state(v)
     path = Path(spec)
-    if not path.is_file():
+    if not path.exists() or path.is_dir():  # a pipe such as <(cat m.txt) is read as a file
         raise ValueError(
             f"state must be 'singlet', 'werner:<v>' or a matrix file path; {spec!r} is none"
         )
@@ -152,6 +152,10 @@ def _pbflip_table(theta_a: float, theta_b: float) -> dict[str, float] | None:
 
 
 def _write_json(fh: TextIO, report: dict) -> None:
+    """Write ``report`` as JSON, each top-level string as the UTF-8 text of the bytes a CSV
+    report writes for it (U+FFFD for a byte that is not UTF-8): the same on every locale."""
+    report = {key: value.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+              if isinstance(value, str) else value for key, value in report.items()}
     fh.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -52,6 +53,28 @@ def run_json(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     return json.loads(result.output)
+
+
+@pytest.fixture
+def pipe_of(tmp_path):
+    """A factory of FIFOs under ``tmp_path``, each filled with a text by one writer thread, as
+    a shell fills ``<(cat file)``: a path that can be read once, front to back."""
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("os.mkfifo is missing")
+    writers = []
+
+    def make(text: str) -> str:
+        path = tmp_path / f"pipe{len(writers)}"
+        os.mkfifo(path)
+        writers.append(threading.Thread(target=path.write_text, args=(text,),
+                                        kwargs={"encoding": "utf-8"}, daemon=True))
+        writers[-1].start()
+        return str(path)
+
+    yield make
+    for writer in writers:
+        writer.join(timeout=10)
+        assert not writer.is_alive(), "a FIFO was never read to its end"
 
 
 def assert_one_line_error(result, *fragments):
@@ -231,6 +254,33 @@ def test_c_locale_reads_a_matrix_file_with_a_non_ascii_comment(tmp_path):
     proc = run_in_c_locale(["simulate", "--state", "m.txt"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["bell_expectation"] == 0.0
+
+
+def test_c_locale_json_report_equals_the_report_of_the_own_locale(runner, tmp_path,
+                                                                   monkeypatch):
+    """A JSON report holds command-line text as the UTF-8 text of its bytes, so ``fit swé.csv``
+    prints the same bytes under the C locale as under the test's own locale."""
+    name = "sw\u00e9.csv".encode("utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert runner.invoke(main, ["sweep", "--thetas", "0,45,90", "--out", "s.csv"]).exit_code == 0
+    (tmp_path / os.fsdecode(name)).write_bytes((tmp_path / "s.csv").read_bytes())
+    proc = run_in_c_locale([b"fit", name], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert b'"sweep_file": "sw\\u00e9.csv",' in proc.stdout
+    result = runner.invoke(main, ["fit", os.fsdecode(name)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == proc.stdout
+
+
+def test_json_report_replaces_bytes_that_are_not_utf8(runner, tmp_path, monkeypatch):
+    """The byte 0xff of the path ``sw\\xff.csv``, the argument "sw\\udcff.csv" on every locale,
+    is no UTF-8, so the report names U+FFFD in its place and holds no lone surrogate."""
+    monkeypatch.chdir(tmp_path)
+    assert runner.invoke(main, ["sweep", "--thetas", "0,45,90", "--out", "s.csv"]).exit_code == 0
+    (tmp_path / "sw\udcff.csv").write_bytes((tmp_path / "s.csv").read_bytes())
+    report = run_json(runner, ["fit", "sw\udcff.csv"])
+    assert report["sweep_file"] == "sw\ufffd.csv"
+    json.dumps(report, ensure_ascii=False).encode("utf-8")
 
 
 def test_import_pulls_in_no_network_modules():
@@ -456,6 +506,17 @@ class TestSimulate:
         np.savetxt(path, werner_state(0.975).rho.astype(complex))
         report = run_json(runner, ["simulate", "--state", str(path)])
         assert report["p_b_plus"] == pytest.approx(0.5 - 0.975 * ROOT2 / 4, abs=1e-9)
+
+    def test_matrix_file_through_a_pipe(self, runner, tmp_path, pipe_of):
+        """``--state`` takes a path that exists and is no directory, as ``fit`` and ``analyze``
+        take theirs, so a pipe such as ``<(cat rho.txt)`` gives the file's report."""
+        path = tmp_path / "rho.txt"
+        np.savetxt(path, werner_state(0.975).rho.astype(complex))
+        report = run_json(runner, ["simulate", "--state", str(path)])
+        pipe = pipe_of(path.read_text(encoding="utf-8"))
+        assert run_json(runner, ["simulate", "--state", pipe]) == {**report, "state": pipe}
+        result = runner.invoke(main, ["simulate", "--state", str(tmp_path)])
+        assert_one_line_error(result, f"matrix file path; {str(tmp_path)!r} is none")
 
     def test_invalid_matrix_file_fails(self, runner, tmp_path):
         path = tmp_path / "rho.txt"
@@ -1013,6 +1074,36 @@ class TestFit:
         for key in (*FIT_KEYS, "bell_magnitude_std_err"):
             assert report[key] == getattr(result, key), key
         assert report["p_int_low"] == result.intercept
+
+    @pytest.mark.parametrize("sample", [False, True], ids=["exact", "sampled"])
+    def test_pipe_reads_as_the_file(self, runner, tmp_path, pipe_of, sample):
+        """``read_sweep`` reads its file once, front to back, so a pipe such as
+        ``<(cat s.csv)`` gives the file's grid, and ``fit`` its report apart from the name."""
+        sweep_path = tmp_path / "s.csv"
+        self._sweep(runner, sweep_path, sample=sample)
+        text = sweep_path.read_text(encoding="utf-8")
+        piped, read = read_sweep(pipe_of(text)), read_sweep(sweep_path)
+        assert piped.thetas == read.thetas
+        if sample:
+            assert piped.p_theory is None and piped.counts.tolist() == read.counts.tolist()
+        else:
+            assert piped.counts is None and bits(piped.p_theory) == bits(read.p_theory)
+        before = runner.invoke(main, ["fit", str(sweep_path)])
+        assert before.exit_code == 0, before.output
+        pipe = pipe_of(text)
+        result = runner.invoke(main, ["fit", pipe])
+        assert result.exit_code == 0, result.output
+        assert result.output == before.output.replace(json.dumps(str(sweep_path)),
+                                                      json.dumps(pipe))
+
+    def test_pipe_names_a_bad_row(self, runner, tmp_path, pipe_of):
+        """A bad row of a pipe is named as in a file, from the one read of its text."""
+        sweep_path = tmp_path / "s.csv"
+        self._sweep(runner, sweep_path, sample=True)
+        self._edit_data_rows(sweep_path, lambda r: [r[0], ["abc", *r[1][1:]], *r[2:]])
+        pipe = pipe_of(sweep_path.read_text(encoding="utf-8"))
+        assert_one_line_error(runner.invoke(main, ["fit", pipe]),
+                              f"{pipe}: data row 2: theta_deg must be a number, got 'abc'")
 
     def test_missing_columns_fail(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -170,6 +170,27 @@ def test_checker_flags_a_call_without_encoding():
     ]
 
 
+def rewinds(sources: dict[str, str]) -> list[str]:
+    """Reads of a ``seek`` or ``buffer`` attribute in ``sources`` (module name: source): every
+    input is read once, front to back, in text mode, so that a pipe serves as a file does."""
+    return [f"{module}: {node.attr}, line {node.lineno}"
+            for module, source in sources.items() for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in ("seek", "buffer")]
+
+
+def test_inputs_are_read_once_front_to_back():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert rewinds(sources) == []
+
+
+def test_checker_flags_a_rewind():
+    sources = {
+        "analysis": "fh.seek(0)\ntext = fh.read()\nraw = fh.buffer.read()\n",
+        "cli": "seek = 0\nsys.stdout.write(buffer)\nfh.tell()\n",
+    }
+    assert rewinds(sources) == ["analysis: seek, line 1", "analysis: buffer, line 3"]
+
+
 #: Each module's layer: a module imports only modules of lower layers.  ``__init__`` only
 #: re-exports, from core, sim and analysis.
 LAYERS = {"core": 0, "sim": 1, "analysis": 2, "figures": 3, "selfcheck": 3, "__init__": 3,

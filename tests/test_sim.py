@@ -549,6 +549,27 @@ class TestSweepGrid:
             assert "\n" not in str(info.value)
             assert fh.getvalue() == ""
 
+    @pytest.mark.parametrize("mean_total, seed", [(None, None), (5e4, 6)], ids=["exact", "sampled"])
+    def test_grid_without_angles_writes_the_header_alone(self, mean_total, seed):
+        """A grid with no angles writes the header line and nothing after it."""
+        fh = io.StringIO()
+        write_sweep(fh, sweep_grid(werner_state(0.9716), [], mean_total, seed))
+        assert fh.getvalue() == "theta_deg,x_a,y_a,x_b,y_b,b,p_theory,p_bflip,counts\n"
+
+    @pytest.mark.parametrize("mean_total, seed", [(None, None), (5e4, 6)], ids=["exact", "sampled"])
+    def test_crlf_file_reads_as_the_lf_file(self, tmp_path, mean_total, seed):
+        """A CRLF copy of a sweep file, blank line included, reads to the same grid, and a bad
+        row in it is named with the same row number and text."""
+        fh = io.StringIO()
+        write_sweep(fh, sweep_grid(werner_state(0.9716), self.THETAS, mean_total, seed))
+        good = fh.getvalue().replace("\n12.5,", "\n\n12.5,", 1)
+        for text in (good, good.replace("\n45.0,", "\nabc,", 1)):
+            (tmp_path / "lf.csv").write_bytes(text.encode())
+            (tmp_path / "crlf.csv").write_bytes(text.replace("\n", "\r\n").encode())
+            crlf = read_outcome(read_sweep, tmp_path / "crlf.csv")
+            assert crlf == read_outcome(read_sweep, tmp_path / "lf.csv")
+        assert crlf == "data row 49: theta_deg must be a number, got 'abc'"
+
     @pytest.mark.parametrize("mean_total, seed", [(None, None), (5e4, None), (None, 3)])
     def test_unsampled_sweep_carries_no_counts(self, mean_total, seed):
         if mean_total is None and seed is None:
