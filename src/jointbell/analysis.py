@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import CIRELSON_BOUND, VisibilityPair, _frozen, _left_sum, unit_circle_grid
 from .sim import ALL_OUTCOMES, SIGN_COLUMNS, JointDistribution, Outcome, QuasiDistribution, b_value
-from .sim import MAX_COUNT, SweepGrid, _check_angle_totals, _check_probabilities
+from .sim import MAX_COUNT, SweepGrid, _check_angle_totals, _check_probabilities, _is_number
 
 #: Outcomes whose flip probability dips lowest over the trade-off range:
 #: the first two bottom out at theta = 22.5 deg, the last two at 67.5 deg.
@@ -218,8 +218,7 @@ _SWEEP_COLUMNS = (
 )
 #: The sign and b fields of a sweep's sixteen rows per angle, in ALL_OUTCOMES order.
 _OUTCOME_FIELDS = [",".join(map(str, (*m, b_value(m)))) for m in ALL_OUTCOMES]
-_THETA_CHARS = 32  # width of ``read_sweep``'s theta_deg text, which a repr (24 at most) fits
-_SWEEP_ROW = np.dtype([("theta_deg", f"U{_THETA_CHARS}"), ("fields", float, (5,))])
+_SWEEP_ROW = np.dtype([("theta_deg", object), ("fields", float, (5,))])
 
 
 def _distinct_reprs(values: np.ndarray) -> list[str]:
@@ -245,16 +244,6 @@ def write_sweep(fh: TextIO, grid: SweepGrid) -> None:
     fh.write("\n".join([",".join(_SWEEP_COLUMNS), *map(",".join, zip(*cells))]) + "\n")
 
 
-def _is_number(field: str) -> bool:
-    """Whether ``np.loadtxt`` reads ``field`` as a float: ``float``'s grammar without the
-    underscores and non-ASCII digits that only ``float`` accepts."""
-    try:
-        float(field)
-    except ValueError:
-        return False
-    return field.isascii() and "_" not in field
-
-
 def _unreadable_row(lines, columns: dict[str, int]) -> str | None:
     """Name the first of ``lines``, a sweep file's data rows with or without their ``"\\n"``,
     that ``np.loadtxt`` cannot read: a field of ``columns`` (name: index) missing or not a number.
@@ -276,9 +265,8 @@ def _parse_runs(text: np.ndarray) -> np.ndarray:
     starts = np.flatnonzero(np.concatenate(([True], text[1:] != text[:-1])))
     fields = text[starts].tolist()
     for row, field in zip(starts.tolist(), fields):
-        if len(field) == _THETA_CHARS or not _is_number(field):  # a full field may be cut short
-            raise ValueError(f"data row {row + 1}: theta_deg must be a number of at most "
-                             f"{_THETA_CHARS - 1} characters")
+        if not _is_number(field):
+            raise ValueError(f"data row {row + 1}: theta_deg must be a number, got {field!r}")
     return np.repeat(list(map(float, fields)), np.diff(starts, append=len(text)))
 
 
@@ -287,14 +275,13 @@ def read_sweep(path) -> SweepGrid:
 
     The file is read once, front to back, so ``path`` may be a pipe, and split into lines at
     ``"\\n"`` alone.  One ``np.loadtxt`` pass reads the columns, found by name in the header:
-    ``theta_deg`` as text, parsed once per run of equal text (a field that fills 32 characters
-    may be cut short, so it is rejected), and the signs and ``counts`` (a sampled sweep, whose
-    first data row has a count) or ``p_theory`` (an exact sweep) as floats.  No other column is
-    read: ``p_bflip`` is ``pbflip_grid`` of theta, eleven-column files of earlier versions read
-    the same, and a sampled sweep has ``p_theory`` None, as parsing it would double the cost."""
+    ``theta_deg`` as the ``str`` it is, parsed once per run of equal text, and the signs and
+    ``counts`` (a sampled sweep, whose first data row has a count) or ``p_theory`` (an exact
+    sweep) as floats.  No other column is read: ``p_bflip`` is ``pbflip_grid`` of theta,
+    eleven-column files of earlier versions read the same, and a sampled sweep has ``p_theory``
+    None, as parsing it would double the cost."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    header, *lines = text.split("\n")
+        header, *lines = fh.read().split("\n")
     column = {name: i for i, name in enumerate(header.split(","))}
     missing = [c for c in _SWEEP_COLUMNS[:8] if c not in column]
     if missing:
@@ -315,9 +302,6 @@ def read_sweep(path) -> SweepGrid:
         if bad := _unreadable_row(lines, dict(zip(names, usecols))):
             raise ValueError(bad) from None
         raise
-    # The text dtype drops trailing NULs: theta_deg "45.0\x00" has read as 45.0.
-    if "\x00" in text and (bad := _unreadable_row(lines, dict(zip(names, usecols)))):
-        raise ValueError(bad)
     if len(table) % 16:
         raise ValueError(f"has {len(table)} data rows, not sixteen per angle")
     bad = ~np.isfinite(table)

@@ -49,6 +49,7 @@ from .sim import (
     sample_counts,
     sweep_grid,
     write_count_table,
+    _is_number,
 )
 
 #: Environment variable naming the directory for outputs written without
@@ -100,11 +101,10 @@ def parse_state_spec(spec: str) -> TwoQubitState:
     if spec == "singlet":
         return singlet_state()
     if spec.startswith("werner:"):
-        try:
-            v = float(spec.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad mixing parameter in state spec {spec!r}") from None
-        return werner_state(v)
+        v = spec.split(":", 1)[1]
+        if not _is_number(v):
+            raise ValueError(f"bad mixing parameter in state spec {spec!r}")
+        return werner_state(float(v))
     path = Path(spec)
     if not path.exists() or path.is_dir():  # a pipe such as <(cat m.txt) is read as a file
         raise ValueError(
@@ -342,10 +342,10 @@ def sweep(state, thetas, sample, mean_total, seed, out) -> None:
     """Tabulate per-(angle, outcome) probabilities and flip probabilities."""
     if thetas is None:
         raise click.ClickException("--thetas is required (comma-separated degrees)")
-    try:
-        theta_list = [float(t) for t in thetas.split(",") if t.strip()]
-    except ValueError:
-        raise click.ClickException(f"bad theta list {thetas!r}") from None
+    fields = [t for t in thetas.split(",") if t.strip()]
+    if not all(map(_is_number, fields)):
+        raise click.ClickException(f"bad theta list {thetas!r}")
+    theta_list = list(map(float, fields))
     if not theta_list:
         raise click.ClickException("theta list is empty")
     if any(not 0.0 <= t <= 90.0 for t in theta_list):

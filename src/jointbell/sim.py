@@ -379,6 +379,16 @@ def format_count_table(table: CountTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_number(field: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``field`` as a float: ``float``'s grammar without the
+    underscores and non-ASCII digits that only ``float`` accepts."""
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return field.isascii() and "_" not in field
+
+
 def _parse_sign(token: str, row: int) -> int:
     if token == "+1":
         return 1
@@ -400,10 +410,10 @@ def parse_count_table(text: str) -> CountTable:
                 raise CountFileError(f"row {row}: unrecognized metadata line {line!r}")
             if duration is not None:
                 raise CountFileError(f"row {row}: duplicate duration metadata line")
-            try:
-                duration = float(line[len(_DURATION_PREFIX):])
-            except ValueError:
-                raise CountFileError(f"row {row}: malformed duration in {line!r}") from None
+            value = line[len(_DURATION_PREFIX):]
+            if not _is_number(value):
+                raise CountFileError(f"row {row}: malformed duration in {line!r}")
+            duration = float(value)
             continue
         if duration is not None:
             raise CountFileError(f"row {row}: data after the duration metadata line")

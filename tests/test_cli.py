@@ -501,6 +501,17 @@ class TestSimulate:
         assert result.exit_code != 0
         assert "[0, 1]" in result.output
 
+    @pytest.mark.parametrize("v", ["0.2_5", "\u0660.\u0665"], ids=["underscore", "arabic-indic"])
+    def test_werner_parameter_takes_the_file_number_grammar(self, runner, tmp_path, monkeypatch,
+                                                            v):
+        """``werner:<v>`` reads ``v`` as count and sweep files read a number, ``float``'s grammar
+        in ASCII without ``_``, from the flag and from a config file alike."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"state = werner:{v}\n", encoding="utf-8")
+        for args in (["--state", f"werner:{v}"], ["--config", "run.cfg"]):
+            result = runner.invoke(main, ["simulate", *args])
+            assert_one_line_error(result, f"bad mixing parameter in state spec 'werner:{v}'")
+
     def test_matrix_file_state(self, runner, tmp_path):
         path = tmp_path / "rho.txt"
         np.savetxt(path, werner_state(0.975).rho.astype(complex))
@@ -801,6 +812,8 @@ class TestSweep:
             (["--thetas", " , "], "theta list is empty"),
             ([], "--thetas is required (comma-separated degrees)"),
             (["--thetas", "1,x"], "bad theta list '1,x'"),
+            (["--thetas", "4_5"], "bad theta list '4_5'"),
+            (["--thetas", "10,\u0662\u0660"], "bad theta list '10,\u0662\u0660'"),
         ):
             result = runner.invoke(main, ["sweep", "--state", "singlet", *thetas])
             assert_one_line_error(result, message)
